@@ -14,7 +14,7 @@ from superpoly.stable import (
     finite_vs_stable,
     stable_hfk,
     stable_khr2,
-    stable_khr2_generic_only,
+    stable_khr2_generic,
     stable_super,
 )
 
@@ -43,7 +43,7 @@ for n in (2, 3, 4):
     head = sorted(series.body.terms)[:4]
     print("  %d strands agree; head %s" % (n, head))
 print("  5 strands (no closed form), generic route only:")
-print("   ", sorted(stable_khr2_generic_only(5, 18).body.terms)[:6])
+print("   ", sorted(stable_khr2_generic(5, 18).body.terms)[:6])
 
 print()
 print("How far finite knots track their limit (q-degree windows):")

@@ -55,7 +55,6 @@ from .complexes import (
     verify,
 )
 from .stable import (
-    BlockComplex,
     GenericityMismatch,
     TruncSeries,
     build_stable_complex,

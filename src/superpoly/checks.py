@@ -9,6 +9,7 @@ from .laurent import (
     Poly3,
     at_a_qN,
     at_t_minus_one,
+    delta_spectrum,
     y_rewrite,
     NotYExpressible,
 )
@@ -36,8 +37,7 @@ from .dataset import load_dataset
 
 
 def _is_thin(superpoly):
-    deltas = {2 * et - 2 * ea - eq for (ea, eq, et) in superpoly.terms}
-    return len(deltas) <= 1
+    return len(delta_spectrum(superpoly)) <= 1
 
 
 def check_rows(records, only=None):

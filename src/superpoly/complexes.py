@@ -18,7 +18,7 @@ All linear algebra is exact over the rationals.
 
 from fractions import Fraction
 
-from .laurent import Poly3, y_rewrite, NotYExpressible
+from .laurent import Poly3, delta_spectrum, y_rewrite, NotYExpressible
 
 
 class ComplexError(Exception):
@@ -96,18 +96,7 @@ class DotComplex:
 
     def delta_histogram(self):
         """Histogram of doubled delta-gradings 2*(et - ea) - eq."""
-        hist = {}
-        for (ea, eq, et) in self.generators:
-            d2 = 2 * et - 2 * ea - eq
-            hist[d2] = hist.get(d2, 0) + 1
-        return hist
-
-    def is_thin(self):
-        return len(self.delta_histogram()) <= 1
-
-    def matrix(self, n):
-        """d_N as {(src, dst): coeff}; empty when the level is absent."""
-        return {(s, d): c for (s, d, c) in self.diffs.get(n, [])}
+        return delta_spectrum(self.poincare())
 
 
 def mirror_complex(c, label=None):
@@ -168,9 +157,17 @@ class VerifyReport:
         out.append("delta spectrum {%s} -> %s" % (deltas, "thin" if self.thin else "thick"))
         if self.symmetric:
             out.append("q <-> q^-1 symmetry holds at the Poincare level (g_max=%d)" % self.g_max)
-        else:
-            out.append("FAIL Poincare polynomial is not expressible in a, t, y")
         return out
+
+
+def _bad_degrees(c, n):
+    """One message per d_N entry whose grading shift is not diff_degree(N)."""
+    want = diff_degree(n)
+    gens = c.generators
+    for (s, d, _) in c.diffs.get(n, []):
+        got = tuple(gens[d][i] - gens[s][i] for i in range(3))
+        if got != want:
+            yield "d_%d entry %d->%d has degree %s, expected %s" % (n, s, d, got, want)
 
 
 def verify(c, max_eq=None):
@@ -184,14 +181,8 @@ def verify(c, max_eq=None):
     """
     violations = []
     gens = c.generators
-    for n, entries in sorted(c.diffs.items()):
-        want = diff_degree(n)
-        for (s, d, coeff) in entries:
-            got = tuple(gens[d][i] - gens[s][i] for i in range(3))
-            if got != want:
-                violations.append(
-                    "d_%d entry %d->%d has degree %s, expected %s" % (n, s, d, got, want)
-                )
+    for n in sorted(c.diffs):
+        violations.extend(_bad_degrees(c, n))
     levels = sorted(c.diffs)
     for i, n in enumerate(levels):
         for m in levels[i:]:
@@ -260,19 +251,32 @@ def _rank(rows):
     return rank
 
 
-def _blocked_ranks(c, n, key_of):
-    """Rank of d_N from each bigrade block, as {block_key: rank}.
+def _dense(srcs, dsts, entries):
+    """Dense Fraction matrix of the entries running from srcs (rows) to dsts."""
+    spos = {idx: j for j, idx in enumerate(srcs)}
+    dpos = {idx: j for j, idx in enumerate(dsts)}
+    mat = [[Fraction(0)] * len(dsts) for _ in srcs]
+    for (s, d, coeff) in entries:
+        if s in spos and d in dpos:
+            mat[spos[s]][dpos[d]] += coeff
+    return mat
+
+
+def _grouped(c, key_of):
+    """Generator indices grouped by key_of(grading), in generator order."""
+    by_key = {}
+    for idx, g in enumerate(c.generators):
+        by_key.setdefault(key_of(g), []).append(idx)
+    return by_key
+
+
+def _blocked_dims(c, n, key_of):
+    """Homology dimensions of d_N per (block, level) key, as {key: dim}.
 
     key_of maps a generator grading to its amalgamated (block, level) pair;
     d_N must keep block fixed and lower level by one.
     """
-    by_key = {}
-    for idx, g in enumerate(c.generators):
-        by_key.setdefault(key_of(g), []).append(idx)
-    pos = {}
-    for key, idxs in by_key.items():
-        for j, idx in enumerate(idxs):
-            pos[idx] = j
+    by_key = _grouped(c, key_of)
     blocks = {}
     for (s, d, coeff) in c.diffs.get(n, []):
         ks = key_of(c.generators[s])
@@ -282,15 +286,21 @@ def _blocked_ranks(c, n, key_of):
                 "d_%d entry %d->%d does not respect the amalgamated grading" % (n, s, d)
             )
         blocks.setdefault(ks, []).append((s, d, coeff))
-    ranks = {}
-    for key, entries in blocks.items():
-        srcs = by_key[key]
-        dsts = by_key[(key[0], key[1] - 1)]
-        mat = [[Fraction(0)] * len(dsts) for _ in srcs]
-        for (s, d, coeff) in entries:
-            mat[pos[s]][pos[d]] += coeff
-        ranks[key] = _rank(mat)
-    return by_key, ranks
+    ranks = {
+        key: _rank(_dense(by_key[key], by_key[(key[0], key[1] - 1)], entries))
+        for key, entries in blocks.items()
+    }
+    dims = {}
+    for key, idxs in by_key.items():
+        dim = len(idxs) - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
+        if dim < 0:
+            raise ComplexError(
+                "d_%d homology at %s has dimension %d: d_%d does not square to zero"
+                % (n, key, dim, n)
+            )
+        if dim:
+            dims[key] = dim
+    return dims
 
 
 class HomologyReport:
@@ -306,6 +316,13 @@ class HomologyReport:
         return sum(self.dims.values())
 
 
+def _bigrade(n):
+    """The amalgamated (block, level) key of a grading under d_N, N >= 0."""
+    if n >= 1:
+        return lambda g: (n * g[0] + g[1], g[2])
+    return lambda g: (g[1], g[2] - g[0])
+
+
 def homology(c, n):
     """Homology of (C, d_N) for N >= 0, per amalgamated bigrade.
 
@@ -313,30 +330,15 @@ def homology(c, n):
     Poincare polynomial lives in q^p t^k.  For N = 0 they group by
     (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
     Alexander-side regrading.  An absent d_N means the zero differential.
+    A negative dimension, which only a d_N with nonzero square can produce,
+    raises ComplexError.
     """
     if n < 0:
         raise ValueError("reductions are only defined for N >= 0")
-    want = diff_degree(n)
-    for (s, d, _) in c.diffs.get(n, []):
-        got = tuple(c.generators[d][i] - c.generators[s][i] for i in range(3))
-        if got != want:
-            raise GradingMismatch(
-                "d_%d entry %d->%d has degree %s, expected %s" % (n, s, d, got, want)
-            )
-    if n >= 1:
-        def key_of(g):
-            return (n * g[0] + g[1], g[2])
-    else:
-        def key_of(g):
-            return (g[1], g[2] - g[0])
-    by_key, ranks = _blocked_ranks(c, n, key_of)
-    dims = {}
-    for key, idxs in by_key.items():
-        dim = len(idxs)
-        dim -= ranks.get(key, 0)
-        dim -= ranks.get((key[0], key[1] + 1), 0)
-        if dim:
-            dims[key] = dim
+    bad = next(_bad_degrees(c, n), None)
+    if bad:
+        raise GradingMismatch(bad)
+    dims = _blocked_dims(c, n, _bigrade(n))
     poly = Poly3({(0, p, k): dim for (p, k), dim in dims.items()})
     return HomologyReport(n, poly, dims)
 
@@ -348,32 +350,9 @@ def homology_unblocked_dims(c, n):
     matrices of d_N between adjacent levels.  Independent cross-check for
     homology(); the two must agree whenever d_N is a valid differential.
     """
-    if n >= 1:
-        level_of = lambda g: g[2]
-    else:
-        level_of = lambda g: g[2] - g[0]
-    by_level = {}
-    for idx, g in enumerate(c.generators):
-        by_level.setdefault(level_of(g), []).append(idx)
-    pos = {idx: j for idxs in by_level.values() for j, idx in enumerate(idxs)}
-    mats = {}
-    for (s, d, coeff) in c.diffs.get(n, []):
-        ks = level_of(c.generators[s])
-        mats.setdefault(ks, []).append((s, d, coeff))
-    ranks = {}
-    for k, entries in mats.items():
-        srcs = by_level[k]
-        dsts = by_level.get(k - 1, [])
-        mat = [[Fraction(0)] * len(dsts) for _ in srcs]
-        for (s, d, coeff) in entries:
-            mat[pos[s]][pos[d]] += coeff
-        ranks[k] = _rank(mat)
-    dims = {}
-    for k, idxs in by_level.items():
-        dim = len(idxs) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if dim:
-            dims[k] = dim
-    return dims
+    level_of = _bigrade(n)
+    dims = _blocked_dims(c, n, lambda g: (0, level_of(g)[1]))
+    return {k: dim for (_, k), dim in dims.items()}
 
 
 def s_invariant(c):
@@ -394,33 +373,12 @@ def s_invariant(c):
         raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (p, k))
     # Identify the class: inside the (p,k) = (0,0) block, pick a kernel
     # vector not in the image and read off its a-grading support.
-    block = [
-        i
-        for i, g in enumerate(c.generators)
-        if g[0] + g[1] == 0 and g[2] == 0
-    ]
-    below = [
-        i
-        for i, g in enumerate(c.generators)
-        if g[0] + g[1] == 0 and g[2] == -1
-    ]
-    above = [
-        i
-        for i, g in enumerate(c.generators)
-        if g[0] + g[1] == 0 and g[2] == 1
-    ]
+    by_key = _grouped(c, _bigrade(1))
+    block = by_key[(0, 0)]
+    below = by_key.get((0, -1), [])
+    above = by_key.get((0, 1), [])
     entries = c.diffs.get(1, [])
-    bpos = {idx: j for j, idx in enumerate(block)}
-    out_rows = [[Fraction(0)] * len(below) for _ in block]
-    dpos = {idx: j for j, idx in enumerate(below)}
-    in_rows = [[Fraction(0)] * len(block) for _ in above]
-    apos = {idx: j for j, idx in enumerate(above)}
-    for (s, d, coeff) in entries:
-        if s in bpos and d in dpos:
-            out_rows[bpos[s]][dpos[d]] += coeff
-        if s in apos and d in bpos:
-            in_rows[apos[s]][bpos[d]] += coeff
-    survivor = _kernel_mod_image(out_rows, in_rows)
+    survivor = _kernel_mod_image(_dense(block, below, entries), _dense(above, block, entries))
     if survivor is None:
         raise SurvivorOffLine("could not isolate a one-dimensional surviving class")
     support = [block[j] for j, v in enumerate(survivor) if v]
@@ -484,50 +442,34 @@ def _kernel_mod_image(out_rows, in_rows):
 
 # -- constructions ----------------------------------------------------------
 
-def _solve_signs(gradings, arrows):
-    """Assign +-1 coefficients making the arrow family anticommute.
+def _sign_equations(by_src):
+    """Yield, per pair of parallel composites, the set of its edge indices.
 
-    arrows: dict N -> list of (src, dst).  Every length-two composite
-    (either order) between a fixed source and target must cancel against
-    exactly one partner path, which yields a linear system over GF(2) for
-    the sign exponents; free variables are set to +1.  Raises ComplexError
-    when a composite has no partner or the system is inconsistent, which
-    means the arrow sets themselves are wrong (signs cannot help).
+    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each set is one
+    GF(2) equation: the sign exponents of its edges sum to 1, so that the
+    two composites cancel.  Composites are paired one source at a time, in
+    (source, target) order per pair of levels.
     """
-    edge_index = {}
-    edges = []
-    for n in sorted(arrows):
-        for (s, d) in sorted(arrows[n]):
-            edge_index[(n, s, d)] = len(edges)
-            edges.append((n, s, d))
-    equations = []
-    levels = sorted(arrows)
-    by_src = {
-        n: {} for n in levels
-    }
-    for n in levels:
-        for (s, d) in arrows[n]:
-            by_src[n].setdefault(s, []).append(d)
+    levels = sorted(by_src)
     for i, n in enumerate(levels):
         for m in levels[i:]:
-            paths = {}
-            for (s, mid) in arrows[n]:
-                for d in by_src[m].get(mid, []):
-                    paths.setdefault((s, d), []).append(
-                        (edge_index[(n, s, mid)], edge_index[(m, mid, d)])
-                    )
-            if m != n:
-                for (s, mid) in arrows[m]:
-                    for d in by_src[n].get(mid, []):
-                        paths.setdefault((s, d), []).append(
-                            (edge_index[(m, s, mid)], edge_index[(n, mid, d)])
+            orders = ((n, m), (m, n)) if m != n else ((n, n),)
+            for s in sorted(set(by_src[n]) | set(by_src[m])):
+                paths = {}
+                for (first, second) in orders:
+                    for (mid, e1) in by_src[first].get(s, []):
+                        for (d, e2) in by_src[second].get(mid, []):
+                            paths.setdefault(d, []).append((e1, e2))
+                for d, plist in sorted(paths.items()):
+                    if len(plist) == 1:
+                        raise ComplexError(
+                            "unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
                         )
-            for (s, d), plist in sorted(paths.items()):
-                if len(plist) == 1:
-                    raise ComplexError(
-                        "unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
-                    )
-                if len(plist) == 2:
+                    if len(plist) > 2:
+                        raise ComplexError(
+                            "more than two parallel composites %d -> %d; "
+                            "the +-1 sign rule does not apply" % (s, d)
+                        )
                     (a1, a2), (b1, b2) = plist
                     row = set()
                     for e in (a1, a2, b1, b2):
@@ -535,48 +477,70 @@ def _solve_signs(gradings, arrows):
                             row.remove(e)
                         else:
                             row.add(e)
-                    equations.append((row, 1))
-                elif len(plist) > 2:
-                    raise ComplexError(
-                        "more than two parallel composites %d -> %d; "
-                        "the +-1 sign rule does not apply" % (s, d)
-                    )
-    # Gaussian elimination over GF(2) on a set-of-indices representation;
-    # free variables stay 0, i.e. the edge keeps coefficient +1.
-    nvars = len(edges)
-    reduced = []
-    for (r, rhs) in equations:
-        r = set(r)
-        for (pr, prhs, pivot) in reduced:
-            if pivot in r:
-                r ^= pr
-                rhs ^= prhs
-        if r:
-            pivot = min(r)
-            reduced.append((r, rhs, pivot))
-        elif rhs:
-            raise ComplexError("sign constraints are inconsistent")
-    values = [0] * nvars
-    for (r, rhs, pivot) in sorted(reduced, key=lambda x: -x[2]):
-        s = rhs
-        for e in r:
+                    yield row
+
+
+def _solve_signs(arrows):
+    """Assign +-1 coefficients making the arrow family anticommute.
+
+    arrows: dict N -> list of (src, dst).  Every length-two composite
+    (either order) between a fixed source and target must cancel against
+    exactly one partner path, which yields a linear system over GF(2) for
+    the sign exponents; free variables are set to +1.  Returns dict
+    N -> list of signs, one per arrow of sorted(arrows[N]).  Raises
+    ComplexError when a composite has no partner or the system is
+    inconsistent, which means the arrow sets themselves are wrong (signs
+    cannot help).
+    """
+    by_src = {}
+    nvars = 0
+    for n in sorted(arrows):
+        by_src[n] = {}
+        for (s, d) in sorted(arrows[n]):
+            by_src[n].setdefault(s, []).append((d, nvars))
+            nvars += 1
+    # Gaussian elimination over GF(2) on a set-of-indices representation,
+    # rows keyed by their pivot (least index).  Column nvars is the
+    # right-hand side, so a row reduced to that column alone is an
+    # inconsistency.  Reduced rows are kept as tuples, which take a fraction
+    # of a set's memory.  Free variables stay 0, i.e. the edge keeps
+    # coefficient +1.  The pivots are the leading columns of the unique
+    # reduced echelon form, so any elimination order gives the same signs.
+    rows = {}
+    for r in _sign_equations(by_src):
+        r.add(nvars)
+        pivot = min(r)
+        while pivot in rows:
+            r = r.symmetric_difference(rows[pivot])
+            pivot = min(r, default=nvars)
+        if pivot == nvars:
+            if r:
+                raise ComplexError("sign constraints are inconsistent")
+            continue
+        rows[pivot] = tuple(r)
+    values = [0] * nvars + [1]
+    for pivot in sorted(rows, reverse=True):
+        s = 0
+        for e in rows[pivot]:
             if e != pivot:
                 s ^= values[e]
         values[pivot] = s
     signs = {}
-    for idx, (n, s, d) in enumerate(edges):
-        signs[(n, s, d)] = -1 if values[idx] else 1
+    start = 0
+    for n in sorted(arrows):
+        stop = start + len(arrows[n])
+        signs[n] = [-1 if v else 1 for v in values[start:stop]]
+        start = stop
     return signs
 
 
 def complex_from_arrows(gradings, arrows, label=None):
     """Build a DotComplex from unsigned arrow sets via the GF(2) sign pass."""
-    signs = _solve_signs(gradings, arrows)
-    diffs = {}
-    for n, pairs in arrows.items():
-        diffs[n] = [
-            (s, d, Fraction(signs[(n, s, d)])) for (s, d) in sorted(pairs)
-        ]
+    signs = _solve_signs(arrows)
+    diffs = {
+        n: [(s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n])]
+        for n, pairs in arrows.items()
+    }
     c = DotComplex(gradings, diffs, label=label)
     report = verify(c)
     if not report.ok:
@@ -634,43 +598,34 @@ def build_torus_complex(n, m):
     def top_range(j):
         return 3 * j + 1 if rem1 else 3 * j + 2
 
-    one = Fraction(1)
     d1, dm1, d2, dm2, d0 = [], [], [], [], []
     for j in range(k + 1):
         for i in range(even_range(j)):
             src = index[("lv1", ("even", j, i))]
-            d1.append((src, index[("lv0", (j, i))], one))
-            dm1.append((src, index[("lv0", (j, i + 1))], one))
+            d1.append((src, index[("lv0", (j, i))]))
+            dm1.append((src, index[("lv0", (j, i + 1))]))
         for i in range(odd_range(j)):
             src = index[("lv1", ("odd", j, i))]
-            d2.append((src, index[("lv0", (j, i))], one))
-            d0.append((src, index[("lv0", (j, i + 1))], one))
-            dm2.append((src, index[("lv0", (j, i + 2))], one))
+            d2.append((src, index[("lv0", (j, i))]))
+            d0.append((src, index[("lv0", (j, i + 1))]))
+            dm2.append((src, index[("lv0", (j, i + 2))]))
             if i >= 1:
-                d1.append((src, index[("lv0", (j - 1, i - 1))], one))
+                d1.append((src, index[("lv0", (j - 1, i - 1))]))
             else:
-                dm1.append((src, index[("lv0", (j - 1, 0))], -one))
+                dm1.append((src, index[("lv0", (j - 1, 0))]))
     for j in range(k):
         for i in range(top_range(j)):
             src = index[("lv2", (j, i))]
-            d1.append((src, index[("lv1", ("odd", j + 1, i))], -one))
+            d1.append((src, index[("lv1", ("odd", j + 1, i))]))
             if i >= 1:
-                d1.append((src, index[("lv1", ("even", j, i - 1))], one))
-            dm1.append((src, index[("lv1", ("odd", j + 1, i + 1))], -one))
-            d2.append((src, index[("lv1", ("even", j + 1, i))], one))
-            d0.append((src, index[("lv1", ("even", j + 1, i + 1))], one))
-            dm2.append((src, index[("lv1", ("even", j + 1, i + 2))], one))
-    c = DotComplex(
-        gens,
-        {1: d1, -1: dm1, 2: d2, -2: dm2, 0: d0},
-        label="T(3,%d)" % m,
+                d1.append((src, index[("lv1", ("even", j, i - 1))]))
+            dm1.append((src, index[("lv1", ("odd", j + 1, i + 1))]))
+            d2.append((src, index[("lv1", ("even", j + 1, i))]))
+            d0.append((src, index[("lv1", ("even", j + 1, i + 1))]))
+            dm2.append((src, index[("lv1", ("even", j + 1, i + 2))]))
+    return complex_from_arrows(
+        gens, {1: d1, -1: dm1, 2: d2, -2: dm2, 0: d0}, label="T(3,%d)" % m
     )
-    report = verify(c)
-    if not report.ok:
-        raise ComplexError(
-            "torus complex failed verification: %s" % "; ".join(report.violations[:4])
-        )
-    return c
 
 
 def build_thin_complex(sawtooth_k, squares, label=None):

@@ -54,6 +54,8 @@ class Poly3:
         clean = {}
         if terms:
             for key, c in terms.items():
+                if not isinstance(c, int):
+                    raise TypeError("Poly3 coefficients must be integers, got %r" % (c,))
                 if c:
                     ea, eq, et = key
                     clean[(int(ea), int(eq), int(et))] = c
@@ -79,6 +81,8 @@ class Poly3:
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly3.monomial(other)
+        elif not isinstance(other, Poly3):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c
@@ -96,14 +100,20 @@ class Poly3:
     def __sub__(self, other):
         if isinstance(other, int):
             other = Poly3.monomial(other)
+        elif not isinstance(other, Poly3):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = Poly3.monomial(other)
+        elif not isinstance(other, Poly3):
+            return NotImplemented
         out = {}
         for (a1, q1, t1), c1 in self.terms.items():
             for (a2, q2, t2), c2 in other.terms.items():
@@ -132,7 +142,9 @@ class Poly3:
     def __eq__(self, other):
         if isinstance(other, int):
             other = Poly3.monomial(other)
-        return isinstance(other, Poly3) and self.terms == other.terms
+        elif not isinstance(other, Poly3):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -262,6 +274,15 @@ def q_inverse(p):
     return monomial_substitute(p, sub_q=Poly3.monomial(1, 0, -1, 0))
 
 
+def delta_spectrum(p):
+    """{2*et - 2*ea - eq: sum of |coefficients|}, the doubled delta-gradings."""
+    spectrum = {}
+    for (ea, eq, et), c in p.terms.items():
+        d2 = 2 * et - 2 * ea - eq
+        spectrum[d2] = spectrum.get(d2, 0) + abs(c)
+    return spectrum
+
+
 # -- exact division -------------------------------------------------------
 
 def exact_divide(p, d):
@@ -308,15 +329,6 @@ def exact_divide(p, d):
             else:
                 rem.pop(k2, None)
     return Poly3(quo)
-
-
-def divides(d, p):
-    """True iff d divides p exactly."""
-    try:
-        exact_divide(p, d)
-        return True
-    except NotDivisible:
-        return False
 
 
 # -- genus expansion ------------------------------------------------------

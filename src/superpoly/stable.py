@@ -20,9 +20,10 @@ makes the whole family anticommute (all level shifts are odd in t).
 """
 
 from fractions import Fraction
+from itertools import count, islice, takewhile
 
 from .laurent import Poly3, at_a_qN
-from .complexes import DotComplex, homology, verify
+from .complexes import DotComplex, _rank
 
 
 class GenericityMismatch(Exception):
@@ -156,31 +157,6 @@ def _words(n, qmax):
     return words
 
 
-class BlockComplex:
-    """Recursive description of the stable complex, materialized on demand.
-
-    Holds the strand count plus the per-level shift data: at level l the
-    paired block sits (2, 2l-2, 2l-1) above its partner and consecutive
-    pairs repeat with period (0, 2l, 2l-2).  materialize(qmax) builds the
-    truncated DotComplex whose generators are the tensor words.
-    """
-
-    def __init__(self, n):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        self.n = n
-
-    def offsets(self):
-        """{level: (pair_shift, period)} for levels 2..n."""
-        return {
-            l: ((2, 2 * l - 2, 2 * l - 1), (0, 2 * l, 2 * l - 2))
-            for l in range(2, self.n + 1)
-        }
-
-    def materialize(self, qmax):
-        return build_stable_complex(self.n, qmax)
-
-
 def build_stable_complex(n, qmax):
     """Truncated stable complex with d_1, d_0 and d_{-1} .. d_{-n+1}.
 
@@ -226,14 +202,13 @@ def build_stable_complex(n, qmax):
     return DotComplex(gens, diffs, label="stable-%d" % n)
 
 
-def _primes(count):
-    out = []
-    cand = 2
-    while len(out) < count:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
+def _prime_stream():
+    """2, 3, 5, 7, 11, ... without end, by trial division."""
+    found = []
+    for cand in count(2):
+        if all(cand % p for p in takewhile(lambda p: p * p <= cand, found)):
+            found.append(cand)
+            yield cand
 
 
 def stable_khr2_closed(n, qmax):
@@ -259,12 +234,6 @@ def stable_khr2_closed(n, qmax):
             * inner
         )
     raise ValueError("closed forms exist only for n in {2, 3, 4}")
-
-
-def _rank_exact(rows):
-    from .complexes import _rank
-
-    return _rank(rows)
 
 
 def _generic_survivors(n, qmax, seed_offset=0):
@@ -296,7 +265,7 @@ def _generic_survivors(n, qmax, seed_offset=0):
                 i += 1
         return dims
     inner = _generic_survivors(n - 1, qmax, seed_offset + 1)
-    prime_iter = iter(_primes(4096)[seed_offset * 97 :])
+    prime_iter = islice(_prime_stream(), seed_offset * 97, None)
     survivors = {}
     i = 0
     while i * period[1] <= qmax:
@@ -315,7 +284,7 @@ def _generic_survivors(n, qmax, seed_offset=0):
             mat = [
                 [Fraction(next(prime_iter)) for _ in range(db)] for _ in range(da)
             ]
-            r = _rank_exact(mat) if (da and db) else 0
+            r = _rank(mat) if (da and db) else 0
             if da - r:
                 survivors[g] = survivors.get(g, 0) + (da - r)
             b_block[target] = db - r
@@ -354,14 +323,6 @@ def stable_khr2(n, qmax):
             "generic route disagrees with the closed form for n=%d" % n
         )
     return closed
-
-
-def stable_khr2_generic_only(n, qmax):
-    """The generic-route series alone, for strand counts with no closed form.
-
-    Emitted for inspection; nothing is asserted about it.
-    """
-    return stable_khr2_generic(n, qmax)
 
 
 # -- finite versus stable ----------------------------------------------------

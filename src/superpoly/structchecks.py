@@ -14,6 +14,7 @@ from .laurent import (
     Poly3,
     at_a_one,
     at_t_minus_one,
+    delta_spectrum,
     exact_divide,
     mirror,
     positivity_and_alternation,
@@ -167,35 +168,11 @@ def pattern_minus(p):
     )
 
 
-def three_step_pairing(khr2):
-    """(m, n, Q-) with khr2 = q^m t^n + (1 + q^6 t^3) Q-, Q- >= 0, or None.
-
-    khr2 must be a-free.  Candidate survivors are scanned in canonical
-    monomial order; the first exact nonnegative split is returned, and
-    absence of any split comes back as None rather than an error.
-    """
+def _three_step_splits(khr2):
+    """Yield (m, n, Q-) for each survivor q^m t^n admitting a split, in order."""
     if any(ea != 0 for (ea, _, _) in khr2.terms):
         raise ValueError("three-step pairing applies to a-free polynomials")
     binomial = 1 + Poly3.monomial(1, 0, 6, 3)
-    for (_, eq, et), c in khr2.sorted_terms():
-        if c <= 0:
-            continue
-        survivor = Poly3.monomial(1, 0, eq, et)
-        try:
-            quotient = exact_divide(khr2 - survivor, binomial)
-        except NotDivisible:
-            continue
-        if positivity_and_alternation(quotient, "nonneg"):
-            return eq, et, quotient
-    return None
-
-
-def all_three_step_pairings(khr2):
-    """Every survivor monomial admitting a three-step split, for inspection."""
-    if any(ea != 0 for (ea, _, _) in khr2.terms):
-        raise ValueError("three-step pairing applies to a-free polynomials")
-    binomial = 1 + Poly3.monomial(1, 0, 6, 3)
-    out = []
     for (_, eq, et), c in khr2.sorted_terms():
         if c <= 0:
             continue
@@ -204,8 +181,22 @@ def all_three_step_pairings(khr2):
         except NotDivisible:
             continue
         if positivity_and_alternation(quotient, "nonneg"):
-            out.append((eq, et, quotient))
-    return out
+            yield eq, et, quotient
+
+
+def three_step_pairing(khr2):
+    """(m, n, Q-) with khr2 = q^m t^n + (1 + q^6 t^3) Q-, Q- >= 0, or None.
+
+    khr2 must be a-free.  Candidate survivors are scanned in canonical
+    monomial order; the first exact nonnegative split is returned, and
+    absence of any split comes back as None rather than an error.
+    """
+    return next(_three_step_splits(khr2), None)
+
+
+def all_three_step_pairings(khr2):
+    """Every survivor monomial admitting a three-step split, for inspection."""
+    return list(_three_step_splits(khr2))
 
 
 def thin_quotient_test(homfly, s_inv):
@@ -264,8 +255,4 @@ def derived_invariants(p):
         raise OddExponent("top q-exponent %d is odd" % rng[1])
     g_h = rng[1] // 2
     alexander = at_a_one(at_t_minus_one(p))
-    spectrum = {}
-    for (ea, eq, et), c in p.terms.items():
-        d2 = 2 * et - 2 * ea - eq
-        spectrum[d2] = spectrum.get(d2, 0) + abs(c)
-    return g_h, alexander, spectrum
+    return g_h, alexander, delta_spectrum(p)

@@ -17,7 +17,9 @@ from .laurent import (
     Poly3,
     exact_divide,
     monomial_substitute,
+    q_inverse,
 )
+from .stable import TruncSeries, geometric
 
 
 class NegativeCoefficient(Exception):
@@ -322,7 +324,8 @@ def stable_beta_terms(n, which, depth):
     which 'first' expands prod_j (1 + a^2 q^{-2j} t) / (1 - t^{-2j} q^{-2(j+1)}),
     which 'last' the partner prod_j (a^2 + q^{-2j} t^{-(2j+1)}) over the same
     denominators, each denominator as a geometric series in negative powers
-    of q.  Terms with q-exponent below -depth are dropped.
+    of q.  Terms with q-exponent below -depth are dropped: the series is
+    computed as a TruncSeries in q^{-1} with cutoff depth.
 
     The j = 1 factors match the two bracket terms of the (2, m) series
     expansion exactly; for j >= 2 the factor exponents grow with j so that
@@ -334,25 +337,14 @@ def stable_beta_terms(n, which, depth):
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
 
-    def truncate(p):
-        return Poly3({k: c for k, c in p.terms.items() if k[1] >= -depth})
-
-    out = Poly3.one()
+    out = TruncSeries(Poly3.one(), depth)
     for j in range(1, n):
         if which == "first":
-            numerator = 1 + Poly3.monomial(1, 2, -2 * j, 1)
+            numerator = 1 + Poly3.monomial(1, 2, 2 * j, 1)
         else:
-            numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, -2 * j, -(2 * j + 1))
-        ratio = Poly3.monomial(1, 0, -2 * (j + 1), -2 * j)
-        geom = Poly3.one()
-        power = Poly3.one()
-        while True:
-            power = truncate(power * ratio)
-            if not power:
-                break
-            geom = geom + power
-        out = truncate(truncate(out * numerator) * geom)
-    return out
+            numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2 * j, -(2 * j + 1))
+        out = out * numerator * geometric(Poly3.monomial(1, 0, 2 * (j + 1), -2 * j), depth)
+    return q_inverse(out.body)
 
 
 def t2_series_assembly(m, depth):
@@ -362,32 +354,15 @@ def t2_series_assembly(m, depth):
     (-t)^{2-m} B1 ] with B0, B1 the bracket series; all denominators are
     expanded to the given q-depth.  For depth comfortably beyond 2m the
     tails telescope away and the result is exactly super_t2((m-1)/2).
+    Everything between the brackets is computed in q^{-1}, as TruncSeries
+    with cutoff depth.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("need odd m >= 3")
-
-    def truncate(p):
-        return Poly3({k: c for k, c in p.terms.items() if k[1] >= -depth})
-
-    def geom(ratio):
-        total = Poly3.one()
-        power = Poly3.one()
-        while True:
-            power = truncate(power * ratio)
-            if not power:
-                break
-            total = total + power
-        return total
-
-    inv_q2t2 = geom(Poly3.monomial(1, 0, -2, -2))   # 1/(1 - q^{-2} t^{-2})
-    inv_q4t2 = geom(Poly3.monomial(1, 0, -4, -2))   # 1/(1 - q^{-4} t^{-2})
-    b0 = truncate((1 + Poly3.monomial(1, 2, -2, 1)) * inv_q2t2)
-    b1 = truncate(
-        (Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, -2, -3)) * inv_q2t2
-    )
-    sign = (-1) ** (2 - m)
-    shifted = b1.scale_monomial(sign, eq=-2 * m, et=2 - m)
-    body = truncate(truncate(b0 + shifted) * (1 - Poly3.monomial(1, 0, -2, -2)))
-    body = truncate(body * inv_q4t2)
-    assembled = body.scale_monomial((-1) ** (m - 1), ea=m - 1, eq=m - 1, et=m - 1)
-    return assembled
+    inv_q2t2 = geometric(Poly3.monomial(1, 0, 2, -2), depth)   # 1/(1 - q^{-2} t^{-2})
+    inv_q4t2 = geometric(Poly3.monomial(1, 0, 4, -2), depth)   # 1/(1 - q^{-4} t^{-2})
+    b0 = inv_q2t2 * (1 + Poly3.monomial(1, 2, 2, 1))
+    b1 = inv_q2t2 * (Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2, -3))
+    shifted = b1.body.scale_monomial((-1) ** (m - 2), eq=2 * m, et=2 - m)
+    body = (b0 + shifted) * (1 - Poly3.monomial(1, 0, 2, -2)) * inv_q4t2
+    return q_inverse(body.body).scale_monomial((-1) ** (m - 1), ea=m - 1, eq=m - 1, et=m - 1)

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly.laurent import Poly3, at_a_qN, parse_poly
+from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly
 from superpoly.complexes import (
     ComplexError,
     ComplexParseError,
     DotComplex,
     GradingMismatch,
     NotCanceling,
+    _solve_signs,
     build_thin_complex,
     build_torus_complex,
     deserialize_complex,
@@ -22,6 +23,8 @@ from superpoly.complexes import (
     serialize_complex,
     verify,
 )
+from superpoly.dataset import load_dataset
+from superpoly.structchecks import thin_super
 from superpoly.torus import (
     cp0_t3_closed,
     hfk_t2,
@@ -67,6 +70,13 @@ class TestVerify:
         diffs_ok = {1: [(0, 1, 1), (2, 3, 1)], -1: [(0, 2, 1), (1, 3, -1)]}
         assert verify(DotComplex(gens, diffs_ok)).ok
 
+    def test_one_fail_line_per_violation(self):
+        # A whole complex that is not q-symmetric: a lone q^2 generator.
+        report = verify(DotComplex([(0, 2, 0)], {}))
+        assert len(report.violations) == 1
+        fails = [line for line in report.lines() if line.startswith("FAIL")]
+        assert fails == ["FAIL %s" % report.violations[0]]
+
 
 class TestHomology:
     def test_trefoil_reductions(self):
@@ -88,6 +98,12 @@ class TestHomology:
     def test_grading_mismatch_detected(self):
         c = DotComplex([(2, 0, 1), (0, 4, 0)], {1: [(0, 1, 1)]})
         with pytest.raises(GradingMismatch):
+            homology(c, 1)
+
+    def test_nonzero_square_raises(self):
+        # d_1^2 != 0 on a three-generator chain would give dimension -1.
+        c = DotComplex([(4, 0, 2), (2, 2, 1), (0, 4, 0)], {1: [(0, 1, 1), (1, 2, 1)]})
+        with pytest.raises(ComplexError, match="dimension -1"):
             homology(c, 1)
 
     def test_thin_dimension_correspondence(self):
@@ -203,7 +219,7 @@ class TestSInvariant:
 
 
 class TestConstructions:
-    @pytest.mark.parametrize("m", [5, 7, 8, 10, 11, 13])
+    @pytest.mark.parametrize("m", [4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 31])
     def test_t3_family(self, m):
         c = build_torus_complex(3, m)
         assert verify(c).ok
@@ -272,3 +288,80 @@ class TestSerialization:
         text = "# hello\n\ngen 0 0 0 0  # inline\n"
         c = deserialize_complex(text)
         assert len(c) == 1
+
+
+def reference_solve_signs(arrows):
+    """The list-scan GF(2) sign solve: every row is reduced by every earlier one.
+
+    Independent reference for complexes._solve_signs, which keys its rows by
+    pivot; both must return the same signs.
+    """
+    edges = []
+    edge_index = {}
+    for n in sorted(arrows):
+        for (s, d) in sorted(arrows[n]):
+            edge_index[(n, s, d)] = len(edges)
+            edges.append((n, s, d))
+    levels = sorted(arrows)
+    by_src = {n: {} for n in levels}
+    for n in levels:
+        for (s, d) in arrows[n]:
+            by_src[n].setdefault(s, []).append(d)
+    equations = []
+    for i, n in enumerate(levels):
+        for m in levels[i:]:
+            paths = {}
+            for (first, second) in ((n, m), (m, n)) if m != n else ((n, n),):
+                for (s, mid) in arrows[first]:
+                    for d in by_src[second].get(mid, []):
+                        paths.setdefault((s, d), []).append(
+                            (edge_index[(first, s, mid)], edge_index[(second, mid, d)])
+                        )
+            for (s, d), plist in sorted(paths.items()):
+                assert len(plist) == 2, (n, m, s, d)
+                row = set()
+                for e in plist[0] + plist[1]:
+                    row ^= {e}
+                equations.append((row, 1))
+    reduced = []
+    for (r, rhs) in equations:
+        r = set(r)
+        for (pr, prhs, pivot) in reduced:
+            if pivot in r:
+                r ^= pr
+                rhs ^= prhs
+        if r:
+            reduced.append((r, rhs, min(r)))
+        else:
+            assert not rhs
+    values = [0] * len(edges)
+    for (r, rhs, pivot) in sorted(reduced, key=lambda x: -x[2]):
+        for e in r - {pivot}:
+            rhs ^= values[e]
+        values[pivot] = rhs
+    return {edge: -1 if values[i] else 1 for i, edge in enumerate(edges)}
+
+
+def _sign_cases():
+    for k in range(1, 6):
+        yield build_torus_complex(2, 2 * k + 1)
+    for m in range(4, 32):
+        if m % 3:
+            yield build_torus_complex(3, m)
+    for rec in load_dataset():
+        if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+            thin = thin_super(rec.homfly, rec.s_inv)
+            yield build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+
+
+class TestSignSolve:
+    def test_keyed_elimination_matches_list_scan(self):
+        for c in _sign_cases():
+            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            signs = _solve_signs(arrows)
+            keyed = {
+                (n, s, d): sign
+                for n, pairs in arrows.items()
+                for (s, d), sign in zip(sorted(pairs), signs[n])
+            }
+            assert keyed == reference_solve_signs(arrows), c.label

@@ -160,6 +160,23 @@ class TestCli:
         path.write_text("gen 0 2 0 1\ngen 1 0 4 0\ndiff 1 0 1 1/1\n")
         assert main(["verify", "--complex", str(path)]) == 1
 
+    def test_reduce_rejects_nonzero_square(self, tmp_path, capsys):
+        path = tmp_path / "chain.cplx"
+        path.write_text(
+            "gen 0 4 0 2\ngen 1 2 2 1\ngen 2 0 4 0\ndiff 1 0 1 1/1\ndiff 1 1 2 1/1\n"
+        )
+        assert main(["reduce", "--complex", str(path), "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d_1 squared is nonzero on 0 -> 2" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_stable_khr2_large_cutoff(self, capsys):
+        # Past the cutoff (qmax 298 for four strands) at which the generic
+        # route's coefficient supply used to run out.
+        assert main(["stable", "--n", "4", "--qmax", "298", "--reduce", "2"]) == 0
+        assert capsys.readouterr().out.startswith("# qmax=298\n")
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

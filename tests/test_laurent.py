@@ -60,6 +60,14 @@ class TestArith:
         p = Poly3({(0, 0, 0): 1}) - Poly3({(0, 0, 0): 1})
         assert p.terms == {}
 
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly3({(0, 0, 0): 1.5})
+
+    def test_foreign_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Poly3.one() + "x"
+
 
 class TestSubstitution:
     def test_alexander_regrading_of_trefoil(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from superpoly.laurent import Poly3, at_t_minus_one, parse_poly
+from superpoly.laurent import Poly3, at_a_qN, at_t_minus_one, parse_poly
 from superpoly.complexes import homology, verify
 from superpoly.stable import (
     GenericityMismatch,
@@ -15,7 +15,6 @@ from superpoly.stable import (
     stable_khr2,
     stable_khr2_closed,
     stable_khr2_generic,
-    stable_khr2_generic_only,
     stable_super,
 )
 
@@ -117,8 +116,16 @@ class TestKhr2:
         assert full and all(per_block[i] == 4 for i in full)
 
     def test_five_strand_generic_only_runs(self):
-        series = stable_khr2_generic_only(5, 16)
+        series = stable_khr2_generic(5, 16)
         assert series.body.coeff(0, 0, 0) == 1
+
+    def test_five_strand_generic_past_the_old_prime_supply(self):
+        # The coefficient stream is unbounded: from qmax 108 a fixed list of
+        # primes used to run out for five strands.
+        qmax = 108
+        series = stable_khr2_generic(5, qmax)
+        euler = TruncSeries(at_a_qN(stable_homfly(5, qmax).body, 2), qmax)
+        assert TruncSeries(at_t_minus_one(series.body), qmax) == euler
 
     def test_unsupported_strands(self):
         with pytest.raises(ValueError):
@@ -144,14 +151,3 @@ class TestWindows:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             finite_vs_stable(2, 3, "alexander")
-
-
-class TestBlockDescription:
-    def test_offsets_match_materialization(self):
-        from superpoly.stable import BlockComplex
-
-        b = BlockComplex(3)
-        offs = b.offsets()
-        assert offs[3] == ((2, 4, 5), (0, 6, 4))
-        c = b.materialize(12)
-        assert c.poincare() == stable_super(3, 12).body
