@@ -5,15 +5,8 @@ conjunction.  Individual checks are registered by name so the command can
 run a single one with --only.
 """
 
-from .laurent import (
-    Poly3,
-    at_a_qN,
-    at_t_minus_one,
-    delta_spectrum,
-    y_rewrite,
-    NotYExpressible,
-)
-from .torus import super_t2, homfly_torus, torus_s_invariant
+from .laurent import delta_spectrum, y_rewrite, NotYExpressible
+from .torus import super_t2
 from .structchecks import (
     StructureError,
     derived_invariants,

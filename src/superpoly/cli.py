@@ -28,7 +28,6 @@ from .structchecks import thin_super, StructureError
 from .complexes import (
     ComplexError,
     ComplexParseError,
-    _compose,
     build_torus_complex,
     deserialize_complex,
     homology,
@@ -140,10 +139,6 @@ def _dispatch(args):
             c = build_torus_complex(args.torus[0], args.torus[1])
         else:
             c = _load_complex(args.complex_file)
-            entries = c.diffs.get(args.level, [])
-            bad = _compose(entries, entries)
-            if bad:
-                raise ComplexError("d_%d squared is nonzero on %d -> %d" % (args.level, *min(bad)))
         print(format_poly(homology(c, args.level).poincare))
         return 0
     if args.command == "stable":

@@ -13,10 +13,16 @@ squares to zero).  Homology with respect to d_N, taken per amalgamated
 bigrade, produces the doubly graded reductions; the N = 1 differential is
 canceling and the grading of its unique survivor is the S-invariant.
 
-All linear algebra is exact over the rationals.
+Coefficients are stored as Python ints whenever their denominator is 1,
+which covers every built complex; only a truly non-integer coefficient
+(say from a .cplx file) stays a Fraction.  All linear algebra is exact and
+runs on ints: one sparse elimination routine serves every rank and the
+survivor of the S-invariant, and a row holding Fractions is scaled to
+integers first.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .laurent import Poly3, delta_spectrum, y_rewrite, NotYExpressible
 
@@ -56,7 +62,8 @@ class DotComplex:
     """Generators plus the sparse differential family.
 
     generators: list of (ea, eq, et) triples (repeats allowed).
-    diffs: dict N -> list of (src_index, dst_index, Fraction coefficient).
+    diffs: dict N -> list of (src_index, dst_index, coefficient), the
+    coefficient an int, or a Fraction only when it is not an integer.
     Immutable by convention: nothing in this module mutates a built complex.
     """
 
@@ -68,7 +75,10 @@ class DotComplex:
                 seen = set()
                 cleaned = []
                 for (src, dst, coeff) in entries:
-                    coeff = Fraction(coeff)
+                    if type(coeff) is not int:
+                        coeff = Fraction(coeff)
+                        if coeff.denominator == 1:
+                            coeff = coeff.numerator
                     if coeff == 0:
                         continue
                     if not (0 <= src < len(self.generators)):
@@ -115,20 +125,30 @@ def mirror_complex(c, label=None):
 
 # -- verification -----------------------------------------------------------
 
-def _compose(entries_outer, entries_inner):
-    """Sparse product: apply inner first, then outer; {(src,dst): coeff}."""
+def _adjacency(entries):
+    """Sparse entries regrouped by source: {src: [(dst, coeff), ...]}."""
     by_src = {}
-    for (s, d, c) in entries_outer:
+    for (s, d, c) in entries:
         by_src.setdefault(s, []).append((d, c))
+    return by_src
+
+
+def _compose(orders, sources):
+    """Sum of sparse products from the given sources; {(src, dst): coeff}.
+
+    orders: (inner, outer) pairs of adjacencies; each contributes outer
+    applied after inner.  Only nonzero entries of the sum are returned.
+    """
     out = {}
-    for (s, d, c) in entries_inner:
-        for (d2, c2) in by_src.get(d, []):
-            key = (s, d2)
-            val = out.get(key, 0) + c * c2
+    for s in sources:
+        row = {}
+        for (inner, outer) in orders:
+            for (mid, c) in inner.get(s, ()):
+                for (d, c2) in outer.get(mid, ()):
+                    row[d] = row.get(d, 0) + c * c2
+        for d, val in row.items():
             if val:
-                out[key] = val
-            else:
-                del out[key]
+                out[(s, d)] = val
     return out
 
 
@@ -165,7 +185,8 @@ def _bad_degrees(c, n):
     want = diff_degree(n)
     gens = c.generators
     for (s, d, _) in c.diffs.get(n, []):
-        got = tuple(gens[d][i] - gens[s][i] for i in range(3))
+        (a0, q0, t0), (a1, q1, t1) = gens[s], gens[d]
+        got = (a1 - a0, q1 - q0, t1 - t0)
         if got != want:
             yield "d_%d entry %d->%d has degree %s, expected %s" % (n, s, d, got, want)
 
@@ -184,20 +205,17 @@ def verify(c, max_eq=None):
     for n in sorted(c.diffs):
         violations.extend(_bad_degrees(c, n))
     levels = sorted(c.diffs)
+    adj = {n: _adjacency(c.diffs[n]) for n in levels}
     for i, n in enumerate(levels):
         for m in levels[i:]:
-            first = _compose(c.diffs[m], c.diffs[n])
-            second = _compose(c.diffs[n], c.diffs[m]) if m != n else first
-            anti = dict(first)
-            for key, val in second.items():
-                s = anti.get(key, 0) + val
-                if s:
-                    anti[key] = s
-                else:
-                    del anti[key]
-            for (s, d), val in sorted(anti.items()):
-                if max_eq is not None and gens[s][1] > max_eq:
-                    continue
+            orders = [(adj[n], adj[m])] if m == n else [(adj[n], adj[m]), (adj[m], adj[n])]
+            # Paths from a source past the cutoff are never checked, so
+            # they are not composed either.
+            sources = [
+                s for s in adj[n].keys() | adj[m].keys()
+                if max_eq is None or gens[s][1] <= max_eq
+            ]
+            for (s, d) in sorted(_compose(orders, sources)):
                 if n == m:
                     violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
                 else:
@@ -220,46 +238,49 @@ def verify(c, max_eq=None):
 
 # -- exact homology ---------------------------------------------------------
 
-def _rank(rows):
-    """Rank of a dense Fraction matrix given as a list of row lists."""
-    if not rows:
-        return 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
+def _eliminate(rows, pivots):
+    """Reduce sparse rows {col: nonzero coeff} into pivots; count the independent ones.
+
+    pivots maps a column to the kept row whose least column it is.  Each
+    row is reduced against the pivot at its least column until that column
+    is free, and is then kept there; a row reduced to nothing is dependent.
+    A unit pivot is cleared with integer arithmetic.  Any other pivot takes
+    a fraction-free step, after which the row is divided by the gcd of its
+    entries, so entries stay exact and bounded.  A row holding Fractions is
+    first scaled by the lcm of its denominators.  Scaling a row never
+    changes the rank.  The rows themselves are consumed.
+    """
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
+    for row in rows:
+        if any(type(v) is not int for v in row.values()):
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {k: int(v * scale) for k, v in row.items()}
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
+                rank += 1
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                row = rows[r]
-                prow = rows[rank]
-                for j in range(col, ncols):
-                    row[j] -= f * prow[j]
-        rank += 1
-        col += 1
+            a, b = row[col], prow[col]
+            unit = b == 1 or b == -1
+            if unit:
+                f = a * b
+            else:
+                g = gcd(a, b)
+                f = a // g
+                row = {k: b // g * v for k, v in row.items()}
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if not unit:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {k: v // content for k, v in row.items()}
     return rank
-
-
-def _dense(srcs, dsts, entries):
-    """Dense Fraction matrix of the entries running from srcs (rows) to dsts."""
-    spos = {idx: j for j, idx in enumerate(srcs)}
-    dpos = {idx: j for j, idx in enumerate(dsts)}
-    mat = [[Fraction(0)] * len(dsts) for _ in srcs]
-    for (s, d, coeff) in entries:
-        if s in spos and d in dpos:
-            mat[spos[s]][dpos[d]] += coeff
-    return mat
 
 
 def _grouped(c, key_of):
@@ -274,30 +295,26 @@ def _blocked_dims(c, n, key_of):
     """Homology dimensions of d_N per (block, level) key, as {key: dim}.
 
     key_of maps a generator grading to its amalgamated (block, level) pair;
-    d_N must keep block fixed and lower level by one.
+    d_N must keep block fixed and lower level by one, and square to zero.
     """
-    by_key = _grouped(c, key_of)
+    entries = c.diffs.get(n, [])
+    adj = _adjacency(entries)
+    bad = _compose([(adj, adj)], adj)
+    if bad:
+        raise ComplexError("d_%d squared is nonzero on %d -> %d" % (n, *min(bad)))
     blocks = {}
-    for (s, d, coeff) in c.diffs.get(n, []):
+    for (s, d, coeff) in entries:
         ks = key_of(c.generators[s])
         kd = key_of(c.generators[d])
         if kd[0] != ks[0] or kd[1] != ks[1] - 1:
             raise GradingMismatch(
                 "d_%d entry %d->%d does not respect the amalgamated grading" % (n, s, d)
             )
-        blocks.setdefault(ks, []).append((s, d, coeff))
-    ranks = {
-        key: _rank(_dense(by_key[key], by_key[(key[0], key[1] - 1)], entries))
-        for key, entries in blocks.items()
-    }
+        blocks.setdefault(ks, {}).setdefault(s, {})[d] = coeff
+    ranks = {key: _eliminate(rows.values(), {}) for key, rows in blocks.items()}
     dims = {}
-    for key, idxs in by_key.items():
+    for key, idxs in _grouped(c, key_of).items():
         dim = len(idxs) - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
-        if dim < 0:
-            raise ComplexError(
-                "d_%d homology at %s has dimension %d: d_%d does not square to zero"
-                % (n, key, dim, n)
-            )
         if dim:
             dims[key] = dim
     return dims
@@ -330,8 +347,8 @@ def homology(c, n):
     Poincare polynomial lives in q^p t^k.  For N = 0 they group by
     (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
     Alexander-side regrading.  An absent d_N means the zero differential.
-    A negative dimension, which only a d_N with nonzero square can produce,
-    raises ComplexError.
+    A d_N whose square is nonzero raises ComplexError naming the least
+    source -> target pair of d_N^2.
     """
     if n < 0:
         raise ValueError("reductions are only defined for N >= 0")
@@ -355,6 +372,34 @@ def homology_unblocked_dims(c, n):
     return {k: dim for (_, k), dim in dims.items()}
 
 
+def _survivor(c):
+    """Generator indices of a d_1 class spanning ker / im in the (0, 0) block.
+
+    Each block generator's row is its image below plus a tag column of its
+    own past every generator index; rows whose image part eliminates to
+    nothing are kernel vectors, read off their tags.  The first kernel
+    vector that is independent of the image from above is the class.
+    Returns None when every kernel vector lies in the image.
+    """
+    block = _grouped(c, _bigrade(1))[(0, 0)]
+    tag = len(c.generators)
+    out_rows = {i: {tag + i: 1} for i in block}
+    in_rows = {}
+    for (s, d, coeff) in c.diffs.get(1, []):
+        if s in out_rows:
+            out_rows[s][d] = coeff
+        elif d in out_rows:
+            in_rows.setdefault(s, {})[tag + d] = coeff
+    kernel = {}
+    _eliminate(out_rows.values(), kernel)
+    image = {}
+    _eliminate(in_rows.values(), image)
+    for col in sorted(kernel):
+        if col >= tag and _eliminate([dict(kernel[col])], image):
+            return [k - tag for k in kernel[col]]
+    return None
+
+
 def s_invariant(c):
     """The a-grading of the unique d_1 survivor.
 
@@ -371,73 +416,13 @@ def s_invariant(c):
     ((p, k),) = report.dims
     if p != 0 or k != 0:
         raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (p, k))
-    # Identify the class: inside the (p,k) = (0,0) block, pick a kernel
-    # vector not in the image and read off its a-grading support.
-    by_key = _grouped(c, _bigrade(1))
-    block = by_key[(0, 0)]
-    below = by_key.get((0, -1), [])
-    above = by_key.get((0, 1), [])
-    entries = c.diffs.get(1, [])
-    survivor = _kernel_mod_image(_dense(block, below, entries), _dense(above, block, entries))
-    if survivor is None:
+    support = _survivor(c)
+    if support is None:
         raise SurvivorOffLine("could not isolate a one-dimensional surviving class")
-    support = [block[j] for j, v in enumerate(survivor) if v]
     a_values = {c.generators[i][0] for i in support}
     if len(a_values) != 1:
         raise SurvivorOffLine("surviving class mixes a-gradings %s" % sorted(a_values))
     return a_values.pop()
-
-
-def _kernel_mod_image(out_rows, in_rows):
-    """A vector spanning ker(out) / im(in), assuming that quotient is a line.
-
-    out_rows: matrix of the outgoing map (rows = block generators);
-    in_rows: matrix of the incoming map (rows = generators above).
-    Returns the coordinates of a representative, or None.
-    """
-    ncols = len(out_rows)
-    if ncols == 0:
-        return None
-    # Kernel basis of the outgoing map.
-    width = len(out_rows[0]) if out_rows and out_rows[0] else 0
-    aug = [list(row) + [Fraction(0)] * ncols for row in out_rows]
-    for i in range(ncols):
-        aug[i][width + i] = Fraction(1)
-    # Row-reduce on the first `width` columns; rows whose leading part
-    # vanishes give kernel vectors in the trailing columns.
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, ncols):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        for r in range(ncols):
-            if r != rank and aug[r][col]:
-                f = aug[r][col] / pv
-                for j in range(col, width + ncols):
-                    aug[r][j] -= f * aug[rank][j]
-        rank += 1
-    kernel = [row[width:] for row in aug[rank:]]
-    image = [list(row) for row in in_rows if any(row)]
-    # Reduce kernel vectors modulo the image; exactly one must survive.
-    basis = []
-    for vec in image:
-        basis.append(vec)
-    basis_rank_before = _rank(basis) if basis else 0
-    survivor = None
-    for vec in kernel:
-        trial = [list(r) for r in basis] + [list(vec)]
-        if _rank(trial) > basis_rank_before:
-            survivor = vec
-            basis = trial
-            basis_rank_before += 1
-            break
-    return survivor
 
 
 # -- constructions ----------------------------------------------------------
@@ -689,8 +674,7 @@ def serialize_complex(c):
         lines.append("gen %d %d %d %d" % (i, ea, eq, et))
     for n in sorted(c.diffs):
         for (s, d, coeff) in c.diffs[n]:
-            f = Fraction(coeff)
-            lines.append("diff %d %d %d %d/%d" % (n, s, d, f.numerator, f.denominator))
+            lines.append("diff %d %d %d %d/%d" % (n, s, d, coeff.numerator, coeff.denominator))
     return "\n".join(lines) + "\n"
 
 

@@ -19,11 +19,10 @@ parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from fractions import Fraction
 from itertools import count, islice, takewhile
 
 from .laurent import Poly3, at_a_qN
-from .complexes import DotComplex, _rank
+from .complexes import DotComplex, _eliminate
 
 
 class GenericityMismatch(Exception):
@@ -185,11 +184,10 @@ def build_stable_complex(n, qmax):
         for pos, (i_l, flag) in enumerate(word):
             level = pos + 2
             if flag:
-                coeff = Fraction(sign)
                 dropped = word[:pos] + ((i_l, 0),) + word[pos + 1 :]
-                add(-(level - 1), src, dropped, coeff)
+                add(-(level - 1), src, dropped, sign)
                 advanced = word[:pos] + ((i_l + 1, 0),) + word[pos + 1 :]
-                add(1, src, advanced, coeff)
+                add(1, src, advanced, sign)
                 if pos >= 1:
                     i_prev, f_prev = word[pos - 1]
                     shifted = (
@@ -197,7 +195,7 @@ def build_stable_complex(n, qmax):
                         + ((i_prev + 1, f_prev), (i_l, 0))
                         + word[pos + 1 :]
                     )
-                    add(0, src, shifted, coeff)
+                    add(0, src, shifted, sign)
                 sign = -sign
     return DotComplex(gens, diffs, label="stable-%d" % n)
 
@@ -281,10 +279,8 @@ def _generic_survivors(n, qmax, seed_offset=0):
         for g, da in sorted(a_block.items()):
             target = (g[0] - 2, g[1] + 4, g[2] - 1)
             db = b_block.get(target, 0)
-            mat = [
-                [Fraction(next(prime_iter)) for _ in range(db)] for _ in range(da)
-            ]
-            r = _rank(mat) if (da and db) else 0
+            rows = [{j: next(prime_iter) for j in range(db)} for _ in range(da)]
+            r = _eliminate(rows, {})
             if da - r:
                 survivors[g] = survivors.get(g, 0) + (da - r)
             b_block[target] = db - r

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly
 from superpoly.complexes import (
@@ -12,7 +13,11 @@ from superpoly.complexes import (
     DotComplex,
     GradingMismatch,
     NotCanceling,
+    _bigrade,
+    _eliminate,
+    _grouped,
     _solve_signs,
+    _survivor,
     build_thin_complex,
     build_torus_complex,
     deserialize_complex,
@@ -103,8 +108,19 @@ class TestHomology:
     def test_nonzero_square_raises(self):
         # d_1^2 != 0 on a three-generator chain would give dimension -1.
         c = DotComplex([(4, 0, 2), (2, 2, 1), (0, 4, 0)], {1: [(0, 1, 1), (1, 2, 1)]})
-        with pytest.raises(ComplexError, match="dimension -1"):
+        with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 2"):
             homology(c, 1)
+
+    def test_nonzero_square_with_nonnegative_dims_raises(self):
+        # Every block dimension stays >= 0 here, so only the d_N^2 check
+        # can tell that this is not a complex.
+        c = DotComplex(
+            [(4, 0, 2), (2, 2, 1), (2, 2, 1), (0, 4, 0)], {1: [(0, 1, 1), (1, 3, 1)]}
+        )
+        with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 3"):
+            homology(c, 1)
+        with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 3"):
+            homology_unblocked_dims(c, 1)
 
     def test_thin_dimension_correspondence(self):
         # With no level-2 or level-0 arrows both reductions keep everything.
@@ -365,3 +381,184 @@ class TestSignSolve:
                 for (s, d), sign in zip(sorted(pairs), signs[n])
             }
             assert keyed == reference_solve_signs(arrows), c.label
+
+
+# -- the elimination engine against dense Fraction references ---------------
+
+def reference_rank(rows):
+    """Rank of a dense Fraction matrix given as a list of row lists."""
+    if not rows:
+        return 0
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / pv
+                row = rows[r]
+                prow = rows[rank]
+                for j in range(col, ncols):
+                    row[j] -= f * prow[j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_dense(srcs, dsts, entries):
+    """Dense Fraction matrix of the entries running from srcs (rows) to dsts."""
+    spos = {idx: j for j, idx in enumerate(srcs)}
+    dpos = {idx: j for j, idx in enumerate(dsts)}
+    mat = [[Fraction(0)] * len(dsts) for _ in srcs]
+    for (s, d, coeff) in entries:
+        if s in spos and d in dpos:
+            mat[spos[s]][dpos[d]] += coeff
+    return mat
+
+
+def reference_kernel_mod_image(out_rows, in_rows):
+    """A vector spanning ker(out) / im(in), by Gauss-Jordan on [out | I]."""
+    ncols = len(out_rows)
+    if ncols == 0:
+        return None
+    width = len(out_rows[0]) if out_rows and out_rows[0] else 0
+    aug = [list(row) + [Fraction(0)] * ncols for row in out_rows]
+    for i in range(ncols):
+        aug[i][width + i] = Fraction(1)
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for r in range(rank, ncols):
+            if aug[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        pv = aug[rank][col]
+        for r in range(ncols):
+            if r != rank and aug[r][col]:
+                f = aug[r][col] / pv
+                for j in range(col, width + ncols):
+                    aug[r][j] -= f * aug[rank][j]
+        rank += 1
+    kernel = [row[width:] for row in aug[rank:]]
+    basis = [list(row) for row in in_rows if any(row)]
+    before = reference_rank(basis)
+    for vec in kernel:
+        if reference_rank(basis + [list(vec)]) > before:
+            return vec
+    return None
+
+
+def reference_dims(c, n):
+    """d_N homology per amalgamated bigrade from dense ranks of every block."""
+    by_key = _grouped(c, _bigrade(n))
+    entries = c.diffs.get(n, [])
+    ranks = {
+        key: reference_rank(reference_dense(idxs, by_key.get((key[0], key[1] - 1), []), entries))
+        for key, idxs in by_key.items()
+    }
+    dims = {}
+    for key, idxs in by_key.items():
+        dim = len(idxs) - ranks[key] - ranks.get((key[0], key[1] + 1), 0)
+        if dim:
+            dims[key] = dim
+    return dims
+
+
+def reference_survivor(c):
+    """Support of the d_1 survivor found by the dense reference."""
+    by_key = _grouped(c, _bigrade(1))
+    block = by_key[(0, 0)]
+    entries = c.diffs.get(1, [])
+    vec = reference_kernel_mod_image(
+        reference_dense(block, by_key.get((0, -1), []), entries),
+        reference_dense(by_key.get((0, 1), []), block, entries),
+    )
+    return None if vec is None else [block[j] for j, v in enumerate(vec) if v]
+
+
+ENTRY_VALUES = [
+    1, -1, 2, -2, 3, -3, 2 ** 61 - 1, -(2 ** 31 - 1), 1000003,
+    Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3),
+]
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows {col: nonzero coeff}, with some rows combined from others."""
+    ncols = draw(st.integers(1, 7))
+    cols = st.integers(0, ncols - 1)
+    values = st.sampled_from(ENTRY_VALUES)
+    rows = draw(st.lists(st.dictionaries(cols, values, max_size=ncols), max_size=7))
+    if rows:
+        picks = st.integers(0, len(rows) - 1)
+        for (i, j, a, b) in draw(st.lists(st.tuples(picks, picks, values, values), max_size=4)):
+            combo = {k: a * rows[i].get(k, 0) + b * rows[j].get(k, 0) for k in range(ncols)}
+            rows.append({k: v for k, v in combo.items() if v})
+    return ncols, rows
+
+
+def _survivor_cases():
+    for m in range(3, 22, 2):
+        yield build_torus_complex(2, m)
+    for m in range(4, 32):
+        if m % 3:
+            yield build_torus_complex(3, m)
+    yield mirror_complex(build_torus_complex(3, 5))
+    for rec in load_dataset():
+        c = rec.load_complex()
+        if c is None and rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+            thin = thin_super(rec.homfly, rec.s_inv)
+            c = build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+        if c is not None:
+            yield c
+
+
+class TestEliminationEngine:
+    @given(sparse_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_dense_reference(self, case):
+        ncols, rows = case
+        dense = [[row.get(k, 0) for k in range(ncols)] for row in rows]
+        assert _eliminate([dict(r) for r in rows], {}) == reference_rank(dense)
+
+    def test_rank_deficient_non_unit(self):
+        # Row 1 is 3/2 row 0, and row 3 is row 0 / 2 + row 2.
+        rows = [
+            {0: 6, 1: 4}, {0: 9, 1: 6}, {1: Fraction(2, 3), 2: 5},
+            {0: 3, 1: Fraction(8, 3), 2: 5},
+        ]
+        dense = [[row.get(k, 0) for k in range(3)] for row in rows]
+        pivots = {}
+        assert _eliminate(rows, pivots) == 2 == reference_rank(dense)
+        assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+    def test_homology_matches_dense_reference(self):
+        rng = random.Random(0xD1FF)
+        for _ in range(200):
+            c, n_level = random_valid_complex(rng)
+            assert homology(c, n_level).dims == reference_dims(c, n_level)
+
+    def test_survivor_support_matches_dense_reference(self):
+        for c in _survivor_cases():
+            assert sorted(_survivor(c)) == sorted(reference_survivor(c)), c.label
+
+    def test_integer_coefficients_stored_as_int(self):
+        c = DotComplex([(4, 0, 2), (2, 2, 1)], {1: [(0, 1, Fraction(4, 2))]})
+        assert type(c.diffs[1][0][2]) is int
+        c = deserialize_complex("gen 0 4 0 2\ngen 1 2 2 1\ndiff 1 0 1 3/2\n")
+        assert c.diffs[1][0][2] == Fraction(3, 2)
+        assert serialize_complex(c).endswith("diff 1 0 1 3/2\n")
