@@ -57,7 +57,7 @@ class TestSeries:
         assert pp(body) == stable_super(2, 8).body
 
 
-class TestStableComplex:
+class TestBlockComplex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poincare_matches_series(self, n):
         qmax = 40
