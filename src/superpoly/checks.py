@@ -41,9 +41,6 @@ def check_rows(records, only=None):
 
     checks = {}
 
-    def register(name, fn):
-        checks[name] = fn
-
     def thin_roundtrip():
         for rec in rows_with("superpoly"):
             if not _is_thin(rec.superpoly):
@@ -53,7 +50,7 @@ def check_rows(records, only=None):
                 return False, "%s: thin reconstruction disagrees" % rec.name
         return True, "thin reconstruction reproduces every thin row"
 
-    register("thin-roundtrip", thin_roundtrip)
+    checks["thin-roundtrip"] = thin_roundtrip
 
     def patterns():
         for rec in rows_with("superpoly"):
@@ -71,7 +68,7 @@ def check_rows(records, only=None):
                 )
         return True, "one-step pairings succeed with the tabulated S on every row"
 
-    register("patterns", patterns)
+    checks["patterns"] = patterns
 
     def three_step():
         for rec in rows_with("khr2"):
@@ -79,7 +76,7 @@ def check_rows(records, only=None):
                 return False, "%s: no three-step pairing" % rec.name
         return True, "three-step pairing exists for every tabulated sl(2) polynomial"
 
-    register("three-step", three_step)
+    checks["three-step"] = three_step
 
     def symmetry():
         for rec in rows_with("superpoly"):
@@ -89,7 +86,7 @@ def check_rows(records, only=None):
                 return False, "%s: %s" % (rec.name, exc)
         return True, "every superpolynomial is expressible in a, t, y"
 
-    register("symmetry", symmetry)
+    checks["symmetry"] = symmetry
 
     def quotient():
         for rec in records:
@@ -99,7 +96,7 @@ def check_rows(records, only=None):
                 return False, "%s: thin row fails the alternating-quotient test" % rec.name
         return True, "alternating-quotient test passes on every thin row"
 
-    register("quotient", quotient)
+    checks["quotient"] = quotient
 
     def dimensions():
         for rec in rows_with("superpoly"):
@@ -116,7 +113,7 @@ def check_rows(records, only=None):
                 return False, "%s: dimension below the visible bound" % rec.name
         return True, "dimension equals the absolute coefficient sum on thin rows"
 
-    register("dimensions", dimensions)
+    checks["dimensions"] = dimensions
 
     def complexes():
         for rec in records:
@@ -145,7 +142,7 @@ def check_rows(records, only=None):
                 )
         return True, "bundled and reconstructed complexes verify with the right S"
 
-    register("complexes", complexes)
+    checks["complexes"] = complexes
 
     def morton():
         # Standard braid diagram data for the torus families: an n-strand,
@@ -159,7 +156,7 @@ def check_rows(records, only=None):
                 return False, "T(%d,%d) violates the braid bound" % (n, m)
         return True, "braid bounds hold on the torus sample"
 
-    register("morton", morton)
+    checks["morton"] = morton
 
     def genus():
         for (n, m) in ((2, 3), (2, 5), (2, 7), (2, 9)):
@@ -168,7 +165,7 @@ def check_rows(records, only=None):
                 return False, "T(%d,%d): top q-degree is not twice the genus" % (n, m)
         return True, "holomorphic genus matches the Seifert genus on the sample"
 
-    register("genus", genus)
+    checks["genus"] = genus
 
     names = [only] if only else list(checks)
     for name in names:

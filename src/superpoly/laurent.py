@@ -10,6 +10,8 @@ Instances are immutable after construction; every operation returns a new
 polynomial, so values can be shared freely across threads.
 """
 
+from math import comb
+
 
 class LaurentError(Exception):
     """Base class for errors raised by this module."""
@@ -333,7 +335,9 @@ def exact_divide(p, d):
 
 # -- genus expansion ------------------------------------------------------
 
-Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})
+def _y_power(g):
+    """y^g = q^{-2g} t^{-g} (1 + q^2 t)^{2g} as (dq, dt, coeff) rows, top q first."""
+    return [(2 * j - 2 * g, j - g, comb(2 * g, j)) for j in range(2 * g, -1, -1)]
 
 
 class YExpansion:
@@ -356,12 +360,8 @@ class YExpansion:
 
     def to_poly(self):
         out = Poly3.zero()
-        y_powers = {0: Poly3.one()}
         for (ea, et, g), c in sorted(self.coeffs.items()):
-            while g not in y_powers:
-                gm = max(y_powers)
-                y_powers[gm + 1] = y_powers[gm] * Y_POLY
-            out = out + y_powers[g].scale_monomial(c, ea=ea, et=et)
+            out = out + Poly3({(ea, dq, et + dt): c * yc for dq, dt, yc in _y_power(g)})
         return out
 
 
@@ -372,7 +372,8 @@ def y_rewrite(p):
     only come from a^Q t^{k-g} y^g, which also contributes the mirror term
     a^Q q^{-2g} t^{k-2g}; if the mirror coefficient disagrees the expansion
     cannot exist.  Eliminating the whole top level at once leaves only
-    strictly smaller |q|-exponents, so the loop terminates.
+    strictly smaller |q|-exponents, so the loop terminates.  Each level's
+    y^g is one binomial row, read off y^g = q^{-2g} t^{-g} (1 + q^2 t)^{2g}.
 
     Success is exactly the q <-> q^{-1} symmetry of the input holding at the
     level of coefficients, so failure here flags a broken symmetry, not a bug.
@@ -381,10 +382,6 @@ def y_rewrite(p):
     coeffs = {}
     while rem:
         top = max(abs(q) for (_, q, _) in rem)
-        if top == 0:
-            for (ea, _, et), c in rem.items():
-                coeffs[(ea, et, 0)] = coeffs.get((ea, et, 0), 0) + c
-            break
         if top % 2:
             raise NotYExpressible("odd q-exponent %d cannot come from a power of y" % top)
         g = top // 2
@@ -395,6 +392,7 @@ def y_rewrite(p):
             raise NotYExpressible(
                 "terms at q^%d have no positive-side partner" % (-top)
             )
+        row = _y_power(g)
         for (ea, _, et), c in level:
             mirror_key = (ea, -top, et - top)
             if rem.get(mirror_key, 0) != c:
@@ -403,8 +401,8 @@ def y_rewrite(p):
                     % (ea, top, et)
                 )
             coeffs[(ea, et - g, g)] = coeffs.get((ea, et - g, g), 0) + c
-            for (_, dq, dt), yc in (Y_POLY ** g).terms.items():
-                key = (ea, dq, (et - g) + dt)
+            for dq, dt, yc in row:
+                key = (ea, dq, et - g + dt)
                 s = rem.get(key, 0) - c * yc
                 if s:
                     rem[key] = s
@@ -469,7 +467,7 @@ def format_poly(p):
 def parse_poly(text):
     """Parse polynomial text; inverse of format_poly on canonical output.
 
-    Grammar: poly := ['-'] term (('+'|'-') term)*;
+    Grammar: poly := ['-'] term (('+'|'-') term)*; integer := [0-9]+;
     term := [integer] ('*'? factor)*; factor := ('a'|'q'|'t') ['^' integer].
     Whitespace is ignored, an omitted exponent means 1, an omitted
     coefficient means 1 (with the sign coming from the separator).
@@ -488,9 +486,9 @@ def parse_poly(text):
         start = i
         if allow_sign and i < n and text[i] in "+-":
             i += 1
-        if i >= n or not text[i].isdigit():
+        if i >= n or not "0" <= text[i] <= "9":
             raise ParseError("expected an integer", start)
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             i += 1
         return int(text[start:i])
 
@@ -517,7 +515,7 @@ def parse_poly(text):
             skip_ws()
         first = False
         coeff = None
-        if i < n and text[i].isdigit():
+        if i < n and "0" <= text[i] <= "9":
             coeff = read_int(False)
         exps = [0, 0, 0]
         saw_factor = False

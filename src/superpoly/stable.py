@@ -19,7 +19,7 @@ parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from itertools import count, islice, takewhile
+from itertools import count, takewhile
 
 from .laurent import Poly3, at_a_qN
 from .complexes import DotComplex, _eliminate
@@ -41,19 +41,19 @@ class TruncSeries:
         self.qmax = int(qmax)
         self.body = Poly3({k: c for k, c in body.terms.items() if k[1] <= self.qmax})
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other's body if it is a series with the same cutoff, else other itself."""
         if isinstance(other, TruncSeries):
             if other.qmax != self.qmax:
                 raise ValueError("cutoff mismatch")
-            other = other.body
-        return TruncSeries(self.body + other, self.qmax)
+            return other.body
+        return other
+
+    def __add__(self, other):
+        return TruncSeries(self.body + self._operand(other), self.qmax)
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            if other.qmax != self.qmax:
-                raise ValueError("cutoff mismatch")
-            other = other.body
-        return TruncSeries(self.body * other, self.qmax)
+        return TruncSeries(self.body * self._operand(other), self.qmax)
 
     def __eq__(self, other):
         return (
@@ -200,13 +200,18 @@ def build_stable_complex(n, qmax):
     return DotComplex(gens, diffs, label="stable-%d" % n)
 
 
-def _prime_stream():
-    """2, 3, 5, 7, 11, ... without end, by trial division."""
-    found = []
-    for cand in count(2):
-        if all(cand % p for p in takewhile(lambda p: p * p <= cand, found)):
-            found.append(cand)
-            yield cand
+_PRIMES = [2]  # every prime found so far, shared by all readers
+
+
+def _primes_from(start):
+    """The primes from the start-th on (2 is the 0th); each is found once per process."""
+    for i in count(start):
+        while i >= len(_PRIMES):
+            k = len(_PRIMES)
+            prime = next(c for c in count(_PRIMES[k - 1] + 1)
+                         if all(c % p for p in takewhile(lambda p: p * p <= c, _PRIMES)))
+            _PRIMES[k : k + 1] = [prime]  # not append: a racing thread stores this same prime
+        yield _PRIMES[i]
 
 
 def stable_khr2_closed(n, qmax):
@@ -263,7 +268,7 @@ def _generic_survivors(n, qmax, seed_offset=0):
                 i += 1
         return dims
     inner = _generic_survivors(n - 1, qmax, seed_offset + 1)
-    prime_iter = islice(_prime_stream(), seed_offset * 97, None)
+    prime_iter = _primes_from(seed_offset * 97)
     survivors = {}
     i = 0
     while i * period[1] <= qmax:

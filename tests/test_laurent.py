@@ -3,12 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superpoly.dataset import load_dataset
 from superpoly.laurent import (
     NotDivisible,
     NotYExpressible,
     OddExponent,
     ParseError,
     Poly3,
+    YExpansion,
+    _y_power,
     at_a_inv_t,
     at_t_minus_one,
     exact_divide,
@@ -19,6 +22,7 @@ from superpoly.laurent import (
     positivity_and_alternation,
     y_rewrite,
 )
+from superpoly.torus import super_t2, super_t3
 
 P_T23 = parse_poly("a^2*q^-2 + a^2*q^2 - a^4")
 SUPER_T23 = parse_poly("a^2*q^-2 + a^2*q^2*t^2 + a^4*t^3")
@@ -129,6 +133,134 @@ class TestExactDivide:
         assert exact_divide(p * d, d) == p
 
 
+Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})
+
+
+def reference_y_rewrite(p):
+    """The rewrite as it was before the closed form, y^g as Y_POLY ** g.
+
+    The power is taken once per level here rather than once per term, and
+    the q^0 level keeps its own branch.  Levels run in the same order and
+    raise the same three errors as y_rewrite, so outcomes compare exactly,
+    insertion order of the coefficients included.
+    """
+    rem = dict(p.terms)
+    coeffs = {}
+    while rem:
+        top = max(abs(q) for (_, q, _) in rem)
+        if top == 0:
+            for (ea, _, et), c in rem.items():
+                coeffs[(ea, et, 0)] = coeffs.get((ea, et, 0), 0) + c
+            break
+        if top % 2:
+            raise NotYExpressible("odd q-exponent %d cannot come from a power of y" % top)
+        g = top // 2
+        level = [(key, c) for key, c in rem.items() if key[1] == top]
+        if not level:
+            raise NotYExpressible("terms at q^%d have no positive-side partner" % (-top))
+        y_power = Y_POLY ** g
+        for (ea, _, et), c in level:
+            if rem.get((ea, -top, et - top), 0) != c:
+                raise NotYExpressible(
+                    "coefficient at a^%d q^%d t^%d has no matching mirror partner"
+                    % (ea, top, et)
+                )
+            coeffs[(ea, et - g, g)] = coeffs.get((ea, et - g, g), 0) + c
+            for (_, dq, dt), yc in y_power.terms.items():
+                key = (ea, dq, (et - g) + dt)
+                s = rem.get(key, 0) - c * yc
+                if s:
+                    rem[key] = s
+                else:
+                    rem.pop(key, None)
+    return YExpansion(coeffs)
+
+
+def reference_to_poly(coeffs):
+    """Expand {(ea, et, g): c} with Poly3 powers of Y_POLY."""
+    out = Poly3.zero()
+    for (ea, et, g), c in coeffs.items():
+        out = out + (Y_POLY ** g).scale_monomial(c, ea=ea, et=et)
+    return out
+
+
+def rewrite_outcome(rewrite, p):
+    """The ordered coefficient items, or the NotYExpressible text."""
+    try:
+        return list(rewrite(p).coeffs.items())
+    except NotYExpressible as exc:
+        return "NotYExpressible: %s" % exc
+
+
+y_tables = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=6),
+    ),
+    coeffs,
+    max_size=6,
+)
+
+
+class TestYPowerClosedForm:
+    def test_row_equals_power_in_term_order(self):
+        for g in range(61):
+            power = [(dq, dt, c) for (_, dq, dt), c in (Y_POLY ** g).terms.items()]
+            assert _y_power(g) == power
+
+    @pytest.mark.parametrize("m", [m for m in range(4, 62) if m % 3])
+    def test_t3_family_matches_reference(self, m):
+        p = super_t3(m)
+        assert rewrite_outcome(y_rewrite, p) == rewrite_outcome(reference_y_rewrite, p)
+
+    def test_t2_family_matches_reference(self):
+        for k in range(1, 22):
+            p = super_t2(k)
+            assert rewrite_outcome(y_rewrite, p) == rewrite_outcome(reference_y_rewrite, p)
+
+    def test_table_rows_match_reference(self):
+        rows = [rec for rec in load_dataset() if rec.superpoly is not None]
+        assert rows
+        for rec in rows:
+            got = rewrite_outcome(y_rewrite, rec.superpoly)
+            assert not isinstance(got, str), rec.name
+            assert got == rewrite_outcome(reference_y_rewrite, rec.superpoly), rec.name
+
+    @given(y_tables, st.lists(st.tuples(st.integers(0, 50), st.sampled_from([-1, 1])), max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_perturbed_outcomes_match_reference(self, table, bumps):
+        terms = dict(YExpansion(table).to_poly().terms)
+        for pick, delta in bumps:
+            if terms:
+                key = sorted(terms)[pick % len(terms)]
+                terms[key] += delta
+        p = Poly3(terms)
+        assert rewrite_outcome(y_rewrite, p) == rewrite_outcome(reference_y_rewrite, p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q^3 + q^-3", "odd q-exponent 3 cannot come from a power of y"),
+            ("a*q^-4 + q^2*t + 2 + q^-2*t^-1", "terms at q^-4 have no positive-side partner"),
+            (
+                "2*a*q^4*t^3 + a*q^-4*t^-1",
+                "coefficient at a^1 q^4 t^3 has no matching mirror partner",
+            ),
+            (
+                "2*q^4*t^2 + 3*q^4*t^3 + q^-4*t^-2 + q^-4*t^-1",
+                "coefficient at a^0 q^4 t^2 has no matching mirror partner",
+            ),
+        ],
+    )
+    def test_asymmetric_inputs_raise_the_same_message(self, text, message):
+        p = parse_poly(text)
+        for rewrite in (y_rewrite, reference_y_rewrite):
+            with pytest.raises(NotYExpressible) as err:
+                rewrite(p)
+            assert str(err.value) == message
+
+
 class TestYRewrite:
     def test_y_itself(self):
         y = parse_poly("q^2*t + 2 + q^-2*t^-1")
@@ -146,23 +278,15 @@ class TestYRewrite:
         with pytest.raises(NotYExpressible):
             y_rewrite(parse_poly("q^4"))
 
-    @given(
-        st.dictionaries(
-            st.tuples(
-                st.integers(min_value=-3, max_value=3),
-                st.integers(min_value=-3, max_value=3),
-                st.integers(min_value=0, max_value=3),
-            ),
-            coeffs,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
+    @given(y_tables)
+    @settings(max_examples=80, deadline=None)
     def test_round_trip(self, table):
-        from superpoly.laurent import YExpansion
-
-        source = YExpansion(table).to_poly()
-        assert y_rewrite(source).to_poly() == source
+        expansion = YExpansion(table)
+        source = expansion.to_poly()
+        assert source == reference_to_poly(expansion.coeffs)
+        got = y_rewrite(source)
+        assert got.to_poly() == source
+        assert list(got.coeffs.items()) == list(reference_y_rewrite(source).coeffs.items())
 
 
 class TestSigns:
@@ -217,6 +341,30 @@ class TestText:
     @settings(max_examples=80, deadline=None)
     def test_format_parse_identity(self, p):
         assert parse_poly(format_poly(p)) == p
+
+    def test_non_ascii_digits_are_a_parse_error(self):
+        # str.isdigit accepts these, but they are not integers of the grammar.
+        for text in ("\u00b2", "a^\u00b2", "\u0663*q"):
+            with pytest.raises(ParseError):
+                parse_poly(text)
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from(
+                list("0123456789aqt^*+- ") + ["\t", "x", "/", ".", "\u00b2", "\u0663", "\x00"]
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_adversarial_text_parses_or_raises_parse_error(self, text):
+        try:
+            p = parse_poly(text)
+        except ParseError:
+            return
+        canonical = format_poly(p)
+        assert parse_poly(canonical) == p
+        assert format_poly(parse_poly(canonical)) == canonical
 
 
 class TestQSymmetry:

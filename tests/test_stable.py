@@ -1,5 +1,9 @@
 """Stable limits: series, block complexes, reductions, agreement windows."""
 
+import sys
+import threading
+from itertools import islice
+
 import pytest
 
 from superpoly.laurent import Poly3, at_a_qN, at_t_minus_one, parse_poly
@@ -7,6 +11,7 @@ from superpoly.complexes import homology, verify
 from superpoly.stable import (
     GenericityMismatch,
     TruncSeries,
+    _primes_from,
     build_stable_complex,
     finite_vs_stable,
     geometric,
@@ -130,6 +135,61 @@ class TestKhr2:
     def test_unsupported_strands(self):
         with pytest.raises(ValueError):
             stable_khr2(5, 20)
+
+
+def sieve(limit):
+    """The primes below limit, by the sieve of Eratosthenes."""
+    is_prime = [True] * limit
+    is_prime[0:2] = [False, False]
+    for p in range(2, int(limit ** 0.5) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = [False] * len(range(p * p, limit, p))
+    return [p for p in range(limit) if is_prime[p]]
+
+
+class TestPrimeSupply:
+    def test_first_500_primes_match_a_sieve(self):
+        primes = sieve(3572)
+        assert len(primes) == 500
+        assert list(islice(_primes_from(0), 500)) == primes
+        assert list(islice(_primes_from(97), 200)) == primes[97:297]
+
+    def test_threads_growing_the_list_agree(self):
+        from superpoly import stable
+
+        base = len(stable._PRIMES)
+        want = sieve(20 * (base + 2000))[base : base + 2000]
+        results = []
+
+        def read():
+            results.append(list(islice(_primes_from(base), 2000)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 6
+        assert stable._PRIMES[base : base + 2000] == want
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_generic_route_at_qmax_40(self, n):
+        qmax = 40
+        series = stable_khr2_generic(n, qmax)
+        if n == 4:
+            assert series == stable_khr2_closed(4, qmax)
+        euler = TruncSeries(at_a_qN(stable_homfly(n, qmax).body, 2), qmax)
+        assert TruncSeries(at_t_minus_one(series.body), qmax) == euler
+        # The shared list only grows; reading far past what the reduction
+        # needs must not change its coefficients.
+        next(islice(_primes_from(5000), 1))
+        assert stable_khr2_generic(n, qmax) == series
 
 
 class TestWindows:
