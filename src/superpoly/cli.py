@@ -155,10 +155,7 @@ def _dispatch(args):
         return run_battery(args.dataset, only=args.only)
     if args.command == "render":
         c = _load_complex(args.complex_file)
-        if args.format == "text":
-            sys.stdout.write(render_text(c))
-        else:
-            sys.stdout.write(render_svg(c) + "\n")
+        sys.stdout.write(render_text(c) if args.format == "text" else render_svg(c) + "\n")
         return 0
     if args.command == "verify":
         c = _load_complex(args.complex_file)

@@ -410,9 +410,7 @@ def s_invariant(c):
     """
     report = homology(c, 1)
     if report.total_dim != 1:
-        raise NotCanceling(
-            "d_1 homology has dimension %d, expected 1" % report.total_dim
-        )
+        raise NotCanceling("d_1 homology has dimension %d, expected 1" % report.total_dim)
     ((p, k),) = report.dims
     if p != 0 or k != 0:
         raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (p, k))
@@ -559,9 +557,7 @@ def build_torus_complex(n, m):
             gens.append((2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1))
         d1 = [(index[("w", i)], index[("u", i)]) for i in range(1, k + 1)]
         dm1 = [(index[("w", i)], index[("u", i - 1)]) for i in range(1, k + 1)]
-        return complex_from_arrows(
-            gens, {1: d1, -1: dm1}, label="T(2,%d)" % m
-        )
+        return complex_from_arrows(gens, {1: d1, -1: dm1}, label="T(2,%d)" % m)
     if n != 3:
         raise ValueError("only the n = 2 and n = 3 families have explicit complexes")
 

@@ -10,6 +10,7 @@ Instances are immutable after construction; every operation returns a new
 polynomial, so values can be shared freely across threads.
 """
 
+from heapq import heapify, heappop, heappush
 from math import comb
 
 
@@ -32,6 +33,10 @@ class NotYExpressible(LaurentError):
 
 class OddExponent(LaurentError):
     """An odd a- or q-exponent appeared where only even ones are allowed."""
+
+
+class TooManyDigits(LaurentError, ValueError):
+    """A coefficient is past the interpreter's int-to-str digit limit."""
 
 
 class ParseError(LaurentError):
@@ -58,10 +63,19 @@ class Poly3:
             for key, c in terms.items():
                 if not isinstance(c, int):
                     raise TypeError("Poly3 coefficients must be integers, got %r" % (c,))
+                ea, eq, et = key
+                if not (isinstance(ea, int) and isinstance(eq, int) and isinstance(et, int)):
+                    raise TypeError("Poly3 exponents must be integers, got %r" % (key,))
                 if c:
-                    ea, eq, et = key
                     clean[(int(ea), int(eq), int(et))] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms):
+        # Only for a fresh dict, owned by no caller, of int triples -> nonzero ints.
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly3 is immutable")
@@ -92,17 +106,15 @@ class Poly3:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return Poly3(out)
+        return Poly3._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly3({key: -c for key, c in self.terms.items()})
+        return Poly3._trusted({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly3.monomial(other)
-        elif not isinstance(other, Poly3):
+        if not isinstance(other, (int, Poly3)):
             return NotImplemented
         return self + (-other)
 
@@ -125,7 +137,7 @@ class Poly3:
                     out[key] = s
                 else:
                     del out[key]
-        return Poly3(out)
+        return Poly3._trusted(out)
 
     __rmul__ = __mul__
 
@@ -226,13 +238,7 @@ def monomial_substitute(p, sub_a=None, sub_q=None, sub_t=None):
     mt = _as_signed_monomial(sub_t) or (1, 0, 0, 1)
     out = {}
     for (ea, eq, et), c in p.terms.items():
-        sign = 1
-        if ma[0] < 0 and ea % 2:
-            sign = -sign
-        if mq[0] < 0 and eq % 2:
-            sign = -sign
-        if mt[0] < 0 and et % 2:
-            sign = -sign
+        sign = ma[0] ** (ea % 2) * mq[0] ** (eq % 2) * mt[0] ** (et % 2)
         key = (
             ea * ma[1] + eq * mq[1] + et * mt[1],
             ea * ma[2] + eq * mq[2] + et * mt[2],
@@ -243,7 +249,7 @@ def monomial_substitute(p, sub_a=None, sub_q=None, sub_t=None):
             out[key] = s
         else:
             del out[key]
-    return Poly3(out)
+    return Poly3._trusted(out)
 
 
 # Frequently used specializations.
@@ -269,7 +275,7 @@ def at_a_inv_t(p):
 
 def mirror(p):
     """(a, q, t) -> (a^{-1}, q^{-1}, t^{-1}); mirror image of the knot."""
-    return Poly3({(-a, -q, -t): c for (a, q, t), c in p.terms.items()})
+    return Poly3._trusted({(-a, -q, -t): c for (a, q, t), c in p.terms.items()})
 
 
 def q_inverse(p):
@@ -292,45 +298,57 @@ def exact_divide(p, d):
 
     Term-driven elimination: the divisor's lexicographically greatest term
     is used as the leading term, and the top remaining term of the remainder
-    is cancelled at each step.  For an exact quotient, the extreme monomials
-    of a product cannot cancel, so the quotient's support is confined to the
-    coordinatewise box [min(p)-min(d), max(p)-max(d)]; any candidate term
-    escaping the box proves non-divisibility, which also bounds the loop.
+    is cancelled at each step.  The remainder's keys sit in a heap (Monagan
+    and Pearce, "Sparse polynomial division using a heap", J. Symbolic
+    Comput. 46, 2011): a key is pushed, negated, when it enters the
+    remainder, and a popped key no longer in the remainder is skipped, so
+    each step finds the top term in logarithmic time.  For an exact
+    quotient, the extreme monomials of a product cannot cancel, so the
+    quotient's support is confined to the coordinatewise box
+    [min(p)-min(d), max(p)-max(d)]; any candidate term escaping the box
+    proves non-divisibility, which also bounds the loop.
     """
+    if not (isinstance(p, Poly3) and isinstance(d, Poly3)):
+        raise TypeError("exact_divide needs two Poly3 operands")
     if not d.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:
         return Poly3.zero()
     d_lead = max(d.terms)
     d_lead_c = d.terms[d_lead]
-    p_keys = list(p.terms)
-    d_keys = list(d.terms)
-    box_lo = tuple(
-        min(k[i] for k in p_keys) - min(k[i] for k in d_keys) for i in range(3)
-    )
-    box_hi = tuple(
-        max(k[i] for k in p_keys) - max(k[i] for k in d_keys) for i in range(3)
-    )
+    la, lq, lt = d_lead
+    box_lo = [min(k[i] for k in p.terms) - min(k[i] for k in d.terms) for i in range(3)]
+    box_hi = [max(k[i] for k in p.terms) - max(k[i] for k in d.terms) for i in range(3)]
+    d_items = list(d.terms.items())
     rem = dict(p.terms)
+    heap = [(-a, -q, -t) for a, q, t in rem]
+    heapify(heap)
     quo = {}
     while rem:
-        r_lead = max(rem)
-        c = rem[r_lead]
+        na, nq, nt = heappop(heap)
+        c = rem.get((-na, -nq, -nt))
+        if c is None:
+            continue
         if c % d_lead_c:
             raise NotDivisible("leading coefficient %d not divisible by %d" % (c, d_lead_c))
-        key = tuple(r_lead[i] - d_lead[i] for i in range(3))
+        key = (-na - la, -nq - lq, -nt - lt)
         if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
             raise NotDivisible("no exact quotient (support escaped the feasible box)")
         cq = c // d_lead_c
         quo[key] = cq
-        for dk, dc in d.terms.items():
-            k2 = (key[0] + dk[0], key[1] + dk[1], key[2] + dk[2])
-            s = rem.get(k2, 0) - cq * dc
-            if s:
-                rem[k2] = s
+        ka, kq, kt = key
+        for (da, dq, dt), dc in d_items:
+            k2 = (ka + da, kq + dq, kt + dt)
+            old = rem.get(k2)
+            v = cq * dc
+            if old is None:
+                rem[k2] = -v
+                heappush(heap, (-k2[0], -k2[1], -k2[2]))
+            elif old == v:
+                del rem[k2]
             else:
-                rem.pop(k2, None)
-    return Poly3(quo)
+                rem[k2] = old - v
+    return Poly3._trusted(quo)
 
 
 # -- genus expansion ------------------------------------------------------
@@ -456,7 +474,11 @@ def format_poly(p):
         return "0"
     pieces = []
     for (ea, eq, et), c in p.sorted_terms():
-        body = "%d*a^%d*q^%d*t^%d" % (abs(c), ea, eq, et)
+        try:
+            body = "%d*a^%d*q^%d*t^%d" % (abs(c), ea, eq, et)
+        except ValueError:
+            msg = "coefficient at a^%d q^%d t^%d has too many digits" % (ea, eq, et)
+            raise TooManyDigits(msg) from None
         if not pieces:
             pieces.append(body if c > 0 else "-" + body)
         else:
@@ -490,7 +512,10 @@ def parse_poly(text):
             raise ParseError("expected an integer", start)
         while i < n and "0" <= text[i] <= "9":
             i += 1
-        return int(text[start:i])
+        try:
+            return int(text[start:i])
+        except ValueError:
+            raise ParseError("integer has too many digits", start) from None
 
     skip_ws()
     if i >= n:
@@ -550,4 +575,4 @@ def parse_poly(text):
             break
     if i < n:
         raise ParseError("trailing garbage", i)
-    return Poly3(terms)
+    return Poly3._trusted(terms)

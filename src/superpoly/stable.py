@@ -21,7 +21,7 @@ makes the whole family anticommute (all level shifts are odd in t).
 
 from itertools import count, takewhile
 
-from .laurent import Poly3, at_a_qN
+from .laurent import Poly3, at_a_qN, format_poly
 from .complexes import DotComplex, _eliminate
 
 
@@ -56,18 +56,14 @@ class TruncSeries:
         return TruncSeries(self.body * self._operand(other), self.qmax)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.qmax == other.qmax
-            and self.body == other.body
-        )
+        if not isinstance(other, TruncSeries):
+            return False
+        return (self.qmax, self.body) == (other.qmax, other.body)
 
     def __repr__(self):
         return "TruncSeries(qmax=%d, %s)" % (self.qmax, self.body)
 
     def header_text(self):
-        from .laurent import format_poly
-
         return "# qmax=%d\n%s\n" % (self.qmax, format_poly(self.body))
 
 
@@ -217,13 +213,9 @@ def _primes_from(start):
 def stable_khr2_closed(n, qmax):
     """Closed forms for the stable sl(2) reduction, n in {2, 3, 4}."""
     if n == 2:
-        return geometric(Poly3.monomial(1, 0, 4, 2), qmax) * (
-            1 + Poly3.monomial(1, 0, 6, 3)
-        )
+        return geometric(Poly3.monomial(1, 0, 4, 2), qmax) * (1 + Poly3.monomial(1, 0, 6, 3))
     if n == 3:
-        block = Poly3(
-            {(0, 0, 0): 1, (0, 4, 2): 1, (0, 6, 3): 1, (0, 10, 5): 1}
-        )
+        block = Poly3({(0, 0, 0): 1, (0, 4, 2): 1, (0, 6, 3): 1, (0, 10, 5): 1})
         return geometric(Poly3.monomial(1, 0, 6, 4), qmax) * block
     if n == 4:
         inner = (
@@ -345,10 +337,7 @@ def finite_vs_stable(n, m, kind):
     s_inv = (n - 1) * (m - 1)
     qmax = 2 * m + 6 * n + 8
     if kind == "super":
-        if n == 2:
-            finite = super_t2((m - 1) // 2)
-        else:
-            finite = super_t3(m)
+        finite = super_t2((m - 1) // 2) if n == 2 else super_t3(m)
         finite = finite.scale_monomial(1, ea=-s_inv, eq=s_inv)
         stable = stable_super(n, qmax)
     elif kind == "khr2":
@@ -360,9 +349,8 @@ def finite_vs_stable(n, m, kind):
     else:
         raise ValueError("kind must be 'super' or 'khr2'")
     limit = stable.qmax
-    mismatch = limit + 1
-    keys = set(finite.terms) | set(stable.body.terms)
-    for key in keys:
-        if key[1] <= limit and finite.terms.get(key, 0) != stable.body.terms.get(key, 0):
-            mismatch = min(mismatch, key[1])
-    return mismatch - 1
+    mismatches = (
+        key[1] for key in set(finite.terms) | set(stable.body.terms)
+        if key[1] <= limit and finite.terms.get(key, 0) != stable.body.terms.get(key, 0)
+    )
+    return min(mismatches, default=limit + 1) - 1

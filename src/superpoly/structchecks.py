@@ -225,11 +225,7 @@ def thin_quotient_test(homfly, s_inv):
             outcomes[name] = positivity_and_alternation(quotient, "homfly-alternating")
         except OddExponent:
             outcomes[name] = False
-    which = None
-    for name in ("negative", "positive"):
-        if outcomes[name]:
-            which = name
-            break
+    which = next((name for name in ("negative", "positive") if outcomes[name]), None)
     return (which is not None), which
 
 

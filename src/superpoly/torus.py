@@ -125,11 +125,8 @@ def super_t2(k):
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    terms = {}
-    for i in range(k + 1):
-        terms[(2 * k, 4 * i - 2 * k, 2 * i)] = 1
-    for i in range(1, k + 1):
-        terms[(2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1)] = 1
+    terms = {(2 * k, 4 * i - 2 * k, 2 * i): 1 for i in range(k + 1)}
+    terms.update({(2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1): 1 for i in range(1, k + 1)})
     return Poly3(terms)
 
 

@@ -1,10 +1,14 @@
 """Core exact-arithmetic layer: ring ops, substitution, division, rewriting."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superpoly import torus
 from superpoly.dataset import load_dataset
 from superpoly.laurent import (
+    LaurentError,
     NotDivisible,
     NotYExpressible,
     OddExponent,
@@ -22,7 +26,7 @@ from superpoly.laurent import (
     positivity_and_alternation,
     y_rewrite,
 )
-from superpoly.torus import super_t2, super_t3
+from superpoly.torus import homfly_torus, super_t2, super_t3
 
 P_T23 = parse_poly("a^2*q^-2 + a^2*q^2 - a^4")
 SUPER_T23 = parse_poly("a^2*q^-2 + a^2*q^2*t^2 + a^4*t^3")
@@ -72,6 +76,50 @@ class TestArith:
         with pytest.raises(TypeError):
             Poly3.one() + "x"
 
+    @pytest.mark.parametrize("key", [(1.5, 0, 0), ("2", 0, 0), (0, 2.0, 0), (0, 0, None)])
+    def test_non_integer_exponent_rejected(self, key):
+        with pytest.raises(TypeError):
+            Poly3({key: 1})
+
+    def test_scale_monomial_checks_its_scalars(self):
+        with pytest.raises(TypeError):
+            P_T23.scale_monomial(1, ea=1.5)
+        with pytest.raises(TypeError):
+            P_T23.scale_monomial(0.5)
+        assert P_T23.scale_monomial(-1, ea=2) == -(P_T23 * mono(1, 2))
+
+
+def assert_canonical(r, *operands):
+    """r holds int triples -> nonzero ints in a dict of its own, as Poly3(...) would build."""
+    assert type(r) is Poly3
+    for key, c in r.terms.items():
+        assert type(key) is tuple and len(key) == 3
+        assert all(type(e) is int for e in key)
+        assert type(c) is int and c != 0
+    assert all(r.terms is not p.terms for p in operands)
+    assert r == Poly3(dict(r.terms))
+
+
+class TestTrustedResults:
+    @given(polys, polys)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_results_are_canonical(self, p, q):
+        assert_canonical(p + q, p, q)
+        assert_canonical(p - q, p, q)
+        assert_canonical(p * q, p, q)
+        assert_canonical(-p, p)
+        assert_canonical(p + 3, p)
+        assert_canonical(2 * p, p)
+        assert_canonical(mirror(p), p)
+        assert_canonical(monomial_substitute(p, sub_a=mono(-1, 0, 2, 0), sub_t=-1), p)
+        assert_canonical(parse_poly(format_poly(p)))
+        if q.terms:
+            assert_canonical(exact_divide(p * q, q), p, q)
+
+    def test_cancelling_sum_is_canonical(self):
+        assert_canonical(P_T23 - P_T23, P_T23)
+        assert_canonical(exact_divide(Poly3.zero(), P_T23))
+
 
 class TestSubstitution:
     def test_alexander_regrading_of_trefoil(self):
@@ -99,6 +147,62 @@ class TestSubstitution:
     def test_rejects_nonmonomial(self):
         with pytest.raises(ValueError):
             monomial_substitute(P_T23, sub_a=P_T23)
+
+
+def reference_exact_divide(p, d):
+    """The division as it was before the heap: max(rem) once per quotient term.
+
+    Same leading terms, box bound and errors as exact_divide, so quotients
+    (their term order included) and NotDivisible texts compare exactly.
+    """
+    if not d.terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not p.terms:
+        return Poly3.zero()
+    d_lead = max(d.terms)
+    d_lead_c = d.terms[d_lead]
+    p_keys = list(p.terms)
+    d_keys = list(d.terms)
+    box_lo = tuple(
+        min(k[i] for k in p_keys) - min(k[i] for k in d_keys) for i in range(3)
+    )
+    box_hi = tuple(
+        max(k[i] for k in p_keys) - max(k[i] for k in d_keys) for i in range(3)
+    )
+    rem = dict(p.terms)
+    quo = {}
+    while rem:
+        r_lead = max(rem)
+        c = rem[r_lead]
+        if c % d_lead_c:
+            raise NotDivisible("leading coefficient %d not divisible by %d" % (c, d_lead_c))
+        key = tuple(r_lead[i] - d_lead[i] for i in range(3))
+        if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
+            raise NotDivisible("no exact quotient (support escaped the feasible box)")
+        cq = c // d_lead_c
+        quo[key] = cq
+        for dk, dc in d.terms.items():
+            k2 = (key[0] + dk[0], key[1] + dk[1], key[2] + dk[2])
+            s = rem.get(k2, 0) - cq * dc
+            if s:
+                rem[k2] = s
+            else:
+                rem.pop(k2, None)
+    return Poly3(quo)
+
+
+def divide_outcome(divide, p, d):
+    """The quotient's items in insertion order, or the NotDivisible text."""
+    try:
+        return list(divide(p, d).terms.items())
+    except NotDivisible as exc:
+        return "NotDivisible: %s" % exc
+
+
+nonzero_polys = polys.filter(bool)
+perturbations = st.lists(
+    st.tuples(exponents, exponents, exponents, st.integers(-3, 3).filter(bool)), max_size=3
+)
 
 
 class TestExactDivide:
@@ -131,6 +235,46 @@ class TestExactDivide:
         if not d.terms:
             return
         assert exact_divide(p * d, d) == p
+
+    @given(polys, nonzero_polys, perturbations)
+    @settings(max_examples=300, deadline=None)
+    def test_outcomes_match_reference(self, p, d, perturbation):
+        product = p * d
+        assert divide_outcome(exact_divide, product, d) == divide_outcome(
+            reference_exact_divide, product, d
+        )
+        perturbed = product + Poly3({(a, q, t): c for a, q, t, c in perturbation})
+        assert divide_outcome(exact_divide, perturbed, d) == divide_outcome(
+            reference_exact_divide, perturbed, d
+        )
+
+    @pytest.mark.parametrize(
+        "num, den, message",
+        [
+            ("3*q + 1", "2*q + 2", "leading coefficient 3 not divisible by 2"),
+            ("q^3 + 1", "q^2 + 1", "no exact quotient (support escaped the feasible box)"),
+        ],
+    )
+    def test_not_divisible_messages(self, num, den, message):
+        for divide in (exact_divide, reference_exact_divide):
+            with pytest.raises(NotDivisible) as err:
+                divide(parse_poly(num), parse_poly(den))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("p, d", [(Poly3.one(), 3), (3, Poly3.one()), (P_T23, "q")])
+    def test_foreign_operand_is_a_type_error(self, p, d):
+        with pytest.raises(TypeError):
+            exact_divide(p, d)
+
+    @pytest.mark.parametrize("form", ["jones", "product"])
+    def test_homfly_torus_matches_reference(self, form, monkeypatch):
+        pairs = [(n, m) for n in range(2, 10) for m in (n + 1, 2 * n + 1)]
+        got = [homfly_torus(n, m, form) for n, m in pairs]
+        monkeypatch.setattr(torus, "exact_divide", reference_exact_divide)
+        want = [homfly_torus(n, m, form) for n, m in pairs]
+        for (n, m), g, r in zip(pairs, got, want):
+            assert format_poly(g) == format_poly(r), (n, m)
+            assert list(g.terms.items()) == list(r.terms.items()), (n, m)
 
 
 Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})
@@ -341,6 +485,18 @@ class TestText:
     @settings(max_examples=80, deadline=None)
     def test_format_parse_identity(self, p):
         assert parse_poly(format_poly(p)) == p
+
+    def test_integers_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and limit < 5000:
+            for text, pos in (("1" * 5000, 0), ("a^" + "1" * 5000, 2), ("q + " + "1" * 5000, 4)):
+                with pytest.raises(ParseError) as err:
+                    parse_poly(text)
+                assert err.value.pos == pos
+            with pytest.raises(LaurentError):
+                format_poly(Poly3.monomial(10 ** 5000, 1, 2, 3))
+        else:
+            assert parse_poly("1" * 5000) == Poly3.monomial(int("1" * 5000))
 
     def test_non_ascii_digits_are_a_parse_error(self):
         # str.isdigit accepts these, but they are not integers of the grammar.
