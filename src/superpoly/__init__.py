@@ -37,6 +37,7 @@ from .torus import (
     stable_beta_terms,
     super_t2,
     super_t3,
+    super_torus,
     t3_reduction_terms,
     unreduce,
 )

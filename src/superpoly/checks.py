@@ -6,7 +6,7 @@ run a single one with --only.
 """
 
 from .laurent import delta_spectrum, y_rewrite, NotYExpressible
-from .torus import super_t2
+from .torus import super_t2, super_torus
 from .structchecks import (
     StructureError,
     derived_invariants,
@@ -18,7 +18,6 @@ from .structchecks import (
     three_step_pairing,
 )
 from .complexes import (
-    ComplexError,
     NotCanceling,
     SurvivorOffLine,
     build_thin_complex,
@@ -148,10 +147,8 @@ def check_rows(records, only=None):
         # Standard braid diagram data for the torus families: an n-strand,
         # m-cycle diagram has writhe m(n-1) and an oriented resolution with
         # n circles.  The bound constrains the full superpolynomial.
-        from .torus import super_t3
-
         for (n, m) in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
-            p = super_t2((m - 1) // 2) if n == 2 else super_t3(m)
+            p = super_torus(n, m)
             if not morton_check(p, m * (n - 1), n):
                 return False, "T(%d,%d) violates the braid bound" % (n, m)
         return True, "braid bounds hold on the torus sample"

@@ -9,18 +9,10 @@ convention for bad arguments).
 import argparse
 import sys
 
-from .laurent import (
-    ParseError,
-    Poly3,
-    at_a_inv_t,
-    format_poly,
-    parse_poly,
-)
+from .laurent import ParseError, format_poly, parse_poly
 from .torus import (
     homfly_torus,
-    super_t2,
-    super_t3,
-    torus_id,
+    super_torus,
     torus_s_invariant,
     unreduce,
 )
@@ -47,15 +39,6 @@ def _read_poly(text):
 def _load_complex(path):
     with open(path) as fh:
         return deserialize_complex(fh.read())
-
-
-def _torus_super(n, m):
-    n, m = torus_id(n, m)
-    if n == 2:
-        return super_t2((m - 1) // 2)
-    if n == 3:
-        return super_t3(m)
-    raise ValueError("closed-form superpolynomials exist for n in {2, 3}")
 
 
 def main(argv=None):
@@ -124,7 +107,7 @@ def _dispatch(args):
         return 0
     if args.command == "super":
         if args.family == "torus":
-            poly = _torus_super(args.n, args.m)
+            poly = super_torus(args.n, args.m)
             if args.unreduced:
                 poly = unreduce(poly, torus_s_invariant(args.n, args.m))
             print(format_poly(poly))

@@ -28,7 +28,9 @@ from .laurent import Poly3, delta_spectrum, y_rewrite, NotYExpressible
 
 
 class ComplexError(Exception):
-    pass
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class GradingMismatch(ComplexError):
@@ -59,40 +61,46 @@ def diff_degree(n):
 
 
 class DotComplex:
-    """Generators plus the sparse differential family.
+    """Generators plus the sparse differential family, held in tuples.
 
-    generators: list of (ea, eq, et) triples (repeats allowed).
-    diffs: dict N -> list of (src_index, dst_index, coefficient), the
-    coefficient an int, or a Fraction only when it is not an integer.
-    Immutable by convention: nothing in this module mutates a built complex.
+    generators: tuple of (ea, eq, et) int triples (repeats allowed).
+    diffs: dict N -> sorted tuple of (src_index, dst_index, coefficient),
+    the coefficient a nonzero int, or a Fraction only when not an integer.
+    The constructor alone checks entries.  It raises TypeError unless
+    gradings are int triples, level keys and indices ints (not bool) and
+    coefficients ints or Fractions; ComplexError, naming the entry as
+    .entry = (N, src, dst), for an index outside [0, len(generators)) or a
+    (src, dst) pair twice in one level, even if one copy has coefficient 0.
     """
 
     def __init__(self, generators, diffs=None, label=None):
-        self.generators = [tuple(int(x) for x in g) for g in generators]
+        self.generators = tuple(map(tuple, generators))
+        for g in self.generators:
+            if len(g) != 3 or not type(g[0]) is type(g[1]) is type(g[2]) is int:
+                raise TypeError("gradings must be int triples, got %r" % (g,))
+        size = len(self.generators)
         self.diffs = {}
-        if diffs:
-            for n, entries in diffs.items():
-                seen = set()
-                cleaned = []
-                for (src, dst, coeff) in entries:
-                    if type(coeff) is not int:
-                        coeff = Fraction(coeff)
-                        if coeff.denominator == 1:
-                            coeff = coeff.numerator
-                    if coeff == 0:
-                        continue
-                    if not (0 <= src < len(self.generators)):
-                        raise ComplexError("source index %d out of range" % src)
-                    if not (0 <= dst < len(self.generators)):
-                        raise ComplexError("target index %d out of range" % dst)
-                    if (src, dst) in seen:
-                        raise ComplexError(
-                            "duplicate entry (%d, %d) in d_%d" % (src, dst, n)
-                        )
-                    seen.add((src, dst))
-                    cleaned.append((src, dst, coeff))
-                if cleaned:
-                    self.diffs[int(n)] = sorted(cleaned)
+        for n, entries in (diffs or {}).items():
+            if type(n) is not int:
+                raise TypeError("level keys must be ints, got %r" % (n,))
+            level = []
+            for (s, d, coeff) in entries:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                if not type(s) is type(d) is int or type(coeff) not in (int, Fraction):
+                    raise TypeError("d_%d entry %r needs int indices and an int or Fraction"
+                                    " coefficient" % (n, (s, d, coeff)))
+                level.append((s, d, coeff))
+            level.sort()
+            for i, (s, d, _) in enumerate(level):
+                if not (0 <= s < size and 0 <= d < size):
+                    raise ComplexError("d_%d entry %d -> %d refers to a missing generator"
+                                       % (n, s, d), (n, s, d))
+                if i and level[i - 1][0] == s and level[i - 1][1] == d:
+                    raise ComplexError("d_%d entry %d -> %d is given twice" % (n, s, d), (n, s, d))
+            kept = tuple(entry for entry in level if entry[2])
+            if kept:
+                self.diffs[n] = kept
         self.label = label
 
     def __len__(self):
@@ -675,9 +683,10 @@ def serialize_complex(c):
 
 
 def deserialize_complex(text, label=None):
+    """Parse the gen/diff text form; DotComplex checks the entries, errors get their line."""
     gens = {}
     diffs = {}
-    seen_edges = set()
+    diff_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -692,7 +701,7 @@ def deserialize_complex(text, label=None):
                 raise ComplexParseError("gen fields must be integers", lineno)
             if idx in gens:
                 raise ComplexParseError("duplicate generator id %d" % idx, lineno)
-            gens[idx] = (ea, eq, et)
+            gens[idx] = (lineno, (ea, eq, et))
         elif parts[0] == "diff":
             if len(parts) != 5:
                 raise ComplexParseError("diff needs: N src dst num/den", lineno)
@@ -705,19 +714,14 @@ def deserialize_complex(text, label=None):
                 raise ComplexParseError("diff fields must be integers", lineno)
             if den <= 0:
                 raise ComplexParseError("denominator must be positive", lineno)
-            if (n, s, d) in seen_edges:
-                raise ComplexParseError("duplicate diff entry", lineno)
-            seen_edges.add((n, s, d))
-            diffs.setdefault(n, []).append((s, d, Fraction(num, den), lineno))
+            diffs.setdefault(n, []).append((s, d, Fraction(num, den)))
+            diff_lines[(n, s, d)] = lineno
         else:
             raise ComplexParseError("unknown record %r" % parts[0], lineno)
-    if sorted(gens) != list(range(len(gens))):
-        raise ComplexParseError("generator ids must be dense from 0", 0)
-    order = [gens[i] for i in range(len(gens))]
-    cleaned = {}
-    for n, entries in diffs.items():
-        for (s, d, coeff, lineno) in entries:
-            if s >= len(order) or d >= len(order) or s < 0 or d < 0:
-                raise ComplexParseError("diff refers to a missing generator", lineno)
-            cleaned.setdefault(n, []).append((s, d, coeff))
-    return DotComplex(order, cleaned, label=label)
+    sparse = [lineno for i, (lineno, _) in gens.items() if not 0 <= i < len(gens)]
+    if sparse:
+        raise ComplexParseError("generator ids must be dense from 0", min(sparse))
+    try:
+        return DotComplex([gens[i][1] for i in range(len(gens))], diffs, label=label)
+    except ComplexError as exc:
+        raise ComplexParseError(str(exc), diff_lines[exc.entry]) from None

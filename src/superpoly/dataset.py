@@ -13,13 +13,7 @@ row fails the whole load, with one diagnostic per offending row.
 
 import os
 
-from .laurent import (
-    Poly3,
-    at_a_qN,
-    at_t_minus_one,
-    parse_poly,
-    ParseError,
-)
+from .laurent import at_a_qN, at_t_minus_one, parse_poly, ParseError
 from .complexes import deserialize_complex, ComplexParseError
 
 

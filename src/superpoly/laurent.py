@@ -59,10 +59,14 @@ class Poly3:
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, dict):
+                raise TypeError("Poly3 terms must be a dict, got %s" % type(terms).__name__)
             for key, c in terms.items():
                 if not isinstance(c, int):
                     raise TypeError("Poly3 coefficients must be integers, got %r" % (c,))
+                if not (isinstance(key, tuple) and len(key) == 3):
+                    raise TypeError("Poly3 keys must be (ea, eq, et) triples, got %r" % (key,))
                 ea, eq, et = key
                 if not (isinstance(ea, int) and isinstance(eq, int) and isinstance(et, int)):
                     raise TypeError("Poly3 exponents must be integers, got %r" % (key,))

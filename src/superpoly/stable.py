@@ -329,7 +329,7 @@ def finite_vs_stable(n, m, kind):
     kind 'super' compares superpolynomials, kind 'khr2' the sl(2)
     reductions (n = 2 via the specialization, n = 3 via the closed form).
     """
-    from .torus import torus_id, super_t2, super_t3, khr2_t3_closed
+    from .torus import torus_id, super_t2, super_torus, khr2_t3_closed
 
     n, m = torus_id(n, m)
     if n not in (2, 3):
@@ -337,7 +337,7 @@ def finite_vs_stable(n, m, kind):
     s_inv = (n - 1) * (m - 1)
     qmax = 2 * m + 6 * n + 8
     if kind == "super":
-        finite = super_t2((m - 1) // 2) if n == 2 else super_t3(m)
+        finite = super_torus(n, m)
         finite = finite.scale_monomial(1, ea=-s_inv, eq=s_inv)
         stable = stable_super(n, qmax)
     elif kind == "khr2":

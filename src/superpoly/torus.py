@@ -179,6 +179,16 @@ def super_t3(m):
     return Poly3(terms)
 
 
+def super_torus(n, m):
+    """Reduced superpolynomial of T(n, m) for n in {2, 3}, in closed form."""
+    n, m = torus_id(n, m)
+    if n == 2:
+        return super_t2((m - 1) // 2)
+    if n == 3:
+        return super_t3(m)
+    raise ValueError("closed-form superpolynomials exist for n in {2, 3}")
+
+
 def t3_killed_sources(m):
     """The T(3, m) generators cancelled by the sl(2) reduction.
 

@@ -39,6 +39,24 @@ from superpoly.torus import (
 )
 
 
+GEN_LINES = st.builds(
+    "gen {} {} {} {}".format,
+    st.integers(-1, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
+)
+DIFF_LINES = st.builds(
+    "diff {} {} {} {}/{}".format,
+    st.integers(-2, 2), st.integers(-1, 4), st.integers(-1, 4), st.integers(-2, 2),
+    st.integers(-1, 3),
+)
+GARBAGE_LINES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "gen", "diff", "gen 0 x 0 0", "gen 0 0 0 0 0", "diff 1 0 1 a/b", "diff 1 0 1 1/2/3",
+        "diff 1 0 1", "edge 0 1", "# comment", "", "gen 0 0 0 0 # tail",
+    ]),
+)
+
+
 def trefoil_complex():
     return build_torus_complex(2, 3)
 
@@ -284,8 +302,9 @@ class TestSerialization:
         assert sum(1 for l in lines if l.startswith("diff ")) == 2
 
     def test_dangling_index(self):
-        with pytest.raises(ComplexParseError):
+        with pytest.raises(ComplexParseError, match="d_1 entry 0 -> 5") as err:
             deserialize_complex("gen 0 0 0 0\ndiff 1 0 5 1/1\n")
+        assert err.value.line == 2
 
     def test_sparse_ids_rejected(self):
         with pytest.raises(ComplexParseError):
@@ -293,8 +312,9 @@ class TestSerialization:
 
     def test_duplicate_edge_rejected(self):
         text = "gen 0 2 0 1\ngen 1 0 2 0\ndiff 1 0 1 1/1\ndiff 1 0 1 2/1\n"
-        with pytest.raises(ComplexParseError):
+        with pytest.raises(ComplexParseError, match="d_1 entry 0 -> 1") as err:
             deserialize_complex(text)
+        assert err.value.line == 4
 
     def test_bad_denominator(self):
         with pytest.raises(ComplexParseError):
@@ -304,6 +324,151 @@ class TestSerialization:
         text = "# hello\n\ngen 0 0 0 0  # inline\n"
         c = deserialize_complex(text)
         assert len(c) == 1
+
+    @given(st.lists(st.one_of(GEN_LINES, DIFF_LINES, GARBAGE_LINES), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_parses_or_names_a_line(self, lines):
+        text = "\n".join(lines)
+        try:
+            c = deserialize_complex(text)
+        except ComplexParseError as exc:
+            assert 1 <= exc.line <= len(text.splitlines())
+            return
+        back = deserialize_complex(serialize_complex(c))
+        assert back.generators == c.generators
+        assert back.diffs == c.diffs
+
+
+# -- the constructor as the one validation boundary --------------------------
+
+def reference_dot_complex(generators, diffs):
+    """The set-based constructor: (generators, {N: sorted entries}) or ComplexError.
+
+    Independent reference for the DotComplex constructor on int-typed
+    input.  It drops a zero entry before any check, whereas the
+    constructor checks zero entries too (see zero_entry_at_fault).
+    """
+    gens = [tuple(int(x) for x in g) for g in generators]
+    out = {}
+    for n, entries in diffs.items():
+        seen = set()
+        cleaned = []
+        for (src, dst, coeff) in entries:
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            if coeff == 0:
+                continue
+            if not (0 <= src < len(gens)):
+                raise ComplexError("source index %d out of range" % src)
+            if not (0 <= dst < len(gens)):
+                raise ComplexError("target index %d out of range" % dst)
+            if (src, dst) in seen:
+                raise ComplexError("duplicate entry (%d, %d) in d_%d" % (src, dst, n))
+            seen.add((src, dst))
+            cleaned.append((src, dst, coeff))
+        if cleaned:
+            out[int(n)] = sorted(cleaned)
+    return gens, out
+
+
+def faulty_entries(generators, diffs):
+    """The (N, src, dst) entries that are out of range or given twice in their level."""
+    size = len(generators)
+    faults = set()
+    for n, entries in diffs.items():
+        pairs = [(s, d) for (s, d, _) in entries]
+        for (s, d) in pairs:
+            if not (0 <= s < size and 0 <= d < size) or pairs.count((s, d)) > 1:
+                faults.add((n, s, d))
+    return faults
+
+
+def zero_entry_at_fault(generators, diffs):
+    """Whether some entry with coefficient 0 is out of range or given twice."""
+    faults = faulty_entries(generators, diffs)
+    return any(
+        (n, s, d) in faults and coeff == 0
+        for n, entries in diffs.items() for (s, d, coeff) in entries
+    )
+
+
+@st.composite
+def raw_complexes(draw):
+    """Int-typed generators and entries, with duplicates, zeros and bad indices."""
+    grading = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+    gens = draw(st.lists(grading, max_size=5))
+    index = st.integers(-1, len(gens))
+    coeff = st.one_of(
+        st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)])
+    )
+    level = st.lists(st.tuples(index, index, coeff), max_size=6)
+    return gens, draw(st.dictionaries(st.integers(-2, 2), level, max_size=3))
+
+
+TWO_GENS = [(2, 0, 1), (0, 2, 0)]
+
+
+class TestConstructorBoundary:
+    @given(raw_complexes())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_set_based_reference(self, case):
+        gens, diffs = case
+        try:
+            want = reference_dot_complex(gens, diffs)
+        except ComplexError:
+            want = None
+        try:
+            c = DotComplex(gens, diffs)
+            got = (list(c.generators), {n: list(e) for n, e in c.diffs.items()})
+        except ComplexError as exc:
+            assert exc.entry in faulty_entries(gens, diffs)
+            got = None
+        if got is None and want is not None:
+            # The one stated difference: a zero entry is checked, then dropped.
+            assert zero_entry_at_fault(gens, diffs)
+        else:
+            assert got == want
+            if got is not None:
+                types = {n: [type(x[2]) for x in e] for n, e in got[1].items()}
+                assert types == {n: [type(x[2]) for x in e] for n, e in want[1].items()}
+
+    @pytest.mark.parametrize(
+        "gens, diffs",
+        [
+            ([(1.5, 0, 0)], {}),
+            ([(0, 0)], {}),
+            (TWO_GENS, {1.5: [(0, 1, 1)]}),
+            (TWO_GENS, {1: [(0, 1, 0.1)]}),
+            (TWO_GENS, {1: [(0, 1, "1/2")]}),
+            (TWO_GENS, {1: [(0.0, 1, 1)]}),
+        ],
+        ids=["float grading", "2-tuple grading", "float level", "float coefficient",
+             "string coefficient", "float index"],
+    )
+    def test_non_int_input_is_a_type_error(self, gens, diffs):
+        with pytest.raises(TypeError):
+            DotComplex(gens, diffs)
+
+    def test_faults_name_their_entry(self):
+        with pytest.raises(ComplexError, match="d_1 entry 0 -> 5 ") as err:
+            DotComplex(TWO_GENS, {1: [(0, 5, 1)]})
+        assert err.value.entry == (1, 0, 5)
+        with pytest.raises(ComplexError, match="d_-1 entry 0 -> 1 ") as err:
+            DotComplex(TWO_GENS, {-1: [(0, 1, 1), (0, 1, 0)]})
+        assert err.value.entry == (-1, 0, 1)
+
+    def test_zero_entries_are_checked_then_dropped(self):
+        with pytest.raises(ComplexError):
+            DotComplex(TWO_GENS, {1: [(0, 9, 0)]})
+        assert DotComplex(TWO_GENS, {1: [(0, 1, 0)]}).diffs == {}
+
+    def test_fields_are_tuples(self):
+        for c in (build_torus_complex(3, 4), DotComplex([[0, 0, 0]], {0: [[0, 0, 1]]})):
+            assert type(c.generators) is tuple
+            assert all(type(g) is tuple for g in c.generators)
+            assert all(type(e) is tuple for e in c.diffs.values())
 
 
 def reference_solve_signs(arrows):

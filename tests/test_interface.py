@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 
 import pytest
 
@@ -48,6 +49,16 @@ class TestDataset:
         with pytest.raises(DatasetError) as err:
             load_dataset(str(path))
         assert any("broken" in p for p in err.value.problems)
+
+    def test_bad_complex_file_is_a_row_diagnostic(self, tmp_path):
+        (tmp_path / "bad.cplx").write_text("gen 0 0 0 0\ndiff 1 0 1 1/1\n")
+        path = tmp_path / "table.tsv"
+        path.write_text("unknot\t0\t0\t1\t\t\t\tbad.cplx\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(str(path))
+        assert err.value.problems == [
+            "line 1 (unknot): complex file: d_1 entry 0 -> 1 refers to a missing generator (line 2)"
+        ]
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "short.tsv"
@@ -187,3 +198,36 @@ class TestCli:
 
     def test_invalid_torus_is_2(self):
         assert main(["homfly", "torus", "4", "2"]) == 2
+
+
+TWO_GENS = "gen 0 2 0 1\ngen 1 0 2 0\n"
+
+# name -> (file text, line the error must name)
+BAD_COMPLEX_FILES = {
+    "dangling index": (TWO_GENS + "diff 1 0 5 1/1\n", 3),
+    "negative index": (TWO_GENS + "diff 1 -1 1 1/1\n", 3),
+    "duplicate entry": (TWO_GENS + "diff 1 0 1 1/1\ndiff 1 0 1 2/1\n", 4),
+    "duplicate with a zero copy": (TWO_GENS + "diff 1 0 1 0/1\ndiff 1 0 1 1/1\n", 4),
+    "non-integer gen field": ("gen 0 2 x 1\n", 1),
+    "non-integer diff field": (TWO_GENS + "diff 1 0 1 1.5\n", 3),
+    "zero denominator": (TWO_GENS + "diff 1 0 1 1/0\n", 3),
+    "negative denominator": (TWO_GENS + "diff 1 0 1 1/-1\n", 3),
+    "sparse ids": ("gen 0 2 0 1\ngen 2 0 2 0\n", 2),
+    "duplicate id": ("gen 0 2 0 1\ngen 0 0 2 0\n", 2),
+    "unknown record": (TWO_GENS + "edge 0 1\n", 3),
+    "empty diff": (TWO_GENS + "diff\n", 3),
+}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["render"], ["reduce", "--n", "1"]],
+                         ids=["verify", "render", "reduce"])
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEX_FILES))
+def test_bad_complex_file_exits_2(tmp_path, capsys, case, command):
+    text, line = BAD_COMPLEX_FILES[case]
+    path = tmp_path / "bad.cplx"
+    path.write_text(text)
+    assert main(command[:1] + ["--complex", str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"parse error: [^\n]+ \(line %d\)\n" % line, captured.err)
+    assert "Traceback" not in captured.err

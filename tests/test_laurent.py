@@ -1,5 +1,6 @@
 """Core exact-arithmetic layer: ring ops, substitution, division, rewriting."""
 
+import re
 import sys
 
 import pytest
@@ -80,6 +81,19 @@ class TestArith:
     def test_non_integer_exponent_rejected(self, key):
         with pytest.raises(TypeError):
             Poly3({key: 1})
+
+    @pytest.mark.parametrize(
+        "terms, named",
+        [
+            ({(0, 0): 1}, "(0, 0)"),
+            ({(0, 0, 0, 0): 1}, "(0, 0, 0, 0)"),
+            ([((0, 0, 0), 1)], "list"),
+            ({5: 1}, "5"),
+        ],
+    )
+    def test_malformed_terms_rejected(self, terms, named):
+        with pytest.raises(TypeError, match=re.escape(named)):
+            Poly3(terms)
 
     def test_scale_monomial_checks_its_scalars(self):
         with pytest.raises(TypeError):

@@ -23,6 +23,7 @@ from superpoly.torus import (
     stable_beta_terms,
     super_t2,
     super_t3,
+    super_torus,
     t2_series_assembly,
     t3_reduction_terms,
     torus_id,
@@ -105,6 +106,16 @@ class TestSuperT3:
     def test_rejects_multiples_of_three(self):
         with pytest.raises(ValueError):
             super_t3(6)
+
+
+class TestSuperTorus:
+    def test_dispatches_to_the_closed_forms(self):
+        assert super_torus(2, 7) == super_t2(3)
+        assert super_torus(3, 4) == SUPER_T34 == super_t3(4)
+
+    def test_other_strand_counts_rejected(self):
+        with pytest.raises(ValueError, match=r"closed-form superpolynomials exist for n in \{2, 3\}"):
+            super_torus(4, 5)
 
 
 class TestReductions:
