@@ -21,10 +21,11 @@ survivor of the S-invariant, and a row holding Fractions is scaled to
 integers first.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .laurent import Poly3, delta_spectrum, y_rewrite, NotYExpressible
+from .laurent import Poly3, delta_spectrum, y_genus
 
 
 class ComplexError(Exception):
@@ -66,9 +67,10 @@ class DotComplex:
     generators: tuple of (ea, eq, et) int triples (repeats allowed).
     diffs: dict N -> sorted tuple of (src_index, dst_index, coefficient),
     the coefficient a nonzero int, or a Fraction only when not an integer.
-    The constructor alone checks entries.  It raises TypeError unless
-    gradings are int triples, level keys and indices ints (not bool) and
-    coefficients ints or Fractions; ComplexError, naming the entry as
+    The constructor alone checks entries.  It raises TypeError unless diffs
+    is a dict of (src, dst, coefficient) triples, gradings are int triples,
+    level keys and indices ints (not bool) and coefficients ints or
+    Fractions; ComplexError, naming the entry as
     .entry = (N, src, dst), for an index outside [0, len(generators)) or a
     (src, dst) pair twice in one level, even if one copy has coefficient 0.
     """
@@ -80,11 +82,20 @@ class DotComplex:
                 raise TypeError("gradings must be int triples, got %r" % (g,))
         size = len(self.generators)
         self.diffs = {}
-        for n, entries in (diffs or {}).items():
+        if diffs is None:
+            diffs = {}
+        elif not isinstance(diffs, dict):
+            raise TypeError("diffs must be a dict of levels, got %s" % type(diffs).__name__)
+        for n, entries in diffs.items():
             if type(n) is not int:
                 raise TypeError("level keys must be ints, got %r" % (n,))
             level = []
-            for (s, d, coeff) in entries:
+            for entry in entries:
+                try:
+                    s, d, coeff = entry
+                except (TypeError, ValueError):
+                    raise TypeError("d_%d entry %r is not a (src, dst, coefficient) triple"
+                                    % (n, entry)) from None
                 if type(coeff) is Fraction and coeff.denominator == 1:
                     coeff = coeff.numerator
                 if not type(s) is type(d) is int or type(coeff) not in (int, Fraction):
@@ -230,16 +241,12 @@ def verify(c, max_eq=None):
                     violations.append(
                         "d_%d and d_%d fail to anticommute on %d -> %d" % (n, m, s, d)
                     )
-    g_max = None
-    symmetric = True
-    try:
-        g_max = y_rewrite(c.poincare()).g_max
-    except NotYExpressible:
-        symmetric = False
-        # A cutoff complex cannot be q-symmetric; only whole complexes
-        # are required to pass the Poincare-level symmetry.
-        if max_eq is None:
-            violations.append("Poincare polynomial not expressible in a, t, y")
+    g_max = y_genus(c.poincare())
+    symmetric = g_max is not None
+    # A cutoff complex cannot be q-symmetric; only whole complexes are
+    # required to pass the Poincare-level symmetry.
+    if not symmetric and max_eq is None:
+        violations.append("Poincare polynomial not expressible in a, t, y")
     hist = c.delta_histogram()
     return VerifyReport(violations, hist, len(hist) <= 1, g_max, symmetric)
 
@@ -434,9 +441,9 @@ def s_invariant(c):
 # -- constructions ----------------------------------------------------------
 
 def _sign_equations(by_src):
-    """Yield, per pair of parallel composites, the set of its edge indices.
+    """Yield, per pair of parallel composites, the tuple of its edge indices.
 
-    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each set is one
+    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each tuple is one
     GF(2) equation: the sign exponents of its edges sum to 1, so that the
     two composites cancel.  Composites are paired one source at a time, in
     (source, target) order per pair of levels.
@@ -468,7 +475,7 @@ def _sign_equations(by_src):
                             row.remove(e)
                         else:
                             row.add(e)
-                    yield row
+                    yield tuple(row)
 
 
 def _solve_signs(arrows):
@@ -493,13 +500,15 @@ def _solve_signs(arrows):
     # Gaussian elimination over GF(2) on a set-of-indices representation,
     # rows keyed by their pivot (least index).  Column nvars is the
     # right-hand side, so a row reduced to that column alone is an
-    # inconsistency.  Reduced rows are kept as tuples, which take a fraction
-    # of a set's memory.  Free variables stay 0, i.e. the edge keeps
-    # coefficient +1.  The pivots are the leading columns of the unique
-    # reduced echelon form, so any elimination order gives the same signs.
+    # inconsistency.  Equations and reduced rows are kept as tuples, which
+    # take a fraction of a set's memory.  Free variables stay 0, i.e. the
+    # edge keeps coefficient +1.  The pivots are the leading columns of the
+    # unique reduced echelon form, so any elimination order gives the same
+    # signs; taking the equations by greatest index, highest first, needs
+    # about half the row XORs of generation order.
     rows = {}
-    for r in _sign_equations(by_src):
-        r.add(nvars)
+    for r in sorted(_sign_equations(by_src), key=lambda r: max(r, default=-1), reverse=True):
+        r = {*r, nvars}
         pivot = min(r)
         while pivot in rows:
             r = r.symmetric_difference(rows[pivot])
@@ -682,6 +691,16 @@ def serialize_complex(c):
     return "\n".join(lines) + "\n"
 
 
+_ASCII_INT = re.compile(r"[-+]?[0-9]+")
+
+
+def _ascii_int(text):
+    """int(text) for ASCII [-+]?[0-9]+ only, the digits parse_poly reads; else ValueError."""
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError("not an ASCII integer: %r" % text)
+    return int(text)
+
+
 def deserialize_complex(text, label=None):
     """Parse the gen/diff text form; DotComplex checks the entries, errors get their line."""
     gens = {}
@@ -696,7 +715,7 @@ def deserialize_complex(text, label=None):
             if len(parts) != 5:
                 raise ComplexParseError("gen needs: id ea eq et", lineno)
             try:
-                idx, ea, eq, et = (int(x) for x in parts[1:])
+                idx, ea, eq, et = map(_ascii_int, parts[1:])
             except ValueError:
                 raise ComplexParseError("gen fields must be integers", lineno)
             if idx in gens:
@@ -706,10 +725,10 @@ def deserialize_complex(text, label=None):
             if len(parts) != 5:
                 raise ComplexParseError("diff needs: N src dst num/den", lineno)
             try:
-                n, s, d = int(parts[1]), int(parts[2]), int(parts[3])
-                num_s, _, den_s = parts[4].partition("/")
-                num = int(num_s)
-                den = int(den_s) if den_s else 1
+                n, s, d = map(_ascii_int, parts[1:4])
+                num_s, slash, den_s = parts[4].partition("/")
+                num = _ascii_int(num_s)
+                den = _ascii_int(den_s) if slash else 1
             except ValueError:
                 raise ComplexParseError("diff fields must be integers", lineno)
             if den <= 0:

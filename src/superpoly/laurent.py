@@ -433,6 +433,23 @@ def y_rewrite(p):
     return YExpansion(coeffs)
 
 
+def y_genus(p):
+    """y_rewrite(p).g_max in one pass over the terms, or None where y_rewrite raises.
+
+    The involution (ea, eq, et) -> (ea, -eq, et - eq) fixes every a^Q t^i y^g,
+    and the y-powers are triangular by top |q|, so p lies in their span
+    exactly when every q-exponent is even and each coefficient equals its
+    image's.  The top y-power is then half the top q-exponent.
+    """
+    terms = p.terms
+    top = 0
+    for (ea, eq, et), c in terms.items():
+        if eq % 2 or terms.get((ea, -eq, et - eq)) != c:
+            return None
+        top = max(top, eq)
+    return top // 2
+
+
 # -- positivity and alternation checks ------------------------------------
 
 def positivity_and_alternation(p, mode):

@@ -216,6 +216,11 @@ BAD_COMPLEX_FILES = {
     "duplicate id": ("gen 0 2 0 1\ngen 0 0 2 0\n", 2),
     "unknown record": (TWO_GENS + "edge 0 1\n", 3),
     "empty diff": (TWO_GENS + "diff\n", 3),
+    "Arabic-Indic digit id": ("gen \u0660 2 0 1\n", 1),
+    "fullwidth digit grading": (TWO_GENS + "gen 2 0 \uff12 0\n", 3),
+    "underscore in numerator": (TWO_GENS + "diff 1 0 1 1_0/1\n", 3),
+    "empty denominator": (TWO_GENS + "diff 1 0 1 3/\n", 3),
+    "empty numerator": (TWO_GENS + "diff 1 0 1 /3\n", 3),
 }
 
 

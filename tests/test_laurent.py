@@ -25,6 +25,7 @@ from superpoly.laurent import (
     monomial_substitute,
     parse_poly,
     positivity_and_alternation,
+    y_genus,
     y_rewrite,
 )
 from superpoly.torus import homfly_torus, super_t2, super_t3
@@ -445,6 +446,71 @@ class TestYRewrite:
         got = y_rewrite(source)
         assert got.to_poly() == source
         assert list(got.coeffs.items()) == list(reference_y_rewrite(source).coeffs.items())
+
+
+def rewrite_genus(p):
+    """g_max of y_rewrite(p), or None when it raises NotYExpressible."""
+    try:
+        return y_rewrite(p).g_max
+    except NotYExpressible:
+        return None
+
+
+class TestYGenus:
+    @given(
+        y_tables,
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 50), st.sampled_from([-1, 1])), max_size=3),
+        st.lists(
+            st.tuples(st.tuples(exponents, exponents, exponents), coeffs, st.booleans()),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_y_rewrite(self, table, perturb, bumps, extra):
+        """Half the y-expansions are perturbed: a coefficient bumped or a term added.
+
+        An added term may come with its mirror image, which keeps the
+        symmetry and, at an odd q-exponent, leaves only the parity to fail.
+        """
+        terms = dict(YExpansion(table).to_poly().terms)
+        if perturb:
+            for pick, delta in bumps:
+                if terms:
+                    key = sorted(terms)[pick % len(terms)]
+                    terms[key] += delta
+            for (ea, eq, et), c, mirrored in extra:
+                keys = {(ea, eq, et), (ea, -eq, et - eq)} if mirrored else {(ea, eq, et)}
+                for key in keys:
+                    terms[key] = terms.get(key, 0) + c
+        p = Poly3(terms)
+        assert y_genus(p) == rewrite_genus(p)
+
+    @pytest.mark.parametrize(
+        "p, genus",
+        [
+            (Poly3.zero(), 0),
+            (parse_poly("3*a^2*t^-1"), 0),
+            (parse_poly("q^-4"), None),
+            (parse_poly("a*q^-4 + q^2*t + 2 + q^-2*t^-1"), None),
+            (parse_poly("q^-2*t^-1 + q^-6*t^-3"), None),
+            (parse_poly("q^3 + q^-3"), None),
+            (parse_poly("q*t + q^-1"), None),
+            (parse_poly("q^2*t + 2 + q^-2*t^-1"), 1),
+            (SUPER_T23, 1),
+        ],
+        ids=["zero", "q^0 only", "lone negative q", "extra negative-side term",
+             "negative side only", "odd q", "odd q, mirror-symmetric", "y", "trefoil"],
+    )
+    def test_edge_cases(self, p, genus):
+        assert y_genus(p) == rewrite_genus(p) == genus
+
+    def test_families_and_table_rows(self):
+        polys = [super_t3(m) for m in range(4, 62) if m % 3]
+        polys += [super_t2(k) for k in range(1, 22)]
+        polys += [rec.superpoly for rec in load_dataset() if rec.superpoly is not None]
+        for p in polys:
+            assert y_genus(p) == rewrite_genus(p) is not None
 
 
 class TestSigns:
