@@ -553,113 +553,69 @@ def complex_from_arrows(gradings, arrows, label=None):
 def build_torus_complex(n, m):
     """The dot complex of T(n, m) for n in {2, 3}.
 
-    Generators are the superpolynomial monomials; d_1 is the explicit
-    canceling matching, d_{-1} (and for n = 3 also d_{-2}) its image under
-    the q -> q^{-1} involution, and for n = 3 the d_2 / d_0 arrows pair each
-    cancelled source with its image.  Signs come from the deterministic
-    GF(2) pass, and the result is re-verified before being returned.
+    Generators are the superpolynomial monomials.  T(2, m) is the thin
+    complex with no squares.  For n = 3, d_1 is the explicit canceling
+    matching, d_{-1} and d_{-2} its image under the q -> q^{-1} involution,
+    and the d_2 / d_0 arrows pair each cancelled source with its image;
+    the arrows are read off the family keys of torus._t3_families.  Signs
+    come from the deterministic GF(2) pass, and the result is re-verified
+    before being returned.
     """
     from .torus import torus_id, _t3_families
 
     n, m = torus_id(n, m)
     if n == 2:
-        k = (m - 1) // 2
-        gens = []
-        index = {}
-        for i in range(k + 1):
-            index[("u", i)] = len(gens)
-            gens.append((2 * k, 4 * i - 2 * k, 2 * i))
-        for i in range(1, k + 1):
-            index[("w", i)] = len(gens)
-            gens.append((2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1))
-        d1 = [(index[("w", i)], index[("u", i)]) for i in range(1, k + 1)]
-        dm1 = [(index[("w", i)], index[("u", i - 1)]) for i in range(1, k + 1)]
-        return complex_from_arrows(gens, {1: d1, -1: dm1}, label="T(2,%d)" % m)
+        return build_thin_complex((m - 1) // 2, Poly3.zero(), label="T(2,%d)" % m)
     if n != 3:
         raise ValueError("only the n = 2 and n = 3 families have explicit complexes")
 
-    k, lv0, lv1, lv2 = _t3_families(m)
+    levels = _t3_families(m)
     gens = []
     index = {}
-    for fam, entries in (("lv0", lv0), ("lv1", lv1), ("lv2", lv2)):
+    for level, entries in enumerate(levels):
         for key, g in entries:
-            index[(fam, key)] = len(gens)
+            index[(level, key)] = len(gens)
             gens.append(g)
-    rem1 = m % 3 == 1
-
-    def even_range(j):
-        return 3 * j if rem1 else 3 * j + 1
-
-    def odd_range(j):
-        return 3 * j - 1 if rem1 else 3 * j
-
-    def top_range(j):
-        return 3 * j + 1 if rem1 else 3 * j + 2
-
-    d1, dm1, d2, dm2, d0 = [], [], [], [], []
-    for j in range(k + 1):
-        for i in range(even_range(j)):
-            src = index[("lv1", ("even", j, i))]
-            d1.append((src, index[("lv0", (j, i))]))
-            dm1.append((src, index[("lv0", (j, i + 1))]))
-        for i in range(odd_range(j)):
-            src = index[("lv1", ("odd", j, i))]
-            d2.append((src, index[("lv0", (j, i))]))
-            d0.append((src, index[("lv0", (j, i + 1))]))
-            dm2.append((src, index[("lv0", (j, i + 2))]))
-            if i >= 1:
-                d1.append((src, index[("lv0", (j - 1, i - 1))]))
-            else:
-                dm1.append((src, index[("lv0", (j - 1, 0))]))
-    for j in range(k):
-        for i in range(top_range(j)):
-            src = index[("lv2", (j, i))]
-            d1.append((src, index[("lv1", ("odd", j + 1, i))]))
-            if i >= 1:
-                d1.append((src, index[("lv1", ("even", j, i - 1))]))
-            dm1.append((src, index[("lv1", ("odd", j + 1, i + 1))]))
-            d2.append((src, index[("lv1", ("even", j + 1, i))]))
-            d0.append((src, index[("lv1", ("even", j + 1, i + 1))]))
-            dm2.append((src, index[("lv1", ("even", j + 1, i + 2))]))
-    return complex_from_arrows(
-        gens, {1: d1, -1: dm1, 2: d2, -2: dm2, 0: d0}, label="T(3,%d)" % m
-    )
+    arrows = {1: [], -1: [], 2: [], -2: [], 0: []}
+    for key, _ in levels[1]:
+        parity, j, i = key
+        if parity == "even":
+            targets = [(1, (j, i)), (-1, (j, i + 1))]
+        else:
+            targets = [(2, (j, i)), (0, (j, i + 1)), (-2, (j, i + 2)),
+                       (1, (j - 1, i - 1)) if i else (-1, (j - 1, 0))]
+        for n_diff, dst in targets:
+            arrows[n_diff].append((index[(1, key)], index[(0, dst)]))
+    for key, _ in levels[2]:
+        j, i = key
+        targets = [(1, ("odd", j + 1, i)), (-1, ("odd", j + 1, i + 1)),
+                   (2, ("even", j + 1, i)), (0, ("even", j + 1, i + 1)),
+                   (-2, ("even", j + 1, i + 2))]
+        if i:
+            targets.append((1, ("even", j, i - 1)))
+        for n_diff, dst in targets:
+            arrows[n_diff].append((index[(2, key)], index[(1, dst)]))
+    return complex_from_arrows(gens, arrows, label="T(3,%d)" % m)
 
 
 def build_thin_complex(sawtooth_k, squares, label=None):
     """Thin complex: one zigzag summand plus a four-generator square per term.
 
     sawtooth_k: signed half-signature; the zigzag is the T(2, |2k|+1) chain
-    (mirrored when negative, a lone generator when zero).  squares: Poly3 of
-    base monomials with nonnegative multiplicities; a base x contributes the
+    of torus._t2_family (mirrored when negative: gradings negated, arrows
+    transposed; a lone generator when zero).  squares: Poly3 of base
+    monomials with nonnegative multiplicities; a base x contributes the
     generators x, x*a^{-2}q^2 t^{-1}, x*a^{-2}q^{-2}t^{-3}, x*a^{-4}t^{-4}
     with the square's two d_1 and two d_{-1} arrows.
     """
-    gens = []
-    d1 = []
-    dm1 = []
-    k = sawtooth_k
-    if k == 0:
-        gens.append((0, 0, 0))
-    else:
-        ka = abs(k)
-        negate = k < 0
-        base = len(gens)
-        for i in range(ka + 1):
-            g = (2 * ka, 4 * i - 2 * ka, 2 * i)
-            gens.append(tuple(-x for x in g) if negate else g)
-        for i in range(1, ka + 1):
-            g = (2 * ka + 2, 4 * i - 2 * ka - 2, 2 * i + 1)
-            gens.append(tuple(-x for x in g) if negate else g)
-        for i in range(1, ka + 1):
-            w = base + ka + i
-            if not negate:
-                d1.append((w, base + i))
-                dm1.append((w, base + i - 1))
-            else:
-                # Mirrored zigzag: arrows transpose, levels stay put.
-                d1.append((base + i, w))
-                dm1.append((base + i - 1, w))
+    from .torus import _t2_family
+
+    k = abs(sawtooth_k)
+    sign = -1 if sawtooth_k < 0 else 1
+    gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in _t2_family(k)]
+    # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.
+    d1 = [(k + i, i)[::sign] for i in range(1, k + 1)]
+    dm1 = [(k + i, i - 1)[::sign] for i in range(1, k + 1)]
     for (ea, eq, et), mult in sorted(squares.terms.items()):
         if mult < 0:
             raise ComplexError("square multiplicities must be nonnegative")

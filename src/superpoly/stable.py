@@ -81,12 +81,17 @@ def geometric(ratio, qmax):
     return TruncSeries(total, qmax)
 
 
-def stable_super(n, qmax):
-    """The stable superpolynomial of the n-strand family, truncated."""
+def _check_stable(n, qmax):
+    """ValueError unless n >= 2 strands and the cutoff qmax >= 0."""
     if n < 2:
         raise ValueError("need n >= 2")
     if qmax < 0:
         raise ValueError("need qmax >= 0")
+
+
+def stable_super(n, qmax):
+    """The stable superpolynomial of the n-strand family, truncated."""
+    _check_stable(n, qmax)
     out = TruncSeries(Poly3.one(), qmax)
     for j in range(1, n):
         out = out * (1 + Poly3.monomial(1, 2, 2 * j, 2 * j + 1))
@@ -102,6 +107,7 @@ def stable_homfly(n, qmax):
     Computed independently of stable_super (denominators expanded one by
     one), so it can serve as the t = -1 cross-check.
     """
+    _check_stable(n, qmax)
     out = TruncSeries(Poly3({(0, 0, 0): 1, (0, 2, 0): -1}), qmax)
     out = out * geometric(Poly3.monomial(1, 0, 2 * n, 0), qmax)
     for j in range(1, n):
@@ -112,6 +118,7 @@ def stable_homfly(n, qmax):
 
 def stable_hfk(n, qmax):
     """(1 + q^2 t) sum_i q^{2ni} t^{2(n-1)i}, truncated."""
+    _check_stable(n, qmax)
     s = geometric(Poly3.monomial(1, 0, 2 * n, 2 * (n - 1)), qmax)
     return s * (1 + Poly3.monomial(1, 0, 2, 1))
 
@@ -126,28 +133,14 @@ def _words(n, qmax):
     """
     words = [((), (0, 0, 0))]
     for level in range(2, n + 1):
-        period = (0, 2 * level, 2 * level - 2)
-        flag_shift = (2, 2 * level - 2, 2 * level - 1)
         new = []
-        for word, g in words:
+        for word, (ea, eq, et) in words:
             for flag in (0, 1):
-                base = (
-                    g[0] + flag * flag_shift[0],
-                    g[1] + flag * flag_shift[1],
-                    g[2] + flag * flag_shift[2],
-                )
-                i = 0
-                while True:
-                    eq = base[1] + i * period[1]
-                    if eq > qmax:
-                        break
-                    new.append(
-                        (
-                            word + ((i, flag),),
-                            (base[0], eq, base[2] + i * period[2]),
-                        )
-                    )
-                    i += 1
+                eq_f = eq + flag * (2 * level - 2)
+                et_f = et + flag * (2 * level - 1)
+                new += [(word + ((i, flag),),
+                         (ea + 2 * flag, eq_f + i * 2 * level, et_f + i * (2 * level - 2)))
+                        for i in range((qmax - eq_f) // (2 * level) + 1)]
         words = new
     return words
 
@@ -166,6 +159,7 @@ def build_stable_complex(n, qmax):
     makes distinct-level components anticommute with this twist; components
     at one level compose to zero outright since they all clear the flag.
     """
+    _check_stable(n, qmax)
     words = _words(n, qmax)
     index = {w: i for i, (w, _) in enumerate(words)}
     gens = [g for (_, g) in words]
@@ -246,19 +240,10 @@ def _generic_survivors(n, qmax, seed_offset=0):
     q-degree d is reliable once qmax exceeds d by the boundary margin; the
     caller compensates by inflating qmax.
     """
+    if n == 2:
+        return {g: 1 for _, g in _words(2, qmax)}
     period = (0, 2 * n, 2 * n - 2)
     flag = (2, 2 * n - 2, 2 * n - 1)
-    if n == 2:
-        dims = {}
-        for f in (0, 1):
-            i = 0
-            while True:
-                g = (f * flag[0], f * flag[1] + i * period[1], f * flag[2] + i * period[2])
-                if g[1] > qmax:
-                    break
-                dims[g] = dims.get(g, 0) + 1
-                i += 1
-        return dims
     inner = _generic_survivors(n - 1, qmax, seed_offset + 1)
     prime_iter = _primes_from(seed_offset * 97)
     survivors = {}
@@ -290,6 +275,7 @@ def _generic_survivors(n, qmax, seed_offset=0):
 
 def stable_khr2_generic(n, qmax):
     """The generic-route stable sl(2) series: reduce, then set a = q^2."""
+    _check_stable(n, qmax)
     margin = 4 * n
     dims = _generic_survivors(n, qmax + margin)
     amalgamated = {}

@@ -11,8 +11,10 @@ computed by entirely different divisions, so their agreement is a strong
 cross-check and is asserted wholesale in the test suite.
 """
 
+from collections import Counter
 from math import gcd
 
+from .complexes import diff_degree
 from .laurent import (
     Poly3,
     exact_divide,
@@ -28,7 +30,8 @@ class NegativeCoefficient(Exception):
 
 def torus_id(n, m):
     """Validate (n, m) for a torus knot; returns the pair."""
-    n, m = int(n), int(m)
+    if not type(n) is type(m) is int:
+        raise TypeError("torus knot indices must be ints, got (%r, %r)" % (n, m))
     if n < 2 or m <= n:
         raise ValueError("need 2 <= n < m, got (%d, %d)" % (n, m))
     if gcd(n, m) != 1:
@@ -117,66 +120,54 @@ def homfly_torus(n, m, form="product"):
 
 # -- superpolynomials for the (2, m) and (3, m) families -------------------
 
-def super_t2(k):
-    """Reduced superpolynomial of T(2, 2k+1).
+def _t2_family(k):
+    """Gradings of the T(2, 2k+1) zigzag: u_0..u_k, then w_1..w_k.
 
-    a^{2k} sum_{i=0..k} q^{4i-2k} t^{2i}
-    + a^{2k+2} sum_{i=1..k} q^{4i-2k-2} t^{2i+1}.
+    u_i = a^{2k} q^{4i-2k} t^{2i} and w_i = a^{2k+2} q^{4i-2k-2} t^{2i+1};
+    k = 0 leaves the lone generator u_0 = 1.
     """
+    return [(2 * k, 4 * i - 2 * k, 2 * i) for i in range(k + 1)] + [
+        (2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1) for i in range(1, k + 1)
+    ]
+
+
+def super_t2(k):
+    """Reduced superpolynomial of T(2, 2k+1): the sum of the _t2_family monomials."""
     if k < 1:
         raise ValueError("need k >= 1")
-    terms = {(2 * k, 4 * i - 2 * k, 2 * i): 1 for i in range(k + 1)}
-    terms.update({(2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1): 1 for i in range(1, k + 1)})
-    return Poly3(terms)
+    return Poly3(dict.fromkeys(_t2_family(k), 1))
 
 
 def _t3_families(m):
     """Index data for the three a-levels of the T(3, m) superpolynomial.
 
-    Returns (k, level0, level1, level2) where each level is a list of
+    Returns (level0, level1, level2) where each level is a list of
     (key, (ea, eq, et)) pairs; key identifies the summation indices so that
-    repeated monomials stay distinguishable.  level1 keys carry an 'even' or
-    'odd' flag splitting the inner sum by the parity of its index, which is
-    the split along which the differentials act.
+    repeated monomials stay distinguishable.  level1 keys (parity, j, i)
+    carry an 'even' or 'odd' flag splitting the inner sum by the parity of
+    its index, which is the split along which the differentials act.  With
+    m = 3k + 1 + e, e in {0, 1}, every grading moves by (2e, 2e, 2e) and
+    every inner range grows by e (by 2e before the level-1 parity split).
     """
     if m < 4 or m % 3 == 0:
         raise ValueError("need m >= 4 coprime to 3, got %d" % m)
     k, r = divmod(m, 3)
-    lv0, lv1, lv2 = [], [], []
-    if r == 1:
-        for j in range(k + 1):
-            for i in range(3 * j + 1):
-                lv0.append(((j, i), (6 * k, 6 * j - 4 * i, 4 * k + 2 * j - 2 * i)))
-        for j in range(1, k + 1):
-            for i in range(6 * j - 1):
-                et = 4 * k + 2 * j - 2 * (i // 2) + 1
-                parity = "even" if i % 2 == 0 else "odd"
-                lv1.append(((parity, j, i // 2), (6 * k + 2, 6 * j - 2 * i - 2, et)))
-        for j in range(k):
-            for i in range(3 * j + 1):
-                lv2.append(((j, i), (6 * k + 4, 6 * j - 4 * i, 4 * k + 2 * j - 2 * i + 4)))
-    else:
-        for j in range(k + 1):
-            for i in range(3 * j + 2):
-                lv0.append(((j, i), (6 * k + 2, 6 * j - 4 * i + 2, 4 * k + 2 * j - 2 * i + 2)))
-        for j in range(k + 1):
-            for i in range(6 * j + 1):
-                et = 4 * k + 2 * j - 2 * (i // 2) + 3
-                parity = "even" if i % 2 == 0 else "odd"
-                lv1.append(((parity, j, i // 2), (6 * k + 4, 6 * j - 2 * i, et)))
-        for j in range(k):
-            for i in range(3 * j + 2):
-                lv2.append(((j, i), (6 * k + 6, 6 * j - 4 * i + 2, 4 * k + 2 * j - 2 * i + 6)))
-    return k, lv0, lv1, lv2
+    e = r - 1
+    s = 2 * e
+    lv0 = [((j, i), (6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s))
+           for j in range(k + 1) for i in range(3 * j + 1 + e)]
+    lv1 = [((("even", "odd")[i % 2], j, i // 2),
+            (6 * k + 2 + s, 6 * j - 2 * i - 2 + s, 4 * k + 2 * j - 2 * (i // 2) + 1 + s))
+           for j in range(k + 1) for i in range(6 * j - 1 + s)]
+    lv2 = [((j, i), (6 * k + 4 + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + 4 + s))
+           for j in range(k) for i in range(3 * j + 1 + e)]
+    return lv0, lv1, lv2
 
 
 def super_t3(m):
     """Reduced superpolynomial of T(3, m), m coprime to 3."""
-    _, lv0, lv1, lv2 = _t3_families(m)
-    terms = {}
-    for _, g in lv0 + lv1 + lv2:
-        terms[g] = terms.get(g, 0) + 1
-    return Poly3(terms)
+    lv0, lv1, lv2 = _t3_families(m)
+    return Poly3(Counter(g for _, g in lv0 + lv1 + lv2))
 
 
 def super_torus(n, m):
@@ -189,38 +180,24 @@ def super_torus(n, m):
     raise ValueError("closed-form superpolynomials exist for n in {2, 3}")
 
 
-def t3_killed_sources(m):
-    """The T(3, m) generators cancelled by the sl(2) reduction.
-
-    Returns a list of (family_key, grading) pairs: the odd-index part of the
-    middle a-level together with the whole top a-level.  These same
-    generators are also the sources for the Alexander-side reduction.
-    """
-    _, _, lv1, lv2 = _t3_families(m)
-    killed = [(key, g) for key, g in lv1 if key[0] == "odd"]
-    killed += [(("top", j, i), g) for (j, i), g in lv2]
-    return killed
-
-
 def t3_reduction_terms(m, n_diff):
     """(killed, surviving_images) for the differential d_N, N in {2, 0}.
 
-    killed collects the cancelled source monomials of the T(3, m)
-    superpolynomial; surviving_images their images, obtained by applying the
-    degree of d_2, namely (-2, 4, -1), or of d_0, namely (-2, 0, -3).
-    Subtracting both from the superpolynomial and specializing (a = q^2 for
-    N = 2, a = t^{-1} for N = 0) gives the reduced Poincare polynomial.
+    killed collects the T(3, m) superpolynomial monomials cancelled by the
+    sl(2) reduction, the odd-index part of the middle a-level together with
+    the whole top a-level; the same generators are the sources of the
+    Alexander-side reduction.  surviving_images shifts each by
+    diff_degree(N).  Subtracting both from the superpolynomial and
+    specializing (a = q^2 for N = 2, a = t^{-1} for N = 0) gives the
+    reduced Poincare polynomial.
     """
     if n_diff not in (2, 0):
         raise ValueError("only the N = 2 and N = 0 reductions are specified")
-    shift = (-2, 4, -1) if n_diff == 2 else (-2, 0, -3)
-    killed_terms = {}
-    image_terms = {}
-    for _, (ea, eq, et) in t3_killed_sources(m):
-        killed_terms[(ea, eq, et)] = killed_terms.get((ea, eq, et), 0) + 1
-        img = (ea + shift[0], eq + shift[1], et + shift[2])
-        image_terms[img] = image_terms.get(img, 0) + 1
-    return Poly3(killed_terms), Poly3(image_terms)
+    _, lv1, lv2 = _t3_families(m)
+    shift = diff_degree(n_diff)
+    killed = [g for key, g in lv1 if key[0] == "odd"] + [g for _, g in lv2]
+    images = [(ea + shift[0], eq + shift[1], et + shift[2]) for ea, eq, et in killed]
+    return Poly3(Counter(killed)), Poly3(Counter(images))
 
 
 def khr2_t3_closed(m):

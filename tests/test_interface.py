@@ -199,6 +199,20 @@ class TestCli:
     def test_invalid_torus_is_2(self):
         assert main(["homfly", "torus", "4", "2"]) == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),
+        (["--n", "0", "--qmax", "10", "--reduce", "0"], "need n >= 2"),
+        (["--n", "1", "--qmax", "10"], "need n >= 2"),
+        (["--n", "3", "--qmax", "-4", "--reduce", "0"], "need qmax >= 0"),
+        (["--n", "3", "--qmax", "-4", "--reduce", "2"], "need qmax >= 0"),
+        (["--n", "3", "--qmax", "-4"], "need qmax >= 0"),
+    ])
+    def test_invalid_stable_is_2(self, capsys, args, message):
+        assert main(["stable"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
 
 TWO_GENS = "gen 0 2 0 1\ngen 1 0 2 0\n"
 

@@ -62,6 +62,24 @@ class TestSeries:
         assert pp(body) == stable_super(2, 8).body
 
 
+STABLE_INPUT_FUNCTIONS = [
+    stable_super, stable_homfly, stable_hfk, build_stable_complex, stable_khr2_generic,
+]
+
+
+@pytest.mark.parametrize("fn", STABLE_INPUT_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("n, qmax, message", [
+    (1, 10, "need n >= 2"),
+    (0, 10, "need n >= 2"),
+    (-3, 10, "need n >= 2"),
+    (3, -4, "need qmax >= 0"),
+    (2, -1, "need qmax >= 0"),
+])
+def test_stable_inputs_checked(fn, n, qmax, message):
+    with pytest.raises(ValueError, match=message):
+        fn(n, qmax)
+
+
 class TestBlockComplex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poincare_matches_series(self, n):

@@ -61,6 +61,14 @@ class TestHomfly:
         with pytest.raises(ValueError):
             homfly_torus(2, 3, "fancy")
 
+    @pytest.mark.parametrize("pair", [(2.9, 5), (2, 5.0), ("2", "5"), (True, 3), (2, None)])
+    def test_non_int_indices(self, pair):
+        pattern = r"torus knot indices must be ints, got \(%r, %r\)" % pair
+        with pytest.raises(TypeError, match=pattern):
+            torus_id(*pair)
+        with pytest.raises(TypeError, match=pattern):
+            homfly_torus(*pair)
+
 
 class TestSuperT2:
     def test_k1_is_trefoil_row(self):
