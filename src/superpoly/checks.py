@@ -183,6 +183,8 @@ def run_battery(dataset_path=None, only=None, out=None):
     out = out or sys.stdout
     try:
         records = load_dataset(dataset_path)
+        if not records:
+            raise ValueError("no records")
     except Exception as exc:
         print("FAIL dataset: %s" % exc, file=out)
         return 1

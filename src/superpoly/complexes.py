@@ -9,19 +9,21 @@ integer level N.  The admissible degree of d_N is
     N < 0:  (-2, 2N, -1 + 2N)
 
 and the whole family must pairwise anticommute (so in particular each d_N
-squares to zero).  Homology with respect to d_N, taken per amalgamated
+squares to zero).  That axiom is checked, and the +-1 signs that satisfy
+it are solved for, by one walk over the length-two paths of all levels,
+source by source.  Homology with respect to d_N, taken per amalgamated
 bigrade, produces the doubly graded reductions; the N = 1 differential is
 canceling and the grading of its unique survivor is the S-invariant.
 
-Coefficients are stored as Python ints whenever their denominator is 1,
-which covers every built complex; only a truly non-integer coefficient
-(say from a .cplx file) stays a Fraction.  All linear algebra is exact and
-runs on ints: one sparse elimination routine serves every rank and the
-survivor of the S-invariant, and a row holding Fractions is scaled to
-integers first.
+Coefficients are ints whenever their denominator is 1 (every built
+complex); only a truly non-integer coefficient (say from a .cplx file)
+stays a Fraction.  All linear algebra is exact and runs on ints: one
+sparse elimination routine serves every rank and the S-invariant
+survivor, and a row holding Fractions is scaled to integers first.
 """
 
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -144,31 +146,48 @@ def mirror_complex(c, label=None):
 
 # -- verification -----------------------------------------------------------
 
-def _adjacency(entries):
-    """Sparse entries regrouped by source: {src: [(dst, coeff), ...]}."""
-    by_src = {}
-    for (s, d, c) in entries:
-        by_src.setdefault(s, []).append((d, c))
-    return by_src
+def _out_edges(per_level):
+    """{src: [(dst << L | 1 << pos, value), ...]} over per_level[pos] = (src, dst, value) entries.
 
-
-def _compose(orders, sources):
-    """Sum of sparse products from the given sources; {(src, dst): coeff}.
-
-    orders: (inner, outer) pairs of adjacencies; each contributes outer
-    applied after inner.  Only nonzero entries of the sum are returned.
+    L = len(per_level).  A second step's key or-ed with the first step's
+    level bit names the target and the unordered level pair of a path.
     """
+    width = len(per_level)
     out = {}
-    for s in sources:
-        row = {}
-        for (inner, outer) in orders:
-            for (mid, c) in inner.get(s, ()):
-                for (d, c2) in outer.get(mid, ()):
-                    row[d] = row.get(d, 0) + c * c2
-        for d, val in row.items():
-            if val:
-                out[(s, d)] = val
+    for pos, entries in enumerate(per_level):
+        for (s, d, value) in entries:
+            out.setdefault(s, []).append(((d << width) | 1 << pos, value))
     return out
+
+
+def _level_pair(key, levels):
+    """(N, M), N <= M: the levels of the two steps of a path key."""
+    bits = key & ((1 << len(levels)) - 1)
+    return levels[(bits & -bits).bit_length() - 1], levels[bits.bit_length() - 1]
+
+
+def _nonzero_composites(c, levels, keep=None):
+    """Sorted (N, M, src, dst), N <= M, where d_N d_M + d_M d_N (d_N^2 if N = M) is nonzero.
+
+    levels must be sorted.  Each source that keep(src) admits (all, when
+    keep is None) is walked once: its paths through any two of the levels
+    are summed into one row keyed by (dst, level pair).
+    """
+    width = len(levels)
+    mask = (1 << width) - 1
+    out = _out_edges([c.diffs.get(n, ()) for n in levels])
+    bad = []
+    for s, edges in out.items():
+        if keep is not None and not keep(s):
+            continue
+        row = {}
+        for (k1, c1) in edges:
+            bit = k1 & mask
+            for (k2, c2) in out.get(k1 >> width, ()):
+                row[k2 | bit] = row.get(k2 | bit, 0) + c1 * c2
+        if any(row.values()):
+            bad += [(*_level_pair(k, levels), s, k >> width) for k, val in row.items() if val]
+    return sorted(bad)
 
 
 class VerifyReport:
@@ -214,33 +233,21 @@ def verify(c, max_eq=None):
     """Check gradings, squares, anticommutators and the Poincare symmetry.
 
     Never raises for a bad complex; all problems come back in the report.
+    Squares and anticommutators, found in one walk over every length-two
+    path (_nonzero_composites), are reported in (N, M, src, dst) order.
     When max_eq is given, the square and anticommutator checks are only
     required to cancel on paths starting at generators with eq <= max_eq;
     this is how truncated (cutoff) complexes are checked away from their
     boundary, where partner paths may have been cut off.
     """
-    violations = []
-    gens = c.generators
-    for n in sorted(c.diffs):
-        violations.extend(_bad_degrees(c, n))
     levels = sorted(c.diffs)
-    adj = {n: _adjacency(c.diffs[n]) for n in levels}
-    for i, n in enumerate(levels):
-        for m in levels[i:]:
-            orders = [(adj[n], adj[m])] if m == n else [(adj[n], adj[m]), (adj[m], adj[n])]
-            # Paths from a source past the cutoff are never checked, so
-            # they are not composed either.
-            sources = [
-                s for s in adj[n].keys() | adj[m].keys()
-                if max_eq is None or gens[s][1] <= max_eq
-            ]
-            for (s, d) in sorted(_compose(orders, sources)):
-                if n == m:
-                    violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
-                else:
-                    violations.append(
-                        "d_%d and d_%d fail to anticommute on %d -> %d" % (n, m, s, d)
-                    )
+    violations = [v for n in levels for v in _bad_degrees(c, n)]
+    keep = None if max_eq is None else (lambda s: c.generators[s][1] <= max_eq)
+    for (n, m, s, d) in _nonzero_composites(c, levels, keep):
+        if n == m:
+            violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
+        else:
+            violations.append("d_%d and d_%d fail to anticommute on %d -> %d" % (n, m, s, d))
     g_max = y_genus(c.poincare())
     symmetric = g_max is not None
     # A cutoff complex cannot be q-symmetric; only whole complexes are
@@ -298,29 +305,19 @@ def _eliminate(rows, pivots):
     return rank
 
 
-def _grouped(c, key_of):
-    """Generator indices grouped by key_of(grading), in generator order."""
-    by_key = {}
-    for idx, g in enumerate(c.generators):
-        by_key.setdefault(key_of(g), []).append(idx)
-    return by_key
-
-
 def _blocked_dims(c, n, key_of):
     """Homology dimensions of d_N per (block, level) key, as {key: dim}.
 
     key_of maps a generator grading to its amalgamated (block, level) pair;
     d_N must keep block fixed and lower level by one, and square to zero.
     """
-    entries = c.diffs.get(n, [])
-    adj = _adjacency(entries)
-    bad = _compose([(adj, adj)], adj)
+    bad = _nonzero_composites(c, [n])
     if bad:
-        raise ComplexError("d_%d squared is nonzero on %d -> %d" % (n, *min(bad)))
+        raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
+    keys = [key_of(g) for g in c.generators]
     blocks = {}
-    for (s, d, coeff) in entries:
-        ks = key_of(c.generators[s])
-        kd = key_of(c.generators[d])
+    for (s, d, coeff) in c.diffs.get(n, ()):
+        ks, kd = keys[s], keys[d]
         if kd[0] != ks[0] or kd[1] != ks[1] - 1:
             raise GradingMismatch(
                 "d_%d entry %d->%d does not respect the amalgamated grading" % (n, s, d)
@@ -328,8 +325,8 @@ def _blocked_dims(c, n, key_of):
         blocks.setdefault(ks, {}).setdefault(s, {})[d] = coeff
     ranks = {key: _eliminate(rows.values(), {}) for key, rows in blocks.items()}
     dims = {}
-    for key, idxs in _grouped(c, key_of).items():
-        dim = len(idxs) - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
+    for key, size in Counter(keys).items():
+        dim = size - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
         if dim:
             dims[key] = dim
     return dims
@@ -396,7 +393,7 @@ def _survivor(c):
     vector that is independent of the image from above is the class.
     Returns None when every kernel vector lies in the image.
     """
-    block = _grouped(c, _bigrade(1))[(0, 0)]
+    block = [i for i, key in enumerate(map(_bigrade(1), c.generators)) if key == (0, 0)]
     tag = len(c.generators)
     out_rows = {i: {tag + i: 1} for i in block}
     in_rows = {}
@@ -445,37 +442,35 @@ def _sign_equations(by_src):
 
     by_src: dict N -> {src: [(dst, edge index), ...]}.  Each tuple is one
     GF(2) equation: the sign exponents of its edges sum to 1, so that the
-    two composites cancel.  Composites are paired one source at a time, in
-    (source, target) order per pair of levels.
+    two composites cancel.  Each source is walked once over one out-edge
+    map, its paths grouped by (level pair, target), and its equations are
+    yielded before the next source is walked.  A target reached by one
+    path, or by more than two, is a fault; the least faulty
+    (N, M, src, dst) is raised after the walk.
     """
     levels = sorted(by_src)
-    for i, n in enumerate(levels):
-        for m in levels[i:]:
-            orders = ((n, m), (m, n)) if m != n else ((n, n),)
-            for s in sorted(set(by_src[n]) | set(by_src[m])):
-                paths = {}
-                for (first, second) in orders:
-                    for (mid, e1) in by_src[first].get(s, []):
-                        for (d, e2) in by_src[second].get(mid, []):
-                            paths.setdefault(d, []).append((e1, e2))
-                for d, plist in sorted(paths.items()):
-                    if len(plist) == 1:
-                        raise ComplexError(
-                            "unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
-                        )
-                    if len(plist) > 2:
-                        raise ComplexError(
-                            "more than two parallel composites %d -> %d; "
-                            "the +-1 sign rule does not apply" % (s, d)
-                        )
-                    (a1, a2), (b1, b2) = plist
-                    row = set()
-                    for e in (a1, a2, b1, b2):
-                        if e in row:
-                            row.remove(e)
-                        else:
-                            row.add(e)
-                    yield tuple(row)
+    width = len(levels)
+    mask = (1 << width) - 1
+    out = _out_edges([((s, d, e) for s, edges in by_src[n].items() for (d, e) in edges)
+                      for n in levels])
+    faults = []
+    for s, edges in out.items():
+        paths = {}
+        for (k1, e1) in edges:
+            bit = k1 & mask
+            for (k2, e2) in out.get(k1 >> width, ()):
+                paths.setdefault(k2 | bit, []).append((e1, e2))
+        for key, plist in paths.items():
+            if len(plist) == 2:
+                (a1, a2), (b1, b2) = plist
+                yield tuple({a1} ^ {a2} ^ {b1} ^ {b2})
+            else:
+                faults.append((*_level_pair(key, levels), s, key >> width, len(plist)))
+    if faults:
+        n, m, s, d, count = min(faults)
+        raise ComplexError("unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
+                           if count == 1 else "more than two parallel composites %d -> %d; "
+                           "the +-1 sign rule does not apply" % (s, d))
 
 
 def _solve_signs(arrows):

@@ -38,7 +38,9 @@ class TruncSeries:
     """
 
     def __init__(self, body, qmax):
-        self.qmax = int(qmax)
+        if type(qmax) is not int:
+            raise TypeError("qmax must be an int, got %r" % (qmax,))
+        self.qmax = qmax
         self.body = Poly3({k: c for k, c in body.terms.items() if k[1] <= self.qmax})
 
     def _operand(self, other):
@@ -82,7 +84,10 @@ def geometric(ratio, qmax):
 
 
 def _check_stable(n, qmax):
-    """ValueError unless n >= 2 strands and the cutoff qmax >= 0."""
+    """TypeError unless n and qmax are ints (not bools); ValueError unless n >= 2 and qmax >= 0."""
+    for name, value in (("n", n), ("qmax", qmax)):
+        if type(value) is not int:
+            raise TypeError("%s must be an int, got %r" % (name, value))
     if n < 2:
         raise ValueError("need n >= 2")
     if qmax < 0:
@@ -161,31 +166,29 @@ def build_stable_complex(n, qmax):
     """
     _check_stable(n, qmax)
     words = _words(n, qmax)
-    index = {w: i for i, (w, _) in enumerate(words)}
     gens = [g for (_, g) in words]
-    diffs = {}
-
-    def add(level_n, src, dst_word, coeff):
-        if dst_word in index:
-            diffs.setdefault(level_n, []).append((src, index[dst_word], coeff))
-
+    # Word code: flag l at bit l - 2, i_l as digit l - 2 in base qmax + 2 above
+    # the flags.  No index reaches qmax + 2, so a target's code is the source's
+    # less a flag bit plus at most one digit step; a flag drop stays in range.
+    steps = [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
+    index = {}
     for src, (word, _) in enumerate(words):
-        sign = 1
+        code = 0
         for pos, (i_l, flag) in enumerate(word):
-            level = pos + 2
-            if flag:
-                dropped = word[:pos] + ((i_l, 0),) + word[pos + 1 :]
-                add(-(level - 1), src, dropped, sign)
-                advanced = word[:pos] + ((i_l + 1, 0),) + word[pos + 1 :]
-                add(1, src, advanced, sign)
-                if pos >= 1:
-                    i_prev, f_prev = word[pos - 1]
-                    shifted = (
-                        word[: pos - 1]
-                        + ((i_prev + 1, f_prev), (i_l, 0))
-                        + word[pos + 1 :]
-                    )
-                    add(0, src, shifted, sign)
+            code += (flag << pos) + i_l * steps[pos]
+        index[code] = src
+    diffs = {level: [] for level in range(1 - n, 2)}
+    for code, src in index.items():
+        sign = 1
+        for pos, step in enumerate(steps):
+            bit = 1 << pos
+            if code & bit:
+                dropped = code - bit
+                diffs[-1 - pos].append((src, index[dropped], sign))
+                if dropped + step in index:
+                    diffs[1].append((src, index[dropped + step], sign))
+                if pos and dropped + steps[pos - 1] in index:
+                    diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
                 sign = -sign
     return DotComplex(gens, diffs, label="stable-%d" % n)
 

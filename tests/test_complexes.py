@@ -8,21 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superpoly import complexes
-from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly
+from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly, y_genus
 from superpoly.complexes import (
     ComplexError,
     ComplexParseError,
     DotComplex,
     GradingMismatch,
     NotCanceling,
+    VerifyReport,
+    _bad_degrees,
     _bigrade,
     _eliminate,
-    _grouped,
+    _sign_equations,
     _solve_signs,
     _survivor,
     build_thin_complex,
     build_torus_complex,
     deserialize_complex,
+    diff_degree,
     homology,
     homology_unblocked_dims,
     mirror_complex,
@@ -101,6 +104,135 @@ class TestVerify:
         assert len(report.violations) == 1
         fails = [line for line in report.lines() if line.startswith("FAIL")]
         assert fails == ["FAIL %s" % report.violations[0]]
+
+
+# -- the length-two path walk against the per-pair references ---------------
+
+def reference_adjacency(entries):
+    """Sparse entries regrouped by source: {src: [(dst, coeff), ...]}."""
+    by_src = {}
+    for (s, d, c) in entries:
+        by_src.setdefault(s, []).append((d, c))
+    return by_src
+
+
+def reference_composites(orders, sources):
+    """Sum of sparse products from the given sources; {(src, dst): coeff}.
+
+    orders: (inner, outer) pairs of adjacencies; each contributes outer
+    applied after inner.  Only nonzero entries of the sum are returned.
+    This is the walk verify and homology made once per pair of levels.
+    """
+    out = {}
+    for s in sources:
+        row = {}
+        for (inner, outer) in orders:
+            for (mid, c) in inner.get(s, ()):
+                for (d, c2) in outer.get(mid, ()):
+                    row[d] = row.get(d, 0) + c * c2
+        for d, val in row.items():
+            if val:
+                out[(s, d)] = val
+    return out
+
+
+def reference_verify(c, max_eq=None):
+    """verify() composing every pair of levels on its own, over every source."""
+    gens = c.generators
+    violations = [v for n in sorted(c.diffs) for v in _bad_degrees(c, n)]
+    levels = sorted(c.diffs)
+    adj = {n: reference_adjacency(c.diffs[n]) for n in levels}
+    for i, n in enumerate(levels):
+        for m in levels[i:]:
+            orders = [(adj[n], adj[m])] if m == n else [(adj[n], adj[m]), (adj[m], adj[n])]
+            sources = [
+                s for s in adj[n].keys() | adj[m].keys()
+                if max_eq is None or gens[s][1] <= max_eq
+            ]
+            for (s, d) in sorted(reference_composites(orders, sources)):
+                if n == m:
+                    violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
+                else:
+                    violations.append(
+                        "d_%d and d_%d fail to anticommute on %d -> %d" % (n, m, s, d)
+                    )
+    g_max = y_genus(c.poincare())
+    if g_max is None and max_eq is None:
+        violations.append("Poincare polynomial not expressible in a, t, y")
+    hist = c.delta_histogram()
+    return VerifyReport(violations, hist, len(hist) <= 1, g_max, g_max is not None)
+
+
+def reference_square_error(c, n):
+    """The text homology raises for a d_N with nonzero square, or None."""
+    adj = reference_adjacency(c.diffs.get(n, []))
+    bad = reference_composites([(adj, adj)], adj)
+    return "d_%d squared is nonzero on %d -> %d" % (n, *min(bad)) if bad else None
+
+
+PATH_COEFFS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+
+
+@st.composite
+def path_complexes(draw):
+    """Up to seven generators with random arrows, self-loops included, on up to four levels."""
+    size = draw(st.integers(1, 7))
+    grading = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+    gens = draw(st.lists(grading, min_size=size, max_size=size))
+    index = st.integers(0, size - 1)
+    level = st.dictionaries(st.tuples(index, index), PATH_COEFFS, max_size=10)
+    diffs = draw(st.dictionaries(st.integers(-2, 2), level, max_size=4))
+    return DotComplex(gens, {n: [(s, d, v) for (s, d), v in e.items()] for n, e in diffs.items()})
+
+
+@st.composite
+def layered_complexes(draw):
+    """(complex, N): layers j = 0, 1, ... at grading j * diff_degree(N), d_N arrows j -> j + 1.
+
+    Every arrow respects the amalgamated grading, so homology either raises
+    for a nonzero d_N^2 or returns dimensions.
+    """
+    n = draw(st.sampled_from([0, 1, 2]))
+    gens, layers = [], []
+    for j, size in enumerate(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))):
+        layers.append(list(range(len(gens), len(gens) + size)))
+        gens += [tuple(j * x for x in diff_degree(n))] * size
+    entries = []
+    for upper, lower in zip(layers, layers[1:]):
+        pairs = st.tuples(st.sampled_from(upper), st.sampled_from(lower))
+        drawn = draw(st.dictionaries(pairs, PATH_COEFFS, max_size=5))
+        entries += [(s, d, v) for (s, d), v in drawn.items()]
+    return DotComplex(gens, {n: entries}), n
+
+
+class TestPathWalk:
+    @given(path_complexes(), st.one_of(st.none(), st.integers(-3, 3)))
+    @settings(max_examples=400, deadline=None)
+    def test_verify_matches_per_pair_reference(self, c, max_eq):
+        report = verify(c, max_eq)
+        want = reference_verify(c, max_eq)
+        assert report.violations == want.violations
+        assert report.lines() == want.lines()
+
+    @given(layered_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_square_error_matches_per_pair_reference(self, case):
+        c, n = case
+        want = reference_square_error(c, n)
+        try:
+            dims = homology(c, n).dims
+        except ComplexError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert dims == reference_dims(c, n)
+
+    def test_built_complexes_match_per_pair_reference(self):
+        for c in [build_torus_complex(3, 31), *_sign_cases()]:
+            assert verify(c).lines() == reference_verify(c).lines(), c.label
+            for n in (0, 1, 2):
+                assert reference_square_error(c, n) is None
+                assert homology(c, n).dims == reference_dims(c, n), c.label
 
 
 class TestHomology:
@@ -568,13 +700,8 @@ def _sign_cases():
             yield build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
 
 
-def streaming_solve_signs(arrows):
-    """The sign solve in generation order: each equation is reduced as it is made.
-
-    Reference for the order _solve_signs feeds its least-index-pivot
-    elimination (greatest edge index, highest first): the reduced echelon
-    form is unique, so both must give the same signs and the same errors.
-    """
+def edge_indices(arrows):
+    """(by_src, nvars): {N: {src: [(dst, edge index), ...]}} with edges numbered level by level."""
     by_src = {}
     nvars = 0
     for n in sorted(arrows):
@@ -582,8 +709,56 @@ def streaming_solve_signs(arrows):
         for (s, d) in sorted(arrows[n]):
             by_src[n].setdefault(s, []).append((d, nvars))
             nvars += 1
+    return by_src, nvars
+
+
+def reference_sign_equations(by_src):
+    """The GF(2) equations generated pair of levels by pair of levels.
+
+    Each pair rescans every source of its two levels, and the first faulty
+    (source, target) of the first pair with a fault raises at once.
+    """
+    levels = sorted(by_src)
+    for i, n in enumerate(levels):
+        for m in levels[i:]:
+            orders = ((n, m), (m, n)) if m != n else ((n, n),)
+            for s in sorted(set(by_src[n]) | set(by_src[m])):
+                paths = {}
+                for (first, second) in orders:
+                    for (mid, e1) in by_src[first].get(s, []):
+                        for (d, e2) in by_src[second].get(mid, []):
+                            paths.setdefault(d, []).append((e1, e2))
+                for d, plist in sorted(paths.items()):
+                    if len(plist) == 1:
+                        raise ComplexError(
+                            "unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
+                        )
+                    if len(plist) > 2:
+                        raise ComplexError(
+                            "more than two parallel composites %d -> %d; "
+                            "the +-1 sign rule does not apply" % (s, d)
+                        )
+                    (a1, a2), (b1, b2) = plist
+                    row = set()
+                    for e in (a1, a2, b1, b2):
+                        if e in row:
+                            row.remove(e)
+                        else:
+                            row.add(e)
+                    yield tuple(row)
+
+
+def streaming_solve_signs(arrows, sign_equations=reference_sign_equations):
+    """The sign solve in generation order: each equation is reduced as it is made.
+
+    Reference for the order _solve_signs feeds its least-index-pivot
+    elimination (greatest edge index, highest first): the reduced echelon
+    form is unique, so both must give the same signs and the same errors.
+    The equations come from the per-pair reference walk unless given.
+    """
+    by_src, nvars = edge_indices(arrows)
     rows = {}
-    for r in complexes._sign_equations(by_src):
+    for r in sign_equations(by_src):
         r = set(r) | {nvars}
         pivot = min(r)
         while pivot in rows:
@@ -604,6 +779,14 @@ def streaming_solve_signs(arrows):
         signs[n] = [-1 if v else 1 for v in values[start:stop]]
         start = stop
     return signs
+
+
+def equations_outcome(sign_equations, arrows):
+    """Every equation as a sorted tuple, sorted; or the error text."""
+    try:
+        return sorted(tuple(sorted(r)) for r in sign_equations(edge_indices(arrows)[0]))
+    except ComplexError as exc:
+        return str(exc)
 
 
 def solve_outcome(solve, arrows):
@@ -649,7 +832,39 @@ class TestSignSolve:
         arrows = {1: [(0, 1), (1, 2), (2, 3)]}
         want = (ComplexError, "sign constraints are inconsistent")
         assert solve_outcome(_solve_signs, arrows) == want
-        assert solve_outcome(streaming_solve_signs, arrows) == want
+        patched = lambda a: streaming_solve_signs(a, complexes._sign_equations)  # noqa: E731
+        assert solve_outcome(patched, arrows) == want
+
+    def test_equations_match_per_pair_reference(self):
+        for c in [build_torus_complex(3, 61), *_sign_cases()]:
+            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            got = equations_outcome(_sign_equations, arrows)
+            assert got == equations_outcome(reference_sign_equations, arrows), c.label
+
+    @given(path_complexes())
+    @settings(max_examples=400, deadline=None)
+    def test_random_equations_match_per_pair_reference(self, c):
+        arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+        want = equations_outcome(reference_sign_equations, arrows)
+        assert equations_outcome(_sign_equations, arrows) == want
+
+    @pytest.mark.parametrize("arrows, want", [
+        ({1: [(0, 1), (5, 6), (6, 7)], 2: [(1, 2)]},
+         "unpairable composite d_1/d_1 path 5 -> 7"),
+        ({1: [(0, 1), (5, 6), (5, 8), (5, 9), (6, 7), (8, 7), (9, 7)], 2: [(1, 2)]},
+         "more than two parallel composites 5 -> 7; the +-1 sign rule does not apply"),
+    ], ids=["unpairable", "three parallel"])
+    def test_first_fault_is_the_per_pair_walks(self, arrows, want):
+        # Source 0 has an unpairable d_1/d_2 path, met first source by
+        # source; the d_1/d_1 fault at source 5 is met first pair by pair.
+        assert solve_outcome(_solve_signs, arrows) == (ComplexError, want)
+        assert solve_outcome(streaming_solve_signs, arrows) == (ComplexError, want)
+        diffs = {n: [(s, d, 1) for (s, d) in a] for n, a in arrows.items()}
+        c = DotComplex([(0, 0, 0)] * 10, diffs)
+        assert verify(c).lines() == reference_verify(c).lines()
+        walk = [v for v in verify(c).violations if "has degree" not in v]
+        assert walk[:2] == ["d_1 squared is nonzero on 5 -> 7",
+                            "d_1 and d_2 fail to anticommute on 0 -> 2"]
 
 
 # -- the elimination engine against dense Fraction references ---------------
@@ -731,9 +946,17 @@ def reference_kernel_mod_image(out_rows, in_rows):
     return None
 
 
+def grouped(c, key_of):
+    """Generator indices grouped by key_of(grading), in generator order."""
+    by_key = {}
+    for idx, g in enumerate(c.generators):
+        by_key.setdefault(key_of(g), []).append(idx)
+    return by_key
+
+
 def reference_dims(c, n):
     """d_N homology per amalgamated bigrade from dense ranks of every block."""
-    by_key = _grouped(c, _bigrade(n))
+    by_key = grouped(c, _bigrade(n))
     entries = c.diffs.get(n, [])
     ranks = {
         key: reference_rank(reference_dense(idxs, by_key.get((key[0], key[1] - 1), []), entries))
@@ -749,7 +972,7 @@ def reference_dims(c, n):
 
 def reference_survivor(c):
     """Support of the d_1 survivor found by the dense reference."""
-    by_key = _grouped(c, _bigrade(1))
+    by_key = grouped(c, _bigrade(1))
     block = by_key[(0, 0)]
     entries = c.diffs.get(1, [])
     vec = reference_kernel_mod_image(

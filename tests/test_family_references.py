@@ -2,9 +2,10 @@
 
 The reference_* routines below are the earlier constructions, which wrote
 each family out per case: one branch per residue of m mod 3 for T(3, m), a
-separate T(2, 2k+1) chain in the torus and thin builders, and a stable word
-list and two-strand base case built by while loops.  The single-description
-code must reproduce them exactly.
+separate T(2, 2k+1) chain in the torus and thin builders, a stable word
+list and two-strand base case built by while loops, and a stable complex
+indexed by its nested word tuples.  The single-description code must
+reproduce them exactly.
 """
 
 import pytest
@@ -12,13 +13,14 @@ import pytest
 from superpoly import complexes
 from superpoly.complexes import (
     ComplexError,
+    DotComplex,
     build_thin_complex,
     build_torus_complex,
     complex_from_arrows,
     serialize_complex,
 )
 from superpoly.laurent import Poly3
-from superpoly.stable import _generic_survivors, _words
+from superpoly.stable import _check_stable, _generic_survivors, _words, build_stable_complex
 from superpoly.torus import _t3_families
 
 T3_MS = [m for m in range(4, 122) if m % 3]
@@ -206,6 +208,39 @@ def reference_two_strand_survivors(qmax):
     return dims
 
 
+def reference_stable_complex(n, qmax):
+    """The stable complex with each target found by slicing and hashing its word tuple."""
+    _check_stable(n, qmax)
+    words = _words(n, qmax)
+    index = {w: i for i, (w, _) in enumerate(words)}
+    gens = [g for (_, g) in words]
+    diffs = {}
+
+    def add(level_n, src, dst_word, coeff):
+        if dst_word in index:
+            diffs.setdefault(level_n, []).append((src, index[dst_word], coeff))
+
+    for src, (word, _) in enumerate(words):
+        sign = 1
+        for pos, (i_l, flag) in enumerate(word):
+            level = pos + 2
+            if flag:
+                dropped = word[:pos] + ((i_l, 0),) + word[pos + 1 :]
+                add(-(level - 1), src, dropped, sign)
+                advanced = word[:pos] + ((i_l + 1, 0),) + word[pos + 1 :]
+                add(1, src, advanced, sign)
+                if pos >= 1:
+                    i_prev, f_prev = word[pos - 1]
+                    shifted = (
+                        word[: pos - 1]
+                        + ((i_prev + 1, f_prev), (i_l, 0))
+                        + word[pos + 1 :]
+                    )
+                    add(0, src, shifted, sign)
+                sign = -sign
+    return DotComplex(gens, diffs, label="stable-%d" % n)
+
+
 def _construction_inputs(monkeypatch, build, *args):
     """(gradings, arrows with each level sorted, label) that build hands to complex_from_arrows.
 
@@ -273,3 +308,11 @@ class TestStableWords:
             got = _generic_survivors(2, qmax)
             expected = reference_two_strand_survivors(qmax)
             assert list(got.items()) == list(expected.items()), qmax
+
+
+class TestStableBuild:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_serialized(self, n):
+        for qmax in (0, 1, 2, 5, 11, 24, 40, 60):
+            expected = serialize_complex(reference_stable_complex(n, qmax))
+            assert serialize_complex(build_stable_complex(n, qmax)) == expected, (n, qmax)

@@ -152,6 +152,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == 1
 
+    def test_check_empty_table_fails(self, tmp_path, capsys):
+        path = tmp_path / "empty.tsv"
+        path.write_text("# nothing here\n\n")
+        assert main(["check", "--dataset", str(path)]) == 1
+        assert capsys.readouterr().out == "FAIL dataset: no records\n"
+
     def test_check_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("x\t0\t0\tnot a poly\n")
@@ -250,3 +256,43 @@ def test_bad_complex_file_exits_2(tmp_path, capsys, case, command):
     assert captured.out == ""
     assert re.fullmatch(r"parse error: [^\n]+ \(line %d\)\n" % line, captured.err)
     assert "Traceback" not in captured.err
+
+
+BAD_POLY_TEXTS = {
+    "stray sign in exponent": "a^+bad",
+    "empty": "",
+    "missing exponent": "q^",
+    "trailing plus": "1 +",
+    "implicit product": "a*b",
+    "fraction": "1/2",
+    "float exponent": "q^1.5",
+    "Arabic-Indic digit": "\u0663",
+    "doubled operator": "a^2*q^-2 + + t",
+    "stacked exponent": "q^2^3",
+    "unknown variable": "x",
+    "past the digit limit": "9" * 5000,
+}
+
+
+@pytest.mark.parametrize("via", ["argument", "stdin"])
+@pytest.mark.parametrize("case", sorted(BAD_POLY_TEXTS))
+def test_bad_homfly_text_exits_2(monkeypatch, capsys, case, via):
+    text = BAD_POLY_TEXTS[case]
+    if via == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        text = "-"
+    assert main(["super", "thin", "--homfly", text, "--s", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"parse error: [^\n]+\n", captured.err)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POLY_TEXTS))
+def test_bad_dataset_polynomial_fails_check(tmp_path, capsys, case):
+    path = tmp_path / "bad.tsv"
+    path.write_text("x\t0\t0\t%s\n" % BAD_POLY_TEXTS[case])
+    assert main(["check", "--dataset", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"FAIL dataset: [^\n]+\n", captured.out)
+    assert "Traceback" not in captured.out + captured.err

@@ -80,6 +80,29 @@ def test_stable_inputs_checked(fn, n, qmax, message):
         fn(n, qmax)
 
 
+@pytest.mark.parametrize("fn", STABLE_INPUT_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("n, qmax, name", [
+    (3, 10.5, "qmax"),
+    (3.0, 10, "n"),
+    (True, 10, "n"),
+    (3, False, "qmax"),
+    ("3", 10, "n"),
+    (3, None, "qmax"),
+])
+def test_stable_input_types_checked(fn, n, qmax, name):
+    # A float cutoff used to be truncated quietly (qmax=10.5 gave qmax=10).
+    with pytest.raises(TypeError, match="^%s must be an int, got " % name):
+        fn(n, qmax)
+
+
+@pytest.mark.parametrize("qmax", [10.5, 10.0, True])
+def test_series_cutoff_must_be_an_int(qmax):
+    with pytest.raises(TypeError, match="^qmax must be an int, got "):
+        TruncSeries(Poly3.one(), qmax)
+    with pytest.raises(TypeError, match="^qmax must be an int, got "):
+        stable_khr2_closed(3, qmax)
+
+
 class TestBlockComplex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poincare_matches_series(self, n):
