@@ -37,7 +37,7 @@ for n in (2, 3, 4, 5):
     )
 
 print()
-print("Stable sl(2) series: closed form versus the seeded generic reduction:")
+print("Stable sl(2) series: closed form versus the maximal-rank generic reduction:")
 for n in (2, 3, 4):
     series = stable_khr2(n, 30)  # raises if the two routes disagree
     head = sorted(series.body.terms)[:4]

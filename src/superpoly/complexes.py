@@ -69,12 +69,15 @@ class DotComplex:
     generators: tuple of (ea, eq, et) int triples (repeats allowed).
     diffs: dict N -> sorted tuple of (src_index, dst_index, coefficient),
     the coefficient a nonzero int, or a Fraction only when not an integer.
-    The constructor alone checks entries.  It raises TypeError unless diffs
-    is a dict of (src, dst, coefficient) triples, gradings are int triples,
-    level keys and indices ints (not bool) and coefficients ints or
-    Fractions; ComplexError, naming the entry as
-    .entry = (N, src, dst), for an index outside [0, len(generators)) or a
-    (src, dst) pair twice in one level, even if one copy has coefficient 0.
+    A complex is made one of two ways.  The public constructor checks every
+    entry: it raises TypeError unless diffs is a dict of (src, dst,
+    coefficient) triples, gradings are int triples, level keys and indices
+    ints (not bool) and coefficients ints or Fractions; ComplexError, naming
+    the entry as .entry = (N, src, dst), for an index outside
+    [0, len(generators)) or a (src, dst) pair twice in one level, even if
+    one copy has coefficient 0.  The in-package builders, whose entries are
+    valid by construction, hand their finished tuples to _trusted instead.
+    verify() records in _verified the levels it found sound (see homology).
     """
 
     def __init__(self, generators, diffs=None, label=None):
@@ -115,6 +118,18 @@ class DotComplex:
             if kept:
                 self.diffs[n] = kept
         self.label = label
+        self._verified = {}
+
+    @classmethod
+    def _trusted(cls, generators, diffs, label=None):
+        """The complex over these parts, taken without a copy or a check.
+
+        The parts must be what the constructor would make of them: nonempty
+        sorted levels, indices in range, no (src, dst) pair twice.
+        """
+        c = cls.__new__(cls)
+        c.generators, c.diffs, c.label, c._verified = generators, diffs, label, {}
+        return c
 
     def __len__(self):
         return len(self.generators)
@@ -137,11 +152,10 @@ def mirror_complex(c, label=None):
     which keeps each d_N at its own level with its own degree: the shift of
     a reversed arrow between negated endpoints equals the original shift.
     """
-    gens = [(-ea, -eq, -et) for (ea, eq, et) in c.generators]
-    diffs = {}
-    for n, entries in c.diffs.items():
-        diffs[n] = [(d, s, coeff) for (s, d, coeff) in entries]
-    return DotComplex(gens, diffs, label=label)
+    gens = tuple((-ea, -eq, -et) for (ea, eq, et) in c.generators)
+    diffs = {n: tuple(sorted((d, s, coeff) for (s, d, coeff) in entries))
+             for n, entries in c.diffs.items()}
+    return DotComplex._trusted(gens, diffs, label)
 
 
 # -- verification -----------------------------------------------------------
@@ -166,25 +180,31 @@ def _level_pair(key, levels):
     return levels[(bits & -bits).bit_length() - 1], levels[bits.bit_length() - 1]
 
 
-def _nonzero_composites(c, levels, keep=None):
+def _nonzero_composites(c, levels, whole=None):
     """Sorted (N, M, src, dst), N <= M, where d_N d_M + d_M d_N (d_N^2 if N = M) is nonzero.
 
-    levels must be sorted.  Each source that keep(src) admits (all, when
-    keep is None) is walked once: its paths through any two of the levels
-    are summed into one row keyed by (dst, level pair).
+    levels must be sorted.  Each source is walked once: its paths through
+    any two of the levels are summed into one row keyed by (dst, level pair).
+    At a source that whole(src) rejects only the paths within one level are
+    summed, so only its squares come back.
     """
     width = len(levels)
     mask = (1 << width) - 1
     out = _out_edges([c.diffs.get(n, ()) for n in levels])
     bad = []
     for s, edges in out.items():
-        if keep is not None and not keep(s):
-            continue
         row = {}
-        for (k1, c1) in edges:
-            bit = k1 & mask
-            for (k2, c2) in out.get(k1 >> width, ()):
-                row[k2 | bit] = row.get(k2 | bit, 0) + c1 * c2
+        if whole is None or whole(s):
+            for (k1, c1) in edges:
+                bit = k1 & mask
+                for (k2, c2) in out.get(k1 >> width, ()):
+                    row[k2 | bit] = row.get(k2 | bit, 0) + c1 * c2
+        else:
+            for (k1, c1) in edges:
+                bit = k1 & mask
+                for (k2, c2) in out.get(k1 >> width, ()):
+                    if k2 & bit:
+                        row[k2] = row.get(k2, 0) + c1 * c2
         if any(row.values()):
             bad += [(*_level_pair(k, levels), s, k >> width) for k, val in row.items() if val]
     return sorted(bad)
@@ -235,15 +255,26 @@ def verify(c, max_eq=None):
     Never raises for a bad complex; all problems come back in the report.
     Squares and anticommutators, found in one walk over every length-two
     path (_nonzero_composites), are reported in (N, M, src, dst) order.
-    When max_eq is given, the square and anticommutator checks are only
-    required to cancel on paths starting at generators with eq <= max_eq;
-    this is how truncated (cutoff) complexes are checked away from their
-    boundary, where partner paths may have been cut off.
+    When max_eq is given, only faults on paths starting at generators with
+    eq <= max_eq are reported; this is how truncated (cutoff) complexes are
+    checked away from their boundary, where partner paths may have been
+    cut off.  The walk still sums the squares at every source, so each
+    level whose degrees are right and whose square vanishes everywhere is
+    recorded in c._verified with the very level and generators tuples it
+    was found on, and homology() need not check that level again.
     """
     levels = sorted(c.diffs)
-    violations = [v for n in levels for v in _bad_degrees(c, n)]
-    keep = None if max_eq is None else (lambda s: c.generators[s][1] <= max_eq)
-    for (n, m, s, d) in _nonzero_composites(c, levels, keep):
+    gens = c.generators
+    degree_faults = {n: list(_bad_degrees(c, n)) for n in levels}
+    violations = [v for n in levels for v in degree_faults[n]]
+    reported = None if max_eq is None else (lambda s: gens[s][1] <= max_eq)
+    composites = _nonzero_composites(c, levels, reported)
+    squared = {n for (n, m, _, _) in composites if n == m}
+    c._verified = {n: (c.diffs[n], gens) for n in levels
+                   if not degree_faults[n] and n not in squared}
+    for (n, m, s, d) in composites:
+        if reported is not None and not reported(s):
+            continue
         if n == m:
             violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
         else:
@@ -305,33 +336,6 @@ def _eliminate(rows, pivots):
     return rank
 
 
-def _blocked_dims(c, n, key_of):
-    """Homology dimensions of d_N per (block, level) key, as {key: dim}.
-
-    key_of maps a generator grading to its amalgamated (block, level) pair;
-    d_N must keep block fixed and lower level by one, and square to zero.
-    """
-    bad = _nonzero_composites(c, [n])
-    if bad:
-        raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
-    keys = [key_of(g) for g in c.generators]
-    blocks = {}
-    for (s, d, coeff) in c.diffs.get(n, ()):
-        ks, kd = keys[s], keys[d]
-        if kd[0] != ks[0] or kd[1] != ks[1] - 1:
-            raise GradingMismatch(
-                "d_%d entry %d->%d does not respect the amalgamated grading" % (n, s, d)
-            )
-        blocks.setdefault(ks, {}).setdefault(s, {})[d] = coeff
-    ranks = {key: _eliminate(rows.values(), {}) for key, rows in blocks.items()}
-    dims = {}
-    for key, size in Counter(keys).items():
-        dim = size - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
-        if dim:
-            dims[key] = dim
-    return dims
-
-
 class HomologyReport:
     """Per-bigrade dimensions of the d_N homology plus its Poincare polynomial."""
 
@@ -359,29 +363,35 @@ def homology(c, n):
     Poincare polynomial lives in q^p t^k.  For N = 0 they group by
     (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
     Alexander-side regrading.  An absent d_N means the zero differential.
-    A d_N whose square is nonzero raises ComplexError naming the least
-    source -> target pair of d_N^2.
+    A d_N entry of the wrong degree raises GradingMismatch, and a d_N whose
+    square is nonzero raises ComplexError naming the least source -> target
+    pair of d_N^2.  Both checks are skipped when verify() recorded d_N as
+    sound on the complex's current level and generators tuples.
     """
     if n < 0:
         raise ValueError("reductions are only defined for N >= 0")
-    bad = next(_bad_degrees(c, n), None)
-    if bad:
-        raise GradingMismatch(bad)
-    dims = _blocked_dims(c, n, _bigrade(n))
+    level, gens = c._verified.get(n, (None, None))
+    if level is not c.diffs.get(n) or gens is not c.generators:
+        bad = next(_bad_degrees(c, n), None)
+        if bad:
+            raise GradingMismatch(bad)
+        bad = _nonzero_composites(c, [n])
+        if bad:
+            raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
+    key_of = _bigrade(n)
+    keys = [key_of(g) for g in c.generators]
+    blocks = {}
+    # Its degree puts each d_N entry's target in its source's block, one level down.
+    for (s, d, coeff) in c.diffs.get(n, ()):
+        blocks.setdefault(keys[s], {}).setdefault(s, {})[d] = coeff
+    ranks = {key: _eliminate(rows.values(), {}) for key, rows in blocks.items()}
+    dims = {}
+    for key, size in Counter(keys).items():
+        dim = size - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
+        if dim:
+            dims[key] = dim
     poly = Poly3({(0, p, k): dim for (p, k), dim in dims.items()})
     return HomologyReport(n, poly, dims)
-
-
-def homology_unblocked_dims(c, n):
-    """Brute-force route: block by homological level only, not by bigrade.
-
-    Returns {k: dim} computed from ranks of the full (all bigrades at once)
-    matrices of d_N between adjacent levels.  Independent cross-check for
-    homology(); the two must agree whenever d_N is a valid differential.
-    """
-    level_of = _bigrade(n)
-    dims = _blocked_dims(c, n, lambda g: (0, level_of(g)[1]))
-    return {k: dim for (_, k), dim in dims.items()}
 
 
 def _survivor(c):
@@ -530,13 +540,17 @@ def _solve_signs(arrows):
 
 
 def complex_from_arrows(gradings, arrows, label=None):
-    """Build a DotComplex from unsigned arrow sets via the GF(2) sign pass."""
+    """Build a DotComplex from unsigned arrow sets via the GF(2) sign pass.
+
+    In-package builders only: their int-triple gradings and distinct
+    in-range arrows go to DotComplex._trusted, and the result is verified.
+    """
     signs = _solve_signs(arrows)
     diffs = {
-        n: [(s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n])]
-        for n, pairs in arrows.items()
+        n: tuple((s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n]))
+        for n, pairs in arrows.items() if pairs
     }
-    c = DotComplex(gradings, diffs, label=label)
+    c = DotComplex._trusted(tuple(gradings), diffs, label)
     report = verify(c)
     if not report.ok:
         raise ComplexError(

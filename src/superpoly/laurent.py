@@ -567,7 +567,8 @@ def parse_poly(text):
         saw_factor = False
         while True:
             skip_ws()
-            if i < n and text[i] == "*":
+            star = i < n and text[i] == "*"
+            if star:
                 i += 1
                 skip_ws()
             if i < n and text[i] in _VARIABLE_AXIS:
@@ -579,6 +580,8 @@ def parse_poly(text):
                     e = read_int(True)
                 exps[axis] += e
                 saw_factor = True
+            elif star:
+                raise ParseError("expected a factor after '*'", i)
             else:
                 break
         if coeff is None:

@@ -19,14 +19,12 @@ parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from itertools import count, takewhile
-
 from .laurent import Poly3, at_a_qN, format_poly
-from .complexes import DotComplex, _eliminate
+from .complexes import DotComplex
 
 
 class GenericityMismatch(Exception):
-    """The seeded generic reduction disagreed with the closed form."""
+    """The generic (maximal-rank) reduction disagreed with the closed form."""
 
 
 class TruncSeries:
@@ -130,22 +128,28 @@ def stable_hfk(n, qmax):
 
 # -- the block complex ------------------------------------------------------
 
-def _words(n, qmax):
-    """All tensor words ((i_2, c_2), ..., (i_n, c_n)) with eq <= qmax.
+def _steps(n, qmax):
+    """Word-code digit steps: i_l is digit l - 2 in base qmax + 2, above the n - 1 flag bits."""
+    return [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
+
+
+def _word_codes(n, qmax):
+    """All tensor words ((i_2, c_2), ..., (i_n, c_n)) with eq <= qmax, as (code, grading).
 
     Level l contributes i_l * (0, 2l, 2l-2) plus, when its flag is set,
-    (2, 2l-2, 2l-1).  Words are emitted with their grading triples.
+    (2, 2l-2, 2l-1).  The code is the sum of flag l at bit l - 2 and i_l
+    times _steps(n, qmax)[l - 2]; words come in lexicographic order of ((c_2, i_2), ...).
     """
-    words = [((), (0, 0, 0))]
-    for level in range(2, n + 1):
+    words = [(0, (0, 0, 0))]
+    for pos, step in enumerate(_steps(n, qmax)):
+        dq, dt = 2 * pos + 4, 2 * pos + 2  # the period of level l = pos + 2
         new = []
-        for word, (ea, eq, et) in words:
+        for code, (ea, eq, et) in words:
             for flag in (0, 1):
-                eq_f = eq + flag * (2 * level - 2)
-                et_f = et + flag * (2 * level - 1)
-                new += [(word + ((i, flag),),
-                         (ea + 2 * flag, eq_f + i * 2 * level, et_f + i * (2 * level - 2)))
-                        for i in range((qmax - eq_f) // (2 * level) + 1)]
+                code_f, ea_f = code + (flag << pos), ea + 2 * flag
+                eq_f, et_f = eq + flag * (dq - 2), et + flag * (dt + 1)
+                new += [(code_f + i * step, (ea_f, eq_f + i * dq, et_f + i * dt))
+                        for i in range((qmax - eq_f) // dq + 1)]
         words = new
     return words
 
@@ -165,18 +169,11 @@ def build_stable_complex(n, qmax):
     at one level compose to zero outright since they all clear the flag.
     """
     _check_stable(n, qmax)
-    words = _words(n, qmax)
-    gens = [g for (_, g) in words]
-    # Word code: flag l at bit l - 2, i_l as digit l - 2 in base qmax + 2 above
-    # the flags.  No index reaches qmax + 2, so a target's code is the source's
-    # less a flag bit plus at most one digit step; a flag drop stays in range.
-    steps = [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
-    index = {}
-    for src, (word, _) in enumerate(words):
-        code = 0
-        for pos, (i_l, flag) in enumerate(word):
-            code += (flag << pos) + i_l * steps[pos]
-        index[code] = src
+    words = _word_codes(n, qmax)
+    # No index reaches qmax + 2, so a target's code is the source's less a
+    # flag bit plus at most one digit step; a flag drop stays in range.
+    steps = _steps(n, qmax)
+    index = {code: src for src, (code, _) in enumerate(words)}
     diffs = {level: [] for level in range(1 - n, 2)}
     for code, src in index.items():
         sign = 1
@@ -190,21 +187,9 @@ def build_stable_complex(n, qmax):
                 if pos and dropped + steps[pos - 1] in index:
                     diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
                 sign = -sign
-    return DotComplex(gens, diffs, label="stable-%d" % n)
-
-
-_PRIMES = [2]  # every prime found so far, shared by all readers
-
-
-def _primes_from(start):
-    """The primes from the start-th on (2 is the 0th); each is found once per process."""
-    for i in count(start):
-        while i >= len(_PRIMES):
-            k = len(_PRIMES)
-            prime = next(c for c in count(_PRIMES[k - 1] + 1)
-                         if all(c % p for p in takewhile(lambda p: p * p <= c, _PRIMES)))
-            _PRIMES[k : k + 1] = [prime]  # not append: a racing thread stores this same prime
-        yield _PRIMES[i]
+    # Each level is built in source order, so sorting it costs little.
+    diffs = {level: tuple(sorted(entries)) for level, entries in diffs.items() if entries}
+    return DotComplex._trusted(tuple(g for _, g in words), diffs, "stable-%d" % n)
 
 
 def stable_khr2_closed(n, qmax):
@@ -228,27 +213,27 @@ def stable_khr2_closed(n, qmax):
     raise ValueError("closed forms exist only for n in {2, 3, 4}")
 
 
-def _generic_survivors(n, qmax, seed_offset=0):
-    """Graded dimensions left after the seeded generic d_2 reduction.
+def _generic_survivors(n, qmax):
+    """Graded dimensions left after the generic d_2 reduction.
 
     Recursive: the n-strand object is a string of pairs of blocks, each a
     copy of the already-reduced (n-1)-strand answer; the new d_2 component
     maps each flagged block to its partner on every grading-allowed slot,
-    with deterministic prime coefficients, and blocks at different string
-    positions do not interact (the filtration assumption).  Nontriviality
-    on the reduced blocks is the published genericity assumption.  Returns
-    {grading: dim}; the base two-strand object has no reduction at all.
+    and blocks at different string positions do not interact (the
+    filtration assumption).  The published genericity assumption is that
+    d_2 has maximal rank, so a da x db block has rank min(da, db) by
+    definition.  Returns {grading: dim}; the base two-strand object has no
+    reduction at all.
 
-    Each level discards rank via min-size exact matrices, so the result at
+    Each level discards rank via min-size blocks, so the result at
     q-degree d is reliable once qmax exceeds d by the boundary margin; the
     caller compensates by inflating qmax.
     """
     if n == 2:
-        return {g: 1 for _, g in _words(2, qmax)}
+        return {g: 1 for _, g in _word_codes(2, qmax)}
     period = (0, 2 * n, 2 * n - 2)
     flag = (2, 2 * n - 2, 2 * n - 1)
-    inner = _generic_survivors(n - 1, qmax, seed_offset + 1)
-    prime_iter = _primes_from(seed_offset * 97)
+    inner = _generic_survivors(n - 1, qmax)
     survivors = {}
     i = 0
     while i * period[1] <= qmax:
@@ -264,8 +249,7 @@ def _generic_survivors(n, qmax, seed_offset=0):
         for g, da in sorted(a_block.items()):
             target = (g[0] - 2, g[1] + 4, g[2] - 1)
             db = b_block.get(target, 0)
-            rows = [{j: next(prime_iter) for j in range(db)} for _ in range(da)]
-            r = _eliminate(rows, {})
+            r = min(da, db)
             if da - r:
                 survivors[g] = survivors.get(g, 0) + (da - r)
             b_block[target] = db - r
@@ -291,10 +275,9 @@ def stable_khr2_generic(n, qmax):
 def stable_khr2(n, qmax):
     """Stable sl(2) Poincare series by two routes, compared exactly.
 
-    Route one truncates the closed form; route two performs the seeded
-    generic reduction on the block complex.  A disagreement raises
-    GenericityMismatch (an accidental cancellation in the seeded
-    coefficients, or a broken construction).
+    Route one truncates the closed form; route two performs the generic
+    maximal-rank reduction on the block complex.  A disagreement raises
+    GenericityMismatch (a broken construction on one side).
     """
     if n not in (2, 3, 4):
         raise ValueError("closed forms exist for 2, 3, 4 strands only")

@@ -19,6 +19,7 @@ from superpoly.complexes import (
     _bad_degrees,
     _bigrade,
     _eliminate,
+    _nonzero_composites,
     _sign_equations,
     _solve_signs,
     _survivor,
@@ -27,13 +28,13 @@ from superpoly.complexes import (
     deserialize_complex,
     diff_degree,
     homology,
-    homology_unblocked_dims,
     mirror_complex,
     s_invariant,
     serialize_complex,
     verify,
 )
 from superpoly.dataset import load_dataset
+from superpoly.stable import build_stable_complex
 from superpoly.structchecks import thin_super
 from superpoly.torus import (
     cp0_t3_closed,
@@ -272,7 +273,7 @@ class TestHomology:
         with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 3"):
             homology(c, 1)
         with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 3"):
-            homology_unblocked_dims(c, 1)
+            reference_unblocked_dims(c, 1)
 
     def test_thin_dimension_correspondence(self):
         # With no level-2 or level-0 arrows both reductions keep everything.
@@ -365,7 +366,7 @@ class TestHomologyOracle:
             ]
             assert not structural, structural
             blocked = homology(c, n_level).dims
-            brute = homology_unblocked_dims(c, n_level)
+            brute = reference_unblocked_dims(c, n_level)
             merged = {}
             for (p, k), dim in blocked.items():
                 merged[k] = merged.get(k, 0) + dim
@@ -634,6 +635,113 @@ class TestConstructorBoundary:
             assert type(c.generators) is tuple
             assert all(type(g) is tuple for g in c.generators)
             assert all(type(e) is tuple for e in c.diffs.values())
+
+
+def built_complexes():
+    """Outputs of every in-package builder that assembles its complex with DotComplex._trusted."""
+    for n in range(2, 7):
+        for qmax in (0, 5, 24, 40):
+            yield build_stable_complex(n, qmax)
+    for m in range(3, 24, 2):
+        yield build_torus_complex(2, m)
+    for m in range(4, 62):
+        if m % 3:
+            yield build_torus_complex(3, m)
+    for rec in load_dataset():
+        if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+            thin = thin_super(rec.homfly, rec.s_inv)
+            c = build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+            yield c
+            yield mirror_complex(c, label="mirror " + rec.name)
+    for c in (build_stable_complex(4, 24), build_torus_complex(3, 31), trefoil_complex()):
+        yield mirror_complex(c)
+
+
+class TestTrustedBuilders:
+    def test_fields_equal_the_checking_constructor(self):
+        for c in built_complexes():
+            checked = DotComplex(c.generators, c.diffs, c.label)
+            # repr tells tuples from lists and ints from Fractions, and keeps level order.
+            assert repr(c.generators) == repr(checked.generators), c.label
+            assert repr(c.diffs) == repr(checked.diffs), c.label
+            assert c.label == checked.label
+
+    def test_every_square_vanishes(self):
+        for c in built_complexes():
+            for n in c.diffs:
+                assert _nonzero_composites(c, [n]) == [], (c.label, n)
+
+
+def tampered_square(c, n):
+    """c.diffs[n] with the sign of its first entry that d_N^2 = 0 depends on flipped."""
+    level = c.diffs[n]
+    for k, (s, d, coeff) in enumerate(level):
+        flipped = level[:k] + ((s, d, -coeff),) + level[k + 1:]
+        if reference_square_error(DotComplex(c.generators, {n: flipped}), n):
+            return flipped
+    raise AssertionError("no entry of d_%d takes part in a square" % n)
+
+
+class TestVerifyRecord:
+    def test_recorded_levels_skip_the_checks(self, monkeypatch):
+        walked = []
+        walk = complexes._nonzero_composites
+
+        def counted(c, levels, *rest):
+            walked.append(levels)
+            return walk(c, levels, *rest)
+
+        monkeypatch.setattr(complexes, "_nonzero_composites", counted)
+        c = build_stable_complex(4, 30)
+        before = [homology(c, n).dims for n in (0, 1)]
+        assert walked == [[0], [1]]
+        assert verify(c, max_eq=30 - 8).ok
+        assert sorted(c._verified) == sorted(c.diffs)
+        walked.clear()
+        assert [homology(c, n).dims for n in (0, 1)] == before
+        assert walked == []
+
+    def test_boundary_square_fault_is_not_recorded(self):
+        # A square fault past max_eq is not reported, but still keeps its
+        # level out of the record, so homology finds it.
+        c = DotComplex([(4, 0, 2), (2, 2, 1), (0, 4, 0)], {1: [(0, 1, 1), (1, 2, 1)]})
+        assert verify(c, max_eq=-1).violations == []
+        assert 1 not in c._verified
+        with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 2"):
+            homology(c, 1)
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: build_stable_complex(4, 30), 1),
+        (lambda: build_stable_complex(5, 24), 0),
+        (lambda: build_torus_complex(3, 7), 1),
+    ], ids=["stable(4,30) d_1", "stable(5,24) d_0", "T(3,7) d_1"])
+    def test_replaced_level_is_checked_again(self, build, n):
+        c = build()
+        verify(c, max_eq=10)
+        assert n in c._verified
+        c.diffs[n] = tampered_square(c, n)
+        want = reference_square_error(c, n)
+        with pytest.raises(ComplexError, match="^%s$" % want):
+            homology(c, n)
+
+    def test_replaced_generators_are_checked_again(self):
+        c = build_torus_complex(3, 7)
+        s, _, _ = c.diffs[1][0]
+        gens = list(c.generators)
+        gens[s] = (gens[s][0], gens[s][1] + 2, gens[s][2])
+        c.generators = tuple(gens)
+        with pytest.raises(GradingMismatch, match="d_1 entry %d->" % s):
+            homology(c, 1)
+
+    def test_unverified_complex_gets_every_check(self):
+        c = build_stable_complex(4, 30)
+        assert c._verified == {}
+        c.diffs[1] = tampered_square(c, 1)
+        with pytest.raises(ComplexError, match="^%s$" % reference_square_error(c, 1)):
+            homology(c, 1)
+        c = DotComplex([(2, 0, 1), (0, 4, 0)], {1: [(0, 1, 1)]})
+        with pytest.raises(GradingMismatch):
+            homology(c, 1)
 
 
 def reference_solve_signs(arrows):
@@ -954,9 +1062,13 @@ def grouped(c, key_of):
     return by_key
 
 
-def reference_dims(c, n):
-    """d_N homology per amalgamated bigrade from dense ranks of every block."""
-    by_key = grouped(c, _bigrade(n))
+def reference_dims(c, n, key_of=None):
+    """d_N homology per amalgamated bigrade from dense ranks of every block.
+
+    key_of, when given, replaces the amalgamated (block, level) key; d_N
+    must lower its level by one within a block.
+    """
+    by_key = grouped(c, key_of or _bigrade(n))
     entries = c.diffs.get(n, [])
     ranks = {
         key: reference_rank(reference_dense(idxs, by_key.get((key[0], key[1] - 1), []), entries))
@@ -968,6 +1080,21 @@ def reference_dims(c, n):
         if dim:
             dims[key] = dim
     return dims
+
+
+def reference_unblocked_dims(c, n):
+    """Brute-force route: {k: dim} from dense ranks of the whole d_N between homological levels.
+
+    Blocks by homological level only, not by bigrade, so it cross-checks
+    how homology() splits d_N.  Like homology(), it raises ComplexError for
+    a d_N with nonzero square.
+    """
+    error = reference_square_error(c, n)
+    if error:
+        raise ComplexError(error)
+    level_of = _bigrade(n)
+    dims = reference_dims(c, n, lambda g: (0, level_of(g)[1]))
+    return {k: dim for (_, k), dim in dims.items()}
 
 
 def reference_survivor(c):

@@ -271,6 +271,7 @@ BAD_POLY_TEXTS = {
     "stacked exponent": "q^2^3",
     "unknown variable": "x",
     "past the digit limit": "9" * 5000,
+    "trailing star": "1*",
 }
 
 

@@ -547,6 +547,15 @@ class TestText:
     def test_star_optional_and_spacing(self):
         assert parse_poly("2 a q t^-1 + a") == parse_poly("2*a*q*t^-1 + a")
 
+    def test_star_needs_a_factor(self):
+        # term := [integer] ('*'? factor)*: a '*' is always followed by a factor.
+        for text, pos in (("q*", 2), ("1*", 2), ("2*q* + a", 5), ("a^2 *  ", 7), ("3**q", 2),
+                          ("a*b", 2), ("1* + q", 3)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert err.value.pos == pos, text
+        assert parse_poly("*q + 2 * a*t") == parse_poly("q + 2*a*t")
+
     def test_canonical_round_trip(self):
         text = format_poly(P_T23)
         assert parse_poly(text) == P_T23

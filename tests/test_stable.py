@@ -2,16 +2,17 @@
 
 import sys
 import threading
-from itertools import islice
+from itertools import count, islice, takewhile
 
 import pytest
 
+from superpoly import stable
 from superpoly.laurent import Poly3, at_a_qN, at_t_minus_one, parse_poly
-from superpoly.complexes import homology, verify
+from superpoly.complexes import _eliminate, homology, verify
 from superpoly.stable import (
     GenericityMismatch,
     TruncSeries,
-    _primes_from,
+    _generic_survivors,
     build_stable_complex,
     finite_vs_stable,
     geometric,
@@ -166,8 +167,8 @@ class TestKhr2:
         assert series.body.coeff(0, 0, 0) == 1
 
     def test_five_strand_generic_past_the_old_prime_supply(self):
-        # The coefficient stream is unbounded: from qmax 108 a fixed list of
-        # primes used to run out for five strands.
+        # From qmax 108 a fixed list of prime coefficients used to run out
+        # for five strands; the maximal-rank route draws no coefficients.
         qmax = 108
         series = stable_khr2_generic(5, qmax)
         euler = TruncSeries(at_a_qN(stable_homfly(5, qmax).body, 2), qmax)
@@ -176,6 +177,75 @@ class TestKhr2:
     def test_unsupported_strands(self):
         with pytest.raises(ValueError):
             stable_khr2(5, 20)
+
+
+# -- the earlier generic route: consecutive primes, rank by elimination ------
+
+PRIMES = [2]  # every prime found so far, shared by all readers
+
+
+def primes_from(start):
+    """The primes from the start-th on (2 is the 0th); each is found once per process."""
+    for i in count(start):
+        while i >= len(PRIMES):
+            k = len(PRIMES)
+            prime = next(c for c in count(PRIMES[k - 1] + 1)
+                         if all(c % p for p in takewhile(lambda p: p * p <= c, PRIMES)))
+            PRIMES[k : k + 1] = [prime]  # not append: a racing thread stores this same prime
+        yield PRIMES[i]
+
+
+def prime_survivors(n, qmax, deficient, seed_offset=0):
+    """_generic_survivors with each d_2 block filled with consecutive primes.
+
+    The rank of each block is taken by _eliminate; every block whose rank
+    falls short of min(da, db) is appended to deficient as (n, grading,
+    rows), so the caller can tell where the two routes may part.
+    """
+    if n == 2:
+        return _generic_survivors(2, qmax)
+    period = (0, 2 * n, 2 * n - 2)
+    flag = (2, 2 * n - 2, 2 * n - 1)
+    inner = prime_survivors(n - 1, qmax, deficient, seed_offset + 1)
+    prime_iter = primes_from(seed_offset * 97)
+    survivors = {}
+    i = 0
+    while i * period[1] <= qmax:
+        b_block = {}
+        a_block = {}
+        for g, d in inner.items():
+            gb = (g[0], g[1] + i * period[1], g[2] + i * period[2])
+            if gb[1] <= qmax:
+                b_block[gb] = b_block.get(gb, 0) + d
+            ga = (gb[0] + flag[0], gb[1] + flag[1], gb[2] + flag[2])
+            if ga[1] <= qmax:
+                a_block[ga] = a_block.get(ga, 0) + d
+        for g, da in sorted(a_block.items()):
+            target = (g[0] - 2, g[1] + 4, g[2] - 1)
+            db = b_block.get(target, 0)
+            rows = [{j: next(prime_iter) for j in range(db)} for _ in range(da)]
+            dense = [[row[j] for j in range(db)] for row in rows]
+            r = _eliminate(rows, {})
+            if r < min(da, db):
+                deficient.append((n, g, dense))
+            if da - r:
+                survivors[g] = survivors.get(g, 0) + (da - r)
+            b_block[target] = db - r
+        for g, db in sorted(b_block.items()):
+            if db:
+                survivors[g] = survivors.get(g, 0) + db
+        i += 1
+    return survivors
+
+
+def prime_route(monkeypatch, n, qmax):
+    """(stable_khr2_generic(n, qmax) by the prime route, its rank-deficient blocks)."""
+    deficient = []
+    monkeypatch.setattr(stable, "_generic_survivors",
+                        lambda n, qmax: prime_survivors(n, qmax, deficient))
+    series = stable.stable_khr2_generic(n, qmax)
+    monkeypatch.undo()
+    return series, deficient
 
 
 def sieve(limit):
@@ -189,21 +259,21 @@ def sieve(limit):
 
 
 class TestPrimeSupply:
+    """The prime stream of the reference route above."""
+
     def test_first_500_primes_match_a_sieve(self):
         primes = sieve(3572)
         assert len(primes) == 500
-        assert list(islice(_primes_from(0), 500)) == primes
-        assert list(islice(_primes_from(97), 200)) == primes[97:297]
+        assert list(islice(primes_from(0), 500)) == primes
+        assert list(islice(primes_from(97), 200)) == primes[97:297]
 
     def test_threads_growing_the_list_agree(self):
-        from superpoly import stable
-
-        base = len(stable._PRIMES)
+        base = len(PRIMES)
         want = sieve(20 * (base + 2000))[base : base + 2000]
         results = []
 
         def read():
-            results.append(list(islice(_primes_from(base), 2000)))
+            results.append(list(islice(primes_from(base), 2000)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -217,20 +287,47 @@ class TestPrimeSupply:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * 6
-        assert stable._PRIMES[base : base + 2000] == want
+        assert PRIMES[base : base + 2000] == want
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_generic_route_at_qmax_40(self, n):
+    def test_generic_route_at_qmax_40(self, monkeypatch, n):
         qmax = 40
         series = stable_khr2_generic(n, qmax)
         if n == 4:
             assert series == stable_khr2_closed(4, qmax)
         euler = TruncSeries(at_a_qN(stable_homfly(n, qmax).body, 2), qmax)
         assert TruncSeries(at_t_minus_one(series.body), qmax) == euler
-        # The shared list only grows; reading far past what the reduction
-        # needs must not change its coefficients.
-        next(islice(_primes_from(5000), 1))
-        assert stable_khr2_generic(n, qmax) == series
+        # Reading far past what the prime route needs must not change it.
+        next(islice(primes_from(5000), 1))
+        assert prime_route(monkeypatch, n, qmax) == (series, [])
+
+
+class TestMaximalRank:
+    @pytest.mark.parametrize("n, qmax", [(3, 200), (4, 300), (5, 100), (6, 108)])
+    def test_prime_route_agrees_where_its_blocks_have_full_rank(self, monkeypatch, n, qmax):
+        assert prime_route(monkeypatch, n, qmax) == (stable_khr2_generic(n, qmax), [])
+
+    def test_prime_route_is_wrong_at_seven_strands(self, monkeypatch):
+        # Consecutive primes are not generic: two of the 3 x 3 blocks drawn
+        # for (7, 120) are singular, and the prime route's output leaves
+        # maximal rank at two terms whose errors cancel at t = -1.
+        series, deficient = prime_route(monkeypatch, 7, 120)
+        singular = [[4073, 4079, 4091], [4093, 4099, 4111], [4127, 4129, 4133]]
+        assert singular in [rows for (_, _, rows) in deficient]
+        assert [rows[0][0] for (_, _, rows) in deficient] == [4073, 238657]
+        want = stable_khr2_generic(7, 120)
+        assert want.body.coeff(0, 110, 84) == 1 and series.body.coeff(0, 110, 84) == 2
+        assert want.body.coeff(0, 110, 86) == 29 and series.body.coeff(0, 110, 86) == 28
+        wrong = {k for k in set(series.body.terms) | set(want.body.terms)
+                 if series.body.terms.get(k) != want.body.terms.get(k)}
+        assert wrong == {(0, 110, 84), (0, 110, 86)}
+        assert at_t_minus_one(series.body) == at_t_minus_one(want.body)
+
+    def test_singular_block_can_fall_outside_the_cutoff(self, monkeypatch):
+        # (8, 60) also draws a singular block, but past the cutoff.
+        series, deficient = prime_route(monkeypatch, 8, 60)
+        assert deficient
+        assert series == stable_khr2_generic(8, 60)
 
 
 class TestWindows:
