@@ -252,7 +252,8 @@ def _bad_degrees(c, n):
 def verify(c, max_eq=None):
     """Check gradings, squares, anticommutators and the Poincare symmetry.
 
-    Never raises for a bad complex; all problems come back in the report.
+    Never raises for a bad complex; all problems come back in the report
+    (a max_eq that is neither None nor an int raises TypeError).
     Squares and anticommutators, found in one walk over every length-two
     path (_nonzero_composites), are reported in (N, M, src, dst) order.
     When max_eq is given, only faults on paths starting at generators with
@@ -263,6 +264,8 @@ def verify(c, max_eq=None):
     recorded in c._verified with the very level and generators tuples it
     was found on, and homology() need not check that level again.
     """
+    if max_eq is not None and type(max_eq) is not int:
+        raise TypeError("max_eq must be an int or None, got %r" % (max_eq,))
     levels = sorted(c.diffs)
     gens = c.generators
     degree_faults = {n: list(_bad_degrees(c, n)) for n in levels}
@@ -368,6 +371,8 @@ def homology(c, n):
     pair of d_N^2.  Both checks are skipped when verify() recorded d_N as
     sound on the complex's current level and generators tuples.
     """
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 0:
         raise ValueError("reductions are only defined for N >= 0")
     level, gens = c._verified.get(n, (None, None))
@@ -489,11 +494,12 @@ def _solve_signs(arrows):
     arrows: dict N -> list of (src, dst).  Every length-two composite
     (either order) between a fixed source and target must cancel against
     exactly one partner path, which yields a linear system over GF(2) for
-    the sign exponents; free variables are set to +1.  Returns dict
-    N -> list of signs, one per arrow of sorted(arrows[N]).  Raises
-    ComplexError when a composite has no partner or the system is
-    inconsistent, which means the arrow sets themselves are wrong (signs
-    cannot help).
+    the sign exponents.  Of its solutions the one returned is least when
+    its bits are read from edge 0 upward: an edge whose sign the earlier
+    edges do not force keeps +1.  Returns dict N -> list of signs, one per
+    arrow of sorted(arrows[N]).  Raises ComplexError when a composite has
+    no partner or the system is inconsistent, which means the arrow sets
+    themselves are wrong (signs cannot help).
     """
     by_src = {}
     nvars = 0
@@ -503,40 +509,29 @@ def _solve_signs(arrows):
             by_src[n].setdefault(s, []).append((d, nvars))
             nvars += 1
     # Gaussian elimination over GF(2) on a set-of-indices representation,
-    # rows keyed by their pivot (least index).  Column nvars is the
-    # right-hand side, so a row reduced to that column alone is an
-    # inconsistency.  Equations and reduced rows are kept as tuples, which
-    # take a fraction of a set's memory.  Free variables stay 0, i.e. the
-    # edge keeps coefficient +1.  The pivots are the leading columns of the
-    # unique reduced echelon form, so any elimination order gives the same
-    # signs; taking the equations by greatest index, highest first, needs
-    # about half the row XORs of generation order.
+    # rows keyed by their pivot, the greatest index.  Column -1 is the
+    # right-hand side, read back as values[-1] = 1, so a row reduced to
+    # that column alone is an inconsistency.  The pivots are the columns that lower ones force,
+    # whatever the order of the equations, so each is reduced as it is
+    # generated; reduced rows stay a few entries long and are kept as
+    # tuples.  Free variables stay 0, i.e. the edge keeps +1.
     rows = {}
-    for r in sorted(_sign_equations(by_src), key=lambda r: max(r, default=-1), reverse=True):
-        r = {*r, nvars}
-        pivot = min(r)
+    for r in _sign_equations(by_src):
+        r = {*r, -1}
+        pivot = max(r)
         while pivot in rows:
             r = r.symmetric_difference(rows[pivot])
-            pivot = min(r, default=nvars)
-        if pivot == nvars:
+            pivot = max(r, default=-1)
+        if pivot == -1:
             if r:
                 raise ComplexError("sign constraints are inconsistent")
             continue
         rows[pivot] = tuple(r)
     values = [0] * nvars + [1]
-    for pivot in sorted(rows, reverse=True):
-        s = 0
-        for e in rows[pivot]:
-            if e != pivot:
-                s ^= values[e]
-        values[pivot] = s
-    signs = {}
-    start = 0
-    for n in sorted(arrows):
-        stop = start + len(arrows[n])
-        signs[n] = [-1 if v else 1 for v in values[start:stop]]
-        start = stop
-    return signs
+    for pivot in sorted(rows):  # values[pivot] is still 0 in its own sum
+        values[pivot] = sum(map(values.__getitem__, rows[pivot])) & 1
+    bits = iter(values)
+    return {n: [-1 if next(bits) else 1 for _ in arrows[n]] for n in sorted(arrows)}
 
 
 def complex_from_arrows(gradings, arrows, label=None):

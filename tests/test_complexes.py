@@ -78,6 +78,13 @@ class TestVerify:
         assert sorted(c.diffs) == [-2, -1, 0, 1, 2]
         assert verify(c).ok
 
+    @pytest.mark.parametrize("max_eq", ["3", 2.5, 3.0, True],
+                             ids=["str", "float", "whole float", "bool"])
+    def test_non_int_max_eq_is_a_type_error(self, max_eq):
+        pattern = "^max_eq must be an int or None, got %s$" % re.escape(repr(max_eq))
+        with pytest.raises(TypeError, match=pattern):
+            verify(build_stable_complex(4, 20), max_eq)
+
     def test_bad_grading_reported(self):
         c = DotComplex([(2, 0, 1), (0, 4, 0)], {1: [(0, 1, 1)]})
         report = verify(c)
@@ -252,6 +259,11 @@ class TestHomology:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             homology(trefoil_complex(), -1)
+
+    @pytest.mark.parametrize("n", [2.0, True, "1", None], ids=["float", "bool", "str", "None"])
+    def test_non_int_level_is_a_type_error(self, n):
+        with pytest.raises(TypeError, match="^n must be an int, got %s$" % re.escape(repr(n))):
+            homology(trefoil_complex(), n)
 
     def test_grading_mismatch_detected(self):
         c = DotComplex([(2, 0, 1), (0, 4, 0)], {1: [(0, 1, 1)]})
@@ -747,8 +759,10 @@ class TestVerifyRecord:
 def reference_solve_signs(arrows):
     """The list-scan GF(2) sign solve: every row is reduced by every earlier one.
 
-    Independent reference for complexes._solve_signs, which keys its rows by
-    pivot; both must return the same signs.
+    Independent reference for complexes._solve_signs: each kept row pivots
+    on its greatest index, and back-substitution runs up from the least
+    pivot.  The equations come pair of levels by pair of levels, not in
+    _sign_equations' order; both must return the same signs.
     """
     edges = []
     edge_index = {}
@@ -785,11 +799,11 @@ def reference_solve_signs(arrows):
                 r ^= pr
                 rhs ^= prhs
         if r:
-            reduced.append((r, rhs, min(r)))
+            reduced.append((r, rhs, max(r)))
         else:
             assert not rhs
     values = [0] * len(edges)
-    for (r, rhs, pivot) in sorted(reduced, key=lambda x: -x[2]):
+    for (r, rhs, pivot) in sorted(reduced, key=lambda x: x[2]):
         for e in r - {pivot}:
             rhs ^= values[e]
         values[pivot] = rhs
@@ -856,13 +870,13 @@ def reference_sign_equations(by_src):
                     yield tuple(row)
 
 
-def streaming_solve_signs(arrows, sign_equations=reference_sign_equations):
-    """The sign solve in generation order: each equation is reduced as it is made.
+def least_index_solve_signs(arrows, sign_equations=reference_sign_equations):
+    """The former sign rule: rows pivot on their least index.
 
-    Reference for the order _solve_signs feeds its least-index-pivot
-    elimination (greatest edge index, highest first): the reduced echelon
-    form is unique, so both must give the same signs and the same errors.
-    The equations come from the per-pair reference walk unless given.
+    Its solution is the least one read from the last edge downward, where
+    _solve_signs' is the least read from edge 0 upward.  Both are valid
+    signs and must raise the same errors.  The equations come from the
+    per-pair reference walk unless given.
     """
     by_src, nvars = edge_indices(arrows)
     rows = {}
@@ -917,16 +931,75 @@ class TestSignSolve:
             }
             assert keyed == reference_solve_signs(arrows), c.label
 
-    def test_descending_order_matches_streaming(self):
+    def test_descending_order_matches_streaming(self, monkeypatch):
+        # The signs do not depend on the order the equations come in:
+        # generation order, reversed, or a seeded shuffle.
+        generated = complexes._sign_equations
+        rng = random.Random(12)
+        orders = [lambda eqs: eqs[::-1], lambda eqs: rng.sample(eqs, len(eqs))]
         for c in [build_torus_complex(3, 61), *_sign_cases()]:
             arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
-            assert _solve_signs(arrows) == streaming_solve_signs(arrows), c.label
+            want = _solve_signs(arrows)
+            for order in orders:
+                monkeypatch.setattr(complexes, "_sign_equations",
+                                    lambda by_src: iter(order(list(generated(by_src)))))
+                assert _solve_signs(arrows) == want, c.label
+                monkeypatch.undo()
+
+    def test_former_signs_give_the_same_invariants(self):
+        changed = []
+        for c in [build_torus_complex(3, 61), *_sign_cases()]:
+            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            signs = least_index_solve_signs(arrows)
+            old = DotComplex(c.generators, {
+                n: [(s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n])]
+                for n, pairs in arrows.items()
+            })
+            if old.diffs != c.diffs:
+                changed.append(c.label)
+            for n in (0, 1, 2):
+                new_h, old_h = homology(c, n), homology(old, n)
+                assert (new_h.poincare, new_h.dims) == (old_h.poincare, old_h.dims), (c.label, n)
+            assert s_invariant(old) == s_invariant(c), c.label
+            assert verify(old).lines() == verify(c).lines(), c.label
+        # The rule changed the signs of the torus and thin complexes with squares.
+        assert {"T(3,61)", "4_1"} <= set(changed) and "T(2,11)" not in changed
+
+    def test_signs_are_least_from_edge_zero_up(self, monkeypatch):
+        # Against every assignment of seeded random systems: the least
+        # solution read from edge 0 upward, or the error when none exists.
+        rng = random.Random(2026)
+        consistent = 0
+        for _ in range(300):
+            nvars = rng.randint(1, 12)
+            hidden = [rng.randint(0, 1) for _ in range(nvars)]
+            equations = []
+            for _ in range(rng.randint(0, nvars + 3)):
+                row = tuple(e for e in range(nvars) if rng.random() < 0.3)
+                if rng.random() < 0.1 or sum(hidden[e] for e in row) % 2:
+                    equations.append(row)
+            masks = [sum(1 << e for e in row) for row in equations]
+            solutions = [
+                bits for bits in range(1 << nvars)
+                if all(bin(bits & mask).count("1") % 2 for mask in masks)
+            ]
+            monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: iter(equations))
+            arrows = {1: [(e, e + 1) for e in range(nvars)]}
+            if not solutions:
+                with pytest.raises(ComplexError, match="^sign constraints are inconsistent$"):
+                    _solve_signs(arrows)
+                continue
+            consistent += 1
+            # Edge 0 is the most significant bit of the reading.
+            least = min(solutions, key=lambda bits: [bits >> e & 1 for e in range(nvars)])
+            assert _solve_signs(arrows) == {1: [-1 if least >> e & 1 else 1 for e in range(nvars)]}
+        assert 150 < consistent < 300
 
     def test_unpairable_composite_error_is_unchanged(self):
         arrows = {1: [(0, 1), (1, 2)]}
         want = (ComplexError, "unpairable composite d_1/d_1 path 0 -> 2")
         assert solve_outcome(_solve_signs, arrows) == want
-        assert solve_outcome(streaming_solve_signs, arrows) == want
+        assert solve_outcome(least_index_solve_signs, arrows) == want
 
     @pytest.mark.parametrize(
         "equations",
@@ -940,7 +1013,7 @@ class TestSignSolve:
         arrows = {1: [(0, 1), (1, 2), (2, 3)]}
         want = (ComplexError, "sign constraints are inconsistent")
         assert solve_outcome(_solve_signs, arrows) == want
-        patched = lambda a: streaming_solve_signs(a, complexes._sign_equations)  # noqa: E731
+        patched = lambda a: least_index_solve_signs(a, complexes._sign_equations)  # noqa: E731
         assert solve_outcome(patched, arrows) == want
 
     def test_equations_match_per_pair_reference(self):
@@ -966,7 +1039,7 @@ class TestSignSolve:
         # Source 0 has an unpairable d_1/d_2 path, met first source by
         # source; the d_1/d_1 fault at source 5 is met first pair by pair.
         assert solve_outcome(_solve_signs, arrows) == (ComplexError, want)
-        assert solve_outcome(streaming_solve_signs, arrows) == (ComplexError, want)
+        assert solve_outcome(least_index_solve_signs, arrows) == (ComplexError, want)
         diffs = {n: [(s, d, 1) for (s, d) in a] for n, a in arrows.items()}
         c = DotComplex([(0, 0, 0)] * 10, diffs)
         assert verify(c).lines() == reference_verify(c).lines()
