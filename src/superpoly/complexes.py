@@ -135,10 +135,7 @@ class DotComplex:
         return len(self.generators)
 
     def poincare(self):
-        terms = {}
-        for g in self.generators:
-            terms[g] = terms.get(g, 0) + 1
-        return Poly3(terms)
+        return Poly3._trusted(dict(Counter(self.generators)))
 
     def delta_histogram(self):
         """Histogram of doubled delta-gradings 2*(et - ea) - eq."""
@@ -282,13 +279,14 @@ def verify(c, max_eq=None):
             violations.append("d_%d squared is nonzero on %d -> %d" % (n, s, d))
         else:
             violations.append("d_%d and d_%d fail to anticommute on %d -> %d" % (n, m, s, d))
-    g_max = y_genus(c.poincare())
+    poincare = c.poincare()
+    g_max = y_genus(poincare)
     symmetric = g_max is not None
     # A cutoff complex cannot be q-symmetric; only whole complexes are
     # required to pass the Poincare-level symmetry.
     if not symmetric and max_eq is None:
         violations.append("Poincare polynomial not expressible in a, t, y")
-    hist = c.delta_histogram()
+    hist = delta_spectrum(poincare)
     return VerifyReport(violations, hist, len(hist) <= 1, g_max, symmetric)
 
 

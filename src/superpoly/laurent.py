@@ -301,16 +301,17 @@ def exact_divide(p, d):
     """Return r with r * d == p exactly, else raise NotDivisible.
 
     Term-driven elimination: the divisor's lexicographically greatest term
-    is used as the leading term, and the top remaining term of the remainder
-    is cancelled at each step.  The remainder's keys sit in a heap (Monagan
+    is the leading term, and the top remaining term of the remainder is
+    cancelled at each step, found in a max-heap with lazy deletion (Monagan
     and Pearce, "Sparse polynomial division using a heap", J. Symbolic
-    Comput. 46, 2011): a key is pushed, negated, when it enters the
-    remainder, and a popped key no longer in the remainder is skipped, so
-    each step finds the top term in logarithmic time.  For an exact
-    quotient, the extreme monomials of a product cannot cancel, so the
-    quotient's support is confined to the coordinatewise box
-    [min(p)-min(d), max(p)-max(d)]; any candidate term escaping the box
-    proves non-divisibility, which also bounds the loop.
+    Comput. 46, 2011).  For an exact quotient, the extreme monomials of a
+    product cannot cancel, so the quotient's support lies in the box
+    [min(p)-min(d), max(p)-max(d)]; a candidate term outside it proves
+    non-divisibility, which also bounds the loop.  Hence every remainder
+    key lies in p's box [min(p), max(p)], where it is packed into one
+    mixed-radix int: the int order is the lex order, and a divisor term
+    adds a fixed offset.  Popped keys are decoded and boxed on their true
+    exponents, since a packed sum could wrap back into the box.
     """
     if not (isinstance(p, Poly3) and isinstance(d, Poly3)):
         raise TypeError("exact_divide needs two Poly3 operands")
@@ -321,33 +322,37 @@ def exact_divide(p, d):
     d_lead = max(d.terms)
     d_lead_c = d.terms[d_lead]
     la, lq, lt = d_lead
-    box_lo = [min(k[i] for k in p.terms) - min(k[i] for k in d.terms) for i in range(3)]
-    box_hi = [max(k[i] for k in p.terms) - max(k[i] for k in d.terms) for i in range(3)]
-    d_items = list(d.terms.items())
-    rem = dict(p.terms)
-    heap = [(-a, -q, -t) for a, q, t in rem]
+    lo, hi = ([f(k[i] for k in p.terms) for i in range(3)] for f in (min, max))
+    box_lo = [lo[i] - min(k[i] for k in d.terms) for i in range(3)]
+    box_hi = [hi[i] - max(k[i] for k in d.terms) for i in range(3)]
+    wt = hi[2] - lo[2] + 1
+    wqt = (hi[1] - lo[1] + 1) * wt
+    d_offsets = [((a - la) * wqt + (q - lq) * wt + t - lt, c) for (a, q, t), c in d.terms.items()]
+    rem = {(a - lo[0]) * wqt + (q - lo[1]) * wt + t - lo[2]: c for (a, q, t), c in p.terms.items()}
+    heap = [-k for k in rem]
     heapify(heap)
     quo = {}
     while rem:
-        na, nq, nt = heappop(heap)
-        c = rem.get((-na, -nq, -nt))
+        k = -heappop(heap)
+        c = rem.get(k)
         if c is None:
             continue
         if c % d_lead_c:
             raise NotDivisible("leading coefficient %d not divisible by %d" % (c, d_lead_c))
-        key = (-na - la, -nq - lq, -nt - lt)
+        ka, kq = divmod(k, wqt)
+        kq, kt = divmod(kq, wt)
+        key = (lo[0] + ka - la, lo[1] + kq - lq, lo[2] + kt - lt)
         if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
             raise NotDivisible("no exact quotient (support escaped the feasible box)")
         cq = c // d_lead_c
         quo[key] = cq
-        ka, kq, kt = key
-        for (da, dq, dt), dc in d_items:
-            k2 = (ka + da, kq + dq, kt + dt)
+        for off, dc in d_offsets:
+            k2 = k + off
             old = rem.get(k2)
             v = cq * dc
             if old is None:
                 rem[k2] = -v
-                heappush(heap, (-k2[0], -k2[1], -k2[2]))
+                heappush(heap, -k2)
             elif old == v:
                 del rem[k2]
             else:

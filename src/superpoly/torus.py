@@ -77,7 +77,8 @@ def _homfly_product(n, m):
     # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
     # * prod (a^2 - q^{2j})/(1 - q^{2j}), put over the common denominator
     # prod_{i<n} (q^{2i} - 1); each cofactor division is a Gaussian-binomial
-    # identity and therefore exact.
+    # identity and therefore exact.  Each summand starts from its cofactor,
+    # so every product in it has a two-term factor.
     def qe(i, c=1):
         return Poly3.monomial(c, 0, i, 0)
 
@@ -91,12 +92,12 @@ def _homfly_product(n, m):
             den = den * (qe(2 * i) - 1)
         for j in range(1, n - b):
             den = den * (1 - qe(2 * j))
-        num = qe(-2 * m * b)
+        num = exact_divide(common, den).scale_monomial(1, eq=-2 * m * b)
         for i in range(1, b + 1):
             num = num * (Poly3.monomial(1, 2, 2 * i, 0) - 1)
         for j in range(1, n - b):
             num = num * (Poly3.monomial(1, 2, 0, 0) - qe(2 * j))
-        total = total + num * exact_divide(common, den)
+        total = total + num
     total = total * (1 - qe(-2))
     total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1))
     return exact_divide(total, (1 - qe(-2 * n)) * common)
@@ -224,32 +225,21 @@ def khr2_t3_closed(m):
 
 
 def cp0_t3_closed(m):
-    """Closed form for the Alexander-side Poincare polynomial of T(3, m)."""
+    """Closed form for the Alexander-side Poincare polynomial of T(3, m).
+
+    With m = 3k + 1 + e, e in {0, 1}, every grading moves by (0, 2e, e) away
+    from q = 0 and the three middle terms q^{+-2} t^{+-1}, 1 come in with e.
+    """
     if m < 4 or m % 3 == 0:
         raise ValueError("need m >= 4 coprime to 3")
     k, r = divmod(m, 3)
-    if r == 1:
-        terms = {(0, 0, -2 * k): 1}
-        for i in range(1, k + 1):
-            for (eq, et) in (
-                (6 * i, 2 * i),
-                (6 * i - 2, 2 * i - 1),
-                (-6 * i + 2, -4 * i + 1),
-                (-6 * i, -4 * i),
-            ):
-                terms[(0, eq, et - 2 * k)] = terms.get((0, eq, et - 2 * k), 0) + 1
-    else:
-        terms = {}
-        for (eq, et) in ((2, 1), (0, 0), (-2, -1)):
-            terms[(0, eq, et - 2 * k - 1)] = 1
-        for i in range(1, k + 1):
-            for (eq, et) in (
-                (6 * i + 2, 2 * i + 1),
-                (6 * i, 2 * i),
-                (-6 * i, -4 * i),
-                (-6 * i - 2, -4 * i - 1),
-            ):
-                terms[(0, eq, et - 2 * k - 1)] = terms.get((0, eq, et - 2 * k - 1), 0) + 1
+    e = r - 1
+    shift = -2 * k - e
+    terms = Counter((0, eq, et + shift) for eq, et in ((2, 1), (0, 0), (-2, -1))[1 - e:2 + e])
+    for i in range(1, k + 1):
+        for eq, et in ((6 * i + 2 * e, 2 * i + e), (6 * i - 2 + 2 * e, 2 * i - 1 + e),
+                       (-6 * i + 2 - 2 * e, -4 * i + 1 - e), (-6 * i - 2 * e, -4 * i - e)):
+            terms[(0, eq, et + shift)] += 1
     return Poly3(terms)
 
 

@@ -215,8 +215,17 @@ def divide_outcome(divide, p, d):
 
 
 nonzero_polys = polys.filter(bool)
+ESCAPED = "NotDivisible: no exact quotient (support escaped the feasible box)"
 perturbations = st.lists(
     st.tuples(exponents, exponents, exponents, st.integers(-3, 3).filter(bool)), max_size=3
+)
+# Sparse and wide: a box up to 2 * 10**12 + 1 wide on every axis, while the
+# small exponents keep products colliding and cancelling.
+wide_exponents = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+wide_keys = st.tuples(wide_exponents, wide_exponents, wide_exponents)
+wide_polys = st.dictionaries(wide_keys, coeffs, max_size=5).map(Poly3)
+wide_perturbations = st.lists(
+    st.tuples(wide_keys, st.integers(-3, 3).filter(bool)), max_size=3
 )
 
 
@@ -262,6 +271,50 @@ class TestExactDivide:
         assert divide_outcome(exact_divide, perturbed, d) == divide_outcome(
             reference_exact_divide, perturbed, d
         )
+
+    @given(wide_polys, wide_polys.filter(bool), wide_perturbations, st.integers(0, 24),
+           st.integers(-3, 3).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_outcomes_match_reference(self, p, d, perturbation, pick, delta):
+        product = p * d
+        assert divide_outcome(exact_divide, product, d) == divide_outcome(
+            reference_exact_divide, product, d
+        )
+        if product.terms:
+            keys = list(product.terms)
+            perturbation = perturbation + [(keys[pick % len(keys)], delta)]
+        perturbed = product + Poly3(dict(perturbation))
+        assert divide_outcome(exact_divide, perturbed, d) == divide_outcome(
+            reference_exact_divide, perturbed, d
+        )
+
+    @pytest.mark.parametrize(
+        "p, d, outcome",
+        [
+            # The quotient box is empty: p spans q^0..q^1, d spans q^0..q^2.
+            (parse_poly("1 + q"), parse_poly("1 + q^2"), ESCAPED),
+            (parse_poly("3*a^5 + a^2*t^4"), parse_poly("a^3*q + t^7"), ESCAPED),
+            # The divisor is constant in t, so the quotient's t-span is p's.
+            (
+                parse_poly("1 + q") * parse_poly("t^-3 + a*q^2*t^5 - 2*q^-1"),
+                parse_poly("1 + q"),
+                [((1, 2, 5), 1), ((0, 0, -3), 1), ((0, -1, 0), -2)],
+            ),
+            # The divisor is constant in q.
+            (
+                parse_poly("a + t^2") * parse_poly("q^3*t - a^-1*q^-5 + 7*a"),
+                parse_poly("a + t^2"),
+                [((1, 0, 0), 7), ((0, 3, 1), 1), ((-1, -5, 0), -1)],
+            ),
+            # The first candidate, q / t, is one below the box in t, but lex
+            # between its corners 1 and q: packed, it would look boxed, and
+            # the next step would fail on the coefficient -1 instead.
+            (parse_poly("2*q + t"), parse_poly("1 + 2*t"), ESCAPED),
+        ],
+    )
+    def test_packing_edge_cases(self, p, d, outcome):
+        for divide in (exact_divide, reference_exact_divide):
+            assert divide_outcome(divide, p, d) == outcome
 
     @pytest.mark.parametrize(
         "num, den, message",

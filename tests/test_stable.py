@@ -104,7 +104,7 @@ def test_series_cutoff_must_be_an_int(qmax):
         stable_khr2_closed(3, qmax)
 
 
-class TestBlockComplex:
+class TestStableComplex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poincare_matches_series(self, n):
         qmax = 40

@@ -1,5 +1,7 @@
 """Torus-knot closed forms against the published displays and each other."""
 
+from math import gcd
+
 import pytest
 
 from superpoly.laurent import (
@@ -8,6 +10,7 @@ from superpoly.laurent import (
     at_a_inv_t,
     at_t_minus_one,
     exact_divide,
+    format_poly,
     mirror,
     monomial_substitute,
     parse_poly,
@@ -41,6 +44,64 @@ SUPER_T34 = parse_poly(
 )
 
 
+def reference_homfly_product(n, m):
+    """The product route as it was, multiplying by each cofactor last.
+
+    Each summand's two-term factors are multiplied up from q^{-2mb} first,
+    and the Gaussian-binomial cofactor comes in as one large final product.
+    """
+    def qe(i, c=1):
+        return Poly3.monomial(c, 0, i, 0)
+
+    common = Poly3.one()
+    for i in range(1, n):
+        common = common * (qe(2 * i) - 1)
+    total = Poly3.zero()
+    for b in range(n):
+        den = Poly3.one()
+        for i in range(1, b + 1):
+            den = den * (qe(2 * i) - 1)
+        for j in range(1, n - b):
+            den = den * (1 - qe(2 * j))
+        num = qe(-2 * m * b)
+        for i in range(1, b + 1):
+            num = num * (Poly3.monomial(1, 2, 2 * i, 0) - 1)
+        for j in range(1, n - b):
+            num = num * (Poly3.monomial(1, 2, 0, 0) - qe(2 * j))
+        total = total + num * exact_divide(common, den)
+    total = total * (1 - qe(-2))
+    total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1))
+    return exact_divide(total, (1 - qe(-2 * n)) * common)
+
+
+def reference_cp0_t3_closed(m):
+    """The Alexander-side closed form as it was, one branch per m mod 3."""
+    k, r = divmod(m, 3)
+    if r == 1:
+        terms = {(0, 0, -2 * k): 1}
+        for i in range(1, k + 1):
+            for (eq, et) in (
+                (6 * i, 2 * i),
+                (6 * i - 2, 2 * i - 1),
+                (-6 * i + 2, -4 * i + 1),
+                (-6 * i, -4 * i),
+            ):
+                terms[(0, eq, et - 2 * k)] = terms.get((0, eq, et - 2 * k), 0) + 1
+    else:
+        terms = {}
+        for (eq, et) in ((2, 1), (0, 0), (-2, -1)):
+            terms[(0, eq, et - 2 * k - 1)] = 1
+        for i in range(1, k + 1):
+            for (eq, et) in (
+                (6 * i + 2, 2 * i + 1),
+                (6 * i, 2 * i),
+                (-6 * i, -4 * i),
+                (-6 * i - 2, -4 * i - 1),
+            ):
+                terms[(0, eq, et - 2 * k - 1)] = terms.get((0, eq, et - 2 * k - 1), 0) + 1
+    return Poly3(terms)
+
+
 class TestHomfly:
     def test_trefoil_both_forms(self):
         assert homfly_torus(2, 3, "jones") == P_T23
@@ -52,6 +113,17 @@ class TestHomfly:
     def test_dual_route_sample(self):
         for (n, m) in ((2, 5), (3, 5), (4, 7), (5, 8), (5, 12), (7, 9)):
             assert homfly_torus(n, m, "jones") == homfly_torus(n, m, "product"), (n, m)
+
+    def test_product_route_matches_reference(self):
+        pairs = [(n, m) for n in range(2, 11) for m in range(n + 1, 2 * n + 2) if gcd(n, m) == 1]
+        for n, m in pairs:
+            got = homfly_torus(n, m, "product")
+            assert list(got.terms.items()) == list(reference_homfly_product(n, m).terms.items()), (
+                n, m)
+
+    def test_product_route_text_at_17_18(self):
+        assert format_poly(homfly_torus(17, 18, "product")) == format_poly(
+            reference_homfly_product(17, 18))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,6 +230,11 @@ class TestReductions:
         assert hfk_t2(1) == parse_poly("q^-2*t^-2 + t^-1 + q^2")
         for k in (1, 2, 5):
             assert hfk_t2(k) == at_a_inv_t(super_t2(k))
+
+    def test_cp0_t3_matches_reference(self):
+        for m in (m for m in range(4, 200) if m % 3):
+            got = cp0_t3_closed(m)
+            assert list(got.terms.items()) == list(reference_cp0_t3_closed(m).terms.items()), m
 
     def test_khr2_t3_nonnegative_combination(self):
         for m in (5, 8, 11, 14):
