@@ -451,9 +451,9 @@ def s_invariant(c):
 # -- constructions ----------------------------------------------------------
 
 def _sign_equations(by_src):
-    """Yield, per pair of parallel composites, the tuple of its edge indices.
+    """Yield, per pair of parallel composites, the set of its edge indices.
 
-    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each tuple is one
+    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each set is one
     GF(2) equation: the sign exponents of its edges sum to 1, so that the
     two composites cancel.  Each source is walked once over one out-edge
     map, its paths grouped by (level pair, target), and its equations are
@@ -476,7 +476,7 @@ def _sign_equations(by_src):
         for key, plist in paths.items():
             if len(plist) == 2:
                 (a1, a2), (b1, b2) = plist
-                yield tuple({a1} ^ {a2} ^ {b1} ^ {b2})
+                yield {a1} ^ {a2} ^ {b1} ^ {b2}
             else:
                 faults.append((*_level_pair(key, levels), s, key >> width, len(plist)))
     if faults:
@@ -515,7 +515,7 @@ def _solve_signs(arrows):
     # tuples.  Free variables stay 0, i.e. the edge keeps +1.
     rows = {}
     for r in _sign_equations(by_src):
-        r = {*r, -1}
+        r.add(-1)
         pivot = max(r)
         while pivot in rows:
             r = r.symmetric_difference(rows[pivot])

@@ -132,9 +132,15 @@ class Poly3:
             other = Poly3.monomial(other)
         elif not isinstance(other, Poly3):
             return NotImplemented
+        small, big = self.terms, other.terms
+        if len(small) > len(big):
+            small, big = big, small
         out = {}
-        for (a1, q1, t1), c1 in self.terms.items():
-            for (a2, q2, t2), c2 in other.terms.items():
+        for (a1, q1, t1), c1 in small.items():
+            if not out:  # distinct keys, nonzero products: nothing to merge
+                out = {(a1 + a2, q1 + q2, t1 + t2): c1 * c2 for (a2, q2, t2), c2 in big.items()}
+                continue
+            for (a2, q2, t2), c2 in big.items():
                 key = (a1 + a2, q1 + q2, t1 + t2)
                 s = out.get(key, 0) + c1 * c2
                 if s:
@@ -153,8 +159,9 @@ class Poly3:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -202,8 +209,10 @@ class Poly3:
 
     def scale_monomial(self, coeff, ea=0, eq=0, et=0):
         """Multiply by coeff * a^ea q^eq t^et without building a Poly3 factor."""
-        return Poly3(
-            {(a + ea, q + eq, t + et): c * coeff for (a, q, t), c in self.terms.items()}
+        if not all(isinstance(x, int) for x in (coeff, ea, eq, et)):
+            raise TypeError("scale_monomial needs int scalars, got %r" % ((coeff, ea, eq, et),))
+        return Poly3._trusted(
+            {(a + ea, q + eq, t + et): c * coeff for (a, q, t), c in self.terms.items() if coeff}
         )
 
 

@@ -39,7 +39,7 @@ class TruncSeries:
         if type(qmax) is not int:
             raise TypeError("qmax must be an int, got %r" % (qmax,))
         self.qmax = qmax
-        self.body = Poly3({k: c for k, c in body.terms.items() if k[1] <= self.qmax})
+        self.body = Poly3._trusted({k: c for k, c in body.terms.items() if k[1] <= qmax})
 
     def _operand(self, other):
         """other's body if it is a series with the same cutoff, else other itself."""
@@ -74,7 +74,7 @@ def geometric(ratio, qmax):
     total = Poly3.one()
     power = Poly3.one()
     while True:
-        power = Poly3({k: c for k, c in (power * ratio).terms.items() if k[1] <= qmax})
+        power = Poly3._trusted({k: c for k, c in (power * ratio).terms.items() if k[1] <= qmax})
         if not power:
             break
         total = total + power

@@ -983,7 +983,7 @@ class TestSignSolve:
                 bits for bits in range(1 << nvars)
                 if all(bin(bits & mask).count("1") % 2 for mask in masks)
             ]
-            monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: iter(equations))
+            monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: map(set, equations))
             arrows = {1: [(e, e + 1) for e in range(nvars)]}
             if not solutions:
                 with pytest.raises(ComplexError, match="^sign constraints are inconsistent$"):
@@ -1009,7 +1009,7 @@ class TestSignSolve:
     def test_inconsistent_system_error_is_unchanged(self, monkeypatch, equations):
         # Small arrow sets whose composites all pair up give consistent
         # systems, so the equations are fed in directly.
-        monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: iter(equations))
+        monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: map(set, equations))
         arrows = {1: [(0, 1), (1, 2), (2, 3)]}
         want = (ComplexError, "sign constraints are inconsistent")
         assert solve_outcome(_solve_signs, arrows) == want

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from superpoly.laurent import (
     y_genus,
     y_rewrite,
 )
+from superpoly.stable import stable_homfly, stable_khr2_closed, stable_super
 from superpoly.torus import homfly_torus, super_t2, super_t3
 
 P_T23 = parse_poly("a^2*q^-2 + a^2*q^2 - a^4")
@@ -126,6 +128,8 @@ class TestTrustedResults:
         assert_canonical(p + 3, p)
         assert_canonical(2 * p, p)
         assert_canonical(mirror(p), p)
+        assert_canonical(p.scale_monomial(-3, 1, -2, 5), p)
+        assert_canonical(p.scale_monomial(0, 1), p)
         assert_canonical(monomial_substitute(p, sub_a=mono(-1, 0, 2, 0), sub_t=-1), p)
         assert_canonical(parse_poly(format_poly(p)))
         if q.terms:
@@ -134,6 +138,141 @@ class TestTrustedResults:
     def test_cancelling_sum_is_canonical(self):
         assert_canonical(P_T23 - P_T23, P_T23)
         assert_canonical(exact_divide(Poly3.zero(), P_T23))
+
+
+def reference_mul(self, other):
+    """Poly3.__mul__ as it was before the smaller operand drove the loop.
+
+    self's terms run the outer loop whatever the sizes, and every pair is
+    merged into out through get, so a product's keys and coefficients
+    compare exactly; swapped in for __mul__ and __rmul__, it is the
+    reference multiplication of whole computations.
+    """
+    if isinstance(other, int):
+        other = Poly3.monomial(other)
+    elif not isinstance(other, Poly3):
+        return NotImplemented
+    out = {}
+    for (a1, q1, t1), c1 in self.terms.items():
+        for (a2, q2, t2), c2 in other.terms.items():
+            key = (a1 + a2, q1 + q2, t1 + t2)
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Poly3._trusted(out)
+
+
+def reference_power(p, k):
+    out = Poly3.one()
+    for _ in range(k):
+        out = reference_mul(out, p)
+    return out
+
+
+def use_reference_mul(monkeypatch):
+    monkeypatch.setattr(Poly3, "__mul__", reference_mul)
+    monkeypatch.setattr(Poly3, "__rmul__", reference_mul)
+
+
+def assert_product_matches_reference(f, g):
+    """f * g has the reference's terms, canonical, in a dict of its own."""
+    got = f * g
+    want = reference_mul(f, g) if isinstance(f, Poly3) else reference_mul(g, f)
+    assert got.terms == want.terms
+    assert_canonical(got, *(x for x in (f, g) if isinstance(x, Poly3)))
+
+
+keys = st.tuples(exponents, exponents, exponents)
+few_term_polys = st.dictionaries(keys, coeffs.filter(bool), min_size=1, max_size=3).map(Poly3)
+many_term_polys = st.dictionaries(keys, coeffs, min_size=20, max_size=80).map(Poly3)
+HOMFLY_PAIRS = [(n, m) for n in range(2, 13) for m in (n + 1, n + 2) if gcd(n, m) == 1]
+
+
+def stable_outcome(family, n, qmax):
+    """The truncated series as text, or the ValueError text."""
+    try:
+        return format_poly(family(n, qmax).body)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+class TestMultiply:
+    @given(st.one_of(few_term_polys, polys), many_term_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_unequal_sizes_match_reference(self, small, big):
+        assert_product_matches_reference(small, big)
+        assert_product_matches_reference(big, small)
+
+    @given(polys, polys)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_sizes_match_reference(self, p, q):
+        assert_product_matches_reference(p, q)
+        assert_product_matches_reference(q, p)
+
+    @given(polys, keys.filter(any), st.integers(1, 12), st.sampled_from([1, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_cancelling_products_match_reference(self, p, x, k, sign):
+        # (1 + s x + ... + (s x)^(k-1)) (1 - s x) = 1 - (s x)^k: every
+        # middle term of each later shifted copy cancels.
+        geo = Poly3({tuple(i * e for e in x): sign ** i for i in range(k)})
+        step = Poly3({(0, 0, 0): 1, x: -sign})
+        assert geo * step == Poly3({(0, 0, 0): 1, tuple(k * e for e in x): -sign ** k})
+        for f, g in ((geo, step), (p * geo, step), (p * step, geo), (p - p, geo)):
+            assert_product_matches_reference(f, g)
+            assert_product_matches_reference(g, f)
+
+    @given(polys, st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_empty_and_int_operands_match_reference(self, p, n):
+        empty = Poly3()
+        for f, g in ((p, empty), (empty, p), (p, n), (n, p), (empty, n), (n, empty)):
+            assert_product_matches_reference(f, g)
+        assert (p * 0).terms == {} and (0 * p).terms == {}
+
+    @given(polys)
+    @settings(max_examples=40, deadline=None)
+    def test_power_is_repeated_product(self, p):
+        want = Poly3.one()
+        for k in range(10):
+            assert (p ** k).terms == want.terms, k
+            want = reference_mul(want, p)
+        with pytest.raises(ValueError):
+            p ** -1
+
+    def test_power_stops_squaring_after_the_last_bit(self, monkeypatch):
+        products = []
+
+        def counted(self, other):
+            products.append((self, other))
+            return reference_mul(self, other)
+
+        monkeypatch.setattr(Poly3, "__mul__", counted)
+        for k in range(10):
+            products.clear()
+            assert P_T23 ** k == reference_power(P_T23, k)
+            assert len(products) == bin(k).count("1") + max(k.bit_length() - 1, 0), k
+
+    @pytest.mark.parametrize("form", ["jones", "product"])
+    def test_homfly_torus_matches_reference_mul(self, form, monkeypatch):
+        got = [format_poly(homfly_torus(n, m, form)) for n, m in HOMFLY_PAIRS]
+        use_reference_mul(monkeypatch)
+        want = [format_poly(homfly_torus(n, m, form)) for n, m in HOMFLY_PAIRS]
+        for pair, g, r in zip(HOMFLY_PAIRS, got, want):
+            assert g == r, pair
+
+    @pytest.mark.parametrize("family", [stable_super, stable_homfly, stable_khr2_closed])
+    def test_stable_series_match_reference_mul(self, family, monkeypatch):
+        got = [stable_outcome(family, n, 40) for n in range(2, 6)]
+        use_reference_mul(monkeypatch)
+        assert [stable_outcome(family, n, 40) for n in range(2, 6)] == got
+
+    def test_super_t3_matches_reference_mul(self, monkeypatch):
+        ms = [m for m in range(4, 32) if m % 3]
+        got = [format_poly(super_t3(m)) for m in ms]
+        use_reference_mul(monkeypatch)
+        assert [format_poly(super_t3(m)) for m in ms] == got
 
 
 class TestSubstitution:
