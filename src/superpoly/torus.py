@@ -5,17 +5,22 @@ trefoil of the usual tables is T(2, 3)), so its HOMFLY polynomial carries
 positive a-exponents and S(T(n, m)) = (n-1)(m-1).  Positive torus knots are
 obtained by mirroring, i.e. laurent.mirror.
 
-Two independent HOMFLY routes are provided: the classical sum over quantum
-factorials and a product form obtained by clearing denominators.  They are
-computed by entirely different divisions, so their agreement is a strong
-cross-check and is asserted wholesale in the test suite.
+Two HOMFLY routes are provided: the classical sum over quantum factorials
+and a product form obtained by clearing denominators.  Both take their
+Gaussian binomials from one Pascal row and end in one checked division by
+q-binomials; they differ in their summands and final divisors.  The test
+suite checks them against each other and against independent references
+built on exact_divide.
 """
 
 from collections import Counter
+from itertools import accumulate
 from math import gcd
+from operator import neg
 
 from .complexes import diff_degree
 from .laurent import (
+    NotDivisible,
     Poly3,
     exact_divide,
     monomial_substitute,
@@ -39,68 +44,95 @@ def torus_id(n, m):
     return n, m
 
 
+def _int_arg(name, value):
+    """value, when it is an int and not a bool; a TypeError naming it otherwise."""
+    if type(value) is not int:
+        raise TypeError("%s must be an int, got %r" % (name, value))
+    return value
+
+
+def _t3_index(m):
+    """(k, e) with m = 3k + 1 + e, e in {0, 1}, for a T(3, m) knot index m."""
+    if _int_arg("m", m) < 4 or m % 3 == 0:
+        raise ValueError("need m >= 4 coprime to 3, got %d" % m)
+    k, r = divmod(m, 3)
+    return k, r - 1
+
+
 def torus_s_invariant(n, m):
     return (n - 1) * (m - 1)
 
 
-def _qint(k):
-    """[k] = q^k - q^{-k}."""
-    return Poly3({(0, k, 0): 1, (0, -k, 0): -1})
+def _gaussian_row(n):
+    """The Gaussian binomials [n, b] in q^2 for b = 0..n, by Pascal's rule
+    [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
+    row = [Poly3.one()]
+    for k in range(1, n + 1):
+        inner = [row[b - 1] + row[b].scale_monomial(1, eq=2 * b) for b in range(1, k)]
+        row = [Poly3.one()] + inner + [Poly3.one()]
+    return row
 
 
-def _qfactorial(k):
-    out = Poly3.one()
-    for i in range(1, k + 1):
-        out = out * _qint(i)
-    return out
+def _divide_q_binomials(p, pairs):
+    """p / prod (q^hi - q^lo) over the (hi, lo) pairs, hi > lo, checked exact.
+
+    Each (a, t) fiber of p is a dense q-row, divided by q^lo (q^k - 1),
+    k = hi - lo, as running sums of minus the row along each residue class
+    mod k: exact if and only if the top k sums vanish.  The quotient goes in
+    lex-greatest first, as exact_divide inserts it.
+    """
+    fibers = {}
+    for (a, q, t), c in p.terms.items():
+        fibers.setdefault((a, t), {})[q] = c
+    quo = []
+    for (a, t), fiber in fibers.items():
+        lo = min(fiber)
+        row = [fiber.get(q, 0) for q in range(lo, max(fiber) + 1)]
+        for hi_e, lo_e in pairs:
+            k = hi_e - lo_e
+            for res in range(k):
+                row[res::k] = accumulate(map(neg, row[res::k]))
+            if any(row[-k:]):  # also when the row is shorter than k
+                raise NotDivisible("no exact quotient by q^%d - q^%d" % (hi_e, lo_e))
+            del row[-k:]
+            lo -= lo_e
+        quo += [((a, lo + i, t), c) for i, c in enumerate(row) if c]
+    quo.sort(reverse=True)
+    return Poly3._trusted(dict(quo))
 
 
 def _homfly_jones(n, m):
-    # Sum over beta with the quantum binomial [n-1]!/([b]![n-1-b]!) folded in
-    # so that each summand is already a polynomial; the single final division
-    # by [n] * [n-1]! is checked-exact.
-    fact = _qfactorial(n - 1)
+    # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
+    # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
+    # classical factor [1] of the sum cancels against [n]!.
+    row = _gaussian_row(n - 1)
     total = Poly3.zero()
     for b in range(n):
-        binom = exact_divide(fact, _qfactorial(b) * _qfactorial(n - 1 - b))
-        term = binom.scale_monomial((-1) ** (n - 1 - b), eq=-m * (2 * b - n + 1))
+        e = -b * (n - 1 - b) - m * (2 * b - n + 1)
+        term = row[b].scale_monomial((-1) ** (n - 1 - b), ea=m * (n - 1), eq=e)
         for j in range(b - n + 1, b + 1):
-            if j == 0:
-                continue
-            term = term * Poly3({(1, j, 0): 1, (-1, -j, 0): -1})
+            if j:
+                term = term * Poly3({(1, j, 0): 1, (-1, -j, 0): -1})
         total = total + term
-    total = total.scale_monomial(1, ea=m * (n - 1)) * _qint(1)
-    return exact_divide(total, _qint(n) * fact)
+    return _divide_q_binomials(total, [(k, -k) for k in range(2, n + 1)])
 
 
 def _homfly_product(n, m):
     # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
-    # * prod (a^2 - q^{2j})/(1 - q^{2j}), put over the common denominator
-    # prod_{i<n} (q^{2i} - 1); each cofactor division is a Gaussian-binomial
-    # identity and therefore exact.  Each summand starts from its cofactor,
-    # so every product in it has a two-term factor.
-    def qe(i, c=1):
-        return Poly3.monomial(c, 0, i, 0)
-
-    common = Poly3.one()
-    for i in range(1, n):
-        common = common * (qe(2 * i) - 1)
+    # * prod (a^2 - q^{2j})/(1 - q^{2j}) over prod_{i<n} (q^{2i} - 1), which
+    # makes each cofactor a signed Gaussian binomial.  The sum's factor
+    # (1 - q^{-2}) cancels the divisor's q^2 - 1 up to q^{-2}.
+    row = _gaussian_row(n - 1)
     total = Poly3.zero()
     for b in range(n):
-        den = Poly3.one()
+        num = row[b].scale_monomial((-1) ** (n - 1 - b), eq=-2 * m * b)
         for i in range(1, b + 1):
-            den = den * (qe(2 * i) - 1)
+            num = num * Poly3({(2, 2 * i, 0): 1, (0, 0, 0): -1})
         for j in range(1, n - b):
-            den = den * (1 - qe(2 * j))
-        num = exact_divide(common, den).scale_monomial(1, eq=-2 * m * b)
-        for i in range(1, b + 1):
-            num = num * (Poly3.monomial(1, 2, 2 * i, 0) - 1)
-        for j in range(1, n - b):
-            num = num * (Poly3.monomial(1, 2, 0, 0) - qe(2 * j))
+            num = num * Poly3({(2, 0, 0): 1, (0, 2 * j, 0): -1})
         total = total + num
-    total = total * (1 - qe(-2))
-    total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1))
-    return exact_divide(total, (1 - qe(-2 * n)) * common)
+    total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1) - 2)
+    return _divide_q_binomials(total, [(0, -2 * n)] + [(2 * i, 0) for i in range(2, n)])
 
 
 def homfly_torus(n, m, form="product"):
@@ -108,8 +140,8 @@ def homfly_torus(n, m, form="product"):
 
     form 'jones' evaluates the quantum-factorial sum; form 'product' clears
     denominators in the equivalent product expression.  Both are exact; a
-    failed intermediate division would raise NotDivisible, which for valid
-    (n, m) would indicate an implementation bug and is never swallowed.
+    failed division would raise NotDivisible, which for valid (n, m) would
+    indicate an implementation bug and is never swallowed.
     """
     n, m = torus_id(n, m)
     if form == "jones":
@@ -134,7 +166,7 @@ def _t2_family(k):
 
 def super_t2(k):
     """Reduced superpolynomial of T(2, 2k+1): the sum of the _t2_family monomials."""
-    if k < 1:
+    if _int_arg("k", k) < 1:
         raise ValueError("need k >= 1")
     return Poly3(dict.fromkeys(_t2_family(k), 1))
 
@@ -150,10 +182,7 @@ def _t3_families(m):
     m = 3k + 1 + e, e in {0, 1}, every grading moves by (2e, 2e, 2e) and
     every inner range grows by e (by 2e before the level-1 parity split).
     """
-    if m < 4 or m % 3 == 0:
-        raise ValueError("need m >= 4 coprime to 3, got %d" % m)
-    k, r = divmod(m, 3)
-    e = r - 1
+    k, e = _t3_index(m)
     s = 2 * e
     lv0 = [((j, i), (6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s))
            for j in range(k + 1) for i in range(3 * j + 1 + e)]
@@ -209,11 +238,9 @@ def khr2_t3_closed(m):
     The subtraction must cancel inside the sum; a negative coefficient in
     the combined result flags a transcription error and raises.
     """
-    if m < 4 or m % 3 == 0:
-        raise ValueError("need m >= 4 coprime to 3")
-    k, r = divmod(m, 3)
+    k, e = _t3_index(m)
     block = Poly3({(0, 0, 0): 1, (0, 4, 2): 1, (0, 6, 3): 1, (0, 10, 5): 1})
-    if r == 1:
+    if e == 0:
         s = Poly3({(0, 6 * k + 6 * i, 4 * i): 1 for i in range(k)})
         out = block * s + Poly3.monomial(1, 0, 12 * k, 4 * k)
     else:
@@ -230,10 +257,7 @@ def cp0_t3_closed(m):
     With m = 3k + 1 + e, e in {0, 1}, every grading moves by (0, 2e, e) away
     from q = 0 and the three middle terms q^{+-2} t^{+-1}, 1 come in with e.
     """
-    if m < 4 or m % 3 == 0:
-        raise ValueError("need m >= 4 coprime to 3")
-    k, r = divmod(m, 3)
-    e = r - 1
+    k, e = _t3_index(m)
     shift = -2 * k - e
     terms = Counter((0, eq, et + shift) for eq, et in ((2, 1), (0, 0), (-2, -1))[1 - e:2 + e])
     for i in range(1, k + 1):
@@ -248,7 +272,7 @@ def hfk_t2(k):
 
     q^{-2k} t^{-2k} (1 + (1 + q^{-2} t^{-1}) sum_{i=1..k} q^{4i} t^{2i}).
     """
-    if k < 1:
+    if _int_arg("k", k) < 1:
         raise ValueError("need k >= 1")
     s = Poly3({(0, 4 * i, 2 * i): 1 for i in range(1, k + 1)})
     body = 1 + (1 + Poly3.monomial(1, 0, -2, -1)) * s

@@ -477,11 +477,94 @@ class TestExactDivide:
     def test_homfly_torus_matches_reference(self, form, monkeypatch):
         pairs = [(n, m) for n in range(2, 10) for m in (n + 1, 2 * n + 1)]
         got = [homfly_torus(n, m, form) for n, m in pairs]
-        monkeypatch.setattr(torus, "exact_divide", reference_exact_divide)
+        divisors = []
+
+        def divide_by_product(p, binomials):
+            d = q_binomial_product(binomials)
+            divisors.append(d)
+            return reference_exact_divide(p, d)
+
+        monkeypatch.setattr(torus, "_divide_q_binomials", divide_by_product)
         want = [homfly_torus(n, m, form) for n, m in pairs]
+        assert len(divisors) == len(pairs)
         for (n, m), g, r in zip(pairs, got, want):
             assert format_poly(g) == format_poly(r), (n, m)
             assert list(g.terms.items()) == list(r.terms.items()), (n, m)
+
+
+def q_binomial_product(binomials):
+    """prod (q^hi - q^lo) over the (hi, lo) pairs, as one Poly3."""
+    d = Poly3.one()
+    for hi, lo in binomials:
+        d = d * Poly3({(0, hi, 0): 1, (0, lo, 0): -1})
+    return d
+
+
+def q_binomial_outcome(divide, p, binomials):
+    """The quotient's items in insertion order, or None for NotDivisible."""
+    try:
+        return list(divide(p, binomials).terms.items())
+    except NotDivisible:
+        return None
+
+
+def divide_by_heap(p, binomials):
+    return exact_divide(p, q_binomial_product(binomials))
+
+
+# (hi, lo) with hi > lo: q^hi - q^lo = q^lo (q^k - 1) for k = hi - lo in 1..7.
+q_binomials = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(1, 7)).map(lambda lk: (lk[0] + lk[1], lk[0])),
+    min_size=1, max_size=4,
+)
+
+
+class TestQBinomialDivision:
+    @given(polys, q_binomials)
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_matches_exact_divide(self, p, binomials):
+        product = p * q_binomial_product(binomials)
+        got = q_binomial_outcome(torus._divide_q_binomials, product, binomials)
+        assert got == sorted(p.terms.items(), reverse=True)
+        assert got == q_binomial_outcome(divide_by_heap, product, binomials)
+
+    @given(polys, q_binomials, perturbations, st.booleans(), st.integers(0, 24),
+           st.integers(-3, 3).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_exact_divide_does(self, p, binomials, perturbation, nudge,
+                                                   pick, delta):
+        product = p * q_binomial_product(binomials)
+        perturbed = product + Poly3({(a, q, t): c for a, q, t, c in perturbation})
+        if nudge and product.terms:
+            keys = list(product.terms)
+            perturbed = perturbed + Poly3.monomial(delta, *keys[pick % len(keys)])
+        assert q_binomial_outcome(torus._divide_q_binomials, perturbed, binomials) == (
+            q_binomial_outcome(divide_by_heap, perturbed, binomials))
+
+    @pytest.mark.parametrize("p, binomials", [
+        ("1", [(1, -1)]),  # shorter than the divisor
+        ("q^2 - 1", [(2, 0), (1, 0)]),  # the second factor leaves a remainder
+        ("q^3 + 1", [(2, 0)]),
+        ("a*q - t + a*q^3 - q^2", [(2, 0)]),  # one of two (a, t) fibers is divisible
+    ])
+    def test_not_divisible(self, p, binomials):
+        with pytest.raises(NotDivisible, match="no exact quotient by q"):
+            torus._divide_q_binomials(parse_poly(p), binomials)
+        with pytest.raises(NotDivisible):
+            divide_by_heap(parse_poly(p), binomials)
+
+    def test_zero_dividend(self):
+        assert torus._divide_q_binomials(Poly3.zero(), [(3, 1)]).terms == {}
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_gaussian_row_is_the_factorial_quotient(self, n):
+        def factorial(k):
+            return q_binomial_product([(2 * i, 0) for i in range(1, k + 1)])
+
+        row = torus._gaussian_row(n)
+        assert len(row) == n + 1
+        for b, binomial in enumerate(row):
+            assert binomial == exact_divide(factorial(n), factorial(b) * factorial(n - b)), b
 
 
 Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})

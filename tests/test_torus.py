@@ -1,5 +1,6 @@
 """Torus-knot closed forms against the published displays and each other."""
 
+import re
 from math import gcd
 
 import pytest
@@ -18,6 +19,7 @@ from superpoly.laurent import (
 )
 from superpoly.torus import (
     NegativeCoefficient,
+    _t3_families,
     cp0_t3_closed,
     hfk_t2,
     homfly_torus,
@@ -42,6 +44,35 @@ SUPER_T34 = parse_poly(
     "a^10*t^8 + a^8*q^-4*t^3 + a^8*q^-2*t^5 + a^8*t^5 + a^8*q^2*t^7 + a^8*q^4*t^7"
     " + a^6*q^-6 + a^6*q^-2*t^2 + a^6*t^4 + a^6*q^2*t^4 + a^6*q^6*t^6"
 )
+
+
+def reference_homfly_jones(n, m):
+    """The quantum-factorial route as it was, on exact_divide throughout.
+
+    Each quantum binomial [n-1]!/([b]![n-1-b]!) is a heap division of
+    quantum factorials, and so is the final division by [n] * [n-1]!.
+    """
+    def qint(k):
+        return Poly3({(0, k, 0): 1, (0, -k, 0): -1})
+
+    def qfactorial(k):
+        out = Poly3.one()
+        for i in range(1, k + 1):
+            out = out * qint(i)
+        return out
+
+    fact = qfactorial(n - 1)
+    total = Poly3.zero()
+    for b in range(n):
+        binom = exact_divide(fact, qfactorial(b) * qfactorial(n - 1 - b))
+        term = binom.scale_monomial((-1) ** (n - 1 - b), eq=-m * (2 * b - n + 1))
+        for j in range(b - n + 1, b + 1):
+            if j == 0:
+                continue
+            term = term * Poly3({(1, j, 0): 1, (-1, -j, 0): -1})
+        total = total + term
+    total = total.scale_monomial(1, ea=m * (n - 1)) * qint(1)
+    return exact_divide(total, qint(n) * fact)
 
 
 def reference_homfly_product(n, m):
@@ -72,6 +103,9 @@ def reference_homfly_product(n, m):
     total = total * (1 - qe(-2))
     total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1))
     return exact_divide(total, (1 - qe(-2 * n)) * common)
+
+
+REFERENCE_GRID = [(n, m) for n in range(2, 11) for m in range(n + 1, 2 * n + 2) if gcd(n, m) == 1]
 
 
 def reference_cp0_t3_closed(m):
@@ -115,15 +149,24 @@ class TestHomfly:
             assert homfly_torus(n, m, "jones") == homfly_torus(n, m, "product"), (n, m)
 
     def test_product_route_matches_reference(self):
-        pairs = [(n, m) for n in range(2, 11) for m in range(n + 1, 2 * n + 2) if gcd(n, m) == 1]
-        for n, m in pairs:
+        for n, m in REFERENCE_GRID:
             got = homfly_torus(n, m, "product")
             assert list(got.terms.items()) == list(reference_homfly_product(n, m).terms.items()), (
+                n, m)
+
+    def test_jones_route_matches_reference(self):
+        for n, m in REFERENCE_GRID:
+            got = homfly_torus(n, m, "jones")
+            assert list(got.terms.items()) == list(reference_homfly_jones(n, m).terms.items()), (
                 n, m)
 
     def test_product_route_text_at_17_18(self):
         assert format_poly(homfly_torus(17, 18, "product")) == format_poly(
             reference_homfly_product(17, 18))
+
+    def test_jones_route_text_at_17_18(self):
+        assert format_poly(homfly_torus(17, 18, "jones")) == format_poly(
+            reference_homfly_jones(17, 18))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -140,6 +183,22 @@ class TestHomfly:
             torus_id(*pair)
         with pytest.raises(TypeError, match=pattern):
             homfly_torus(*pair)
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("k", super_t2),
+    ("k", hfk_t2),
+    ("m", _t3_families),
+    ("m", super_t3),
+    ("m", lambda m: t3_reduction_terms(m, 2)),
+    ("m", khr2_t3_closed),
+    ("m", cp0_t3_closed),
+])
+@pytest.mark.parametrize("index", [True, False, 7.0, "7", None])
+def test_closed_forms_reject_non_int_index(name, closed_form, index):
+    message = "%s must be an int, got %r" % (name, index)
+    with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+        closed_form(index)
 
 
 class TestSuperT2:
