@@ -11,6 +11,7 @@ polynomial, so values can be shared freely across threads.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import comb
 
 
@@ -306,10 +307,26 @@ def delta_spectrum(p):
 
 # -- exact division -------------------------------------------------------
 
+def _check_leading_coefficients(p, d):
+    """Raise NotDivisible unless each leading coefficient of p is divisible by d's.
+
+    By Ostrowski's theorem, Newt(r d) = Newt(r) + Newt(d), so p = r d forces
+    LT(p) = LT(r) LT(d) under every monomial order.  Checked in O(terms) under
+    the lex orders on (sa a, sq q, st t) for all signs, the standard one first.
+    """
+    for sa, sq, st in product((1, -1), repeat=3):
+        def order(k):
+            return sa * k[0], sq * k[1], st * k[2]
+        c, dc = p.terms[max(p.terms, key=order)], d.terms[max(d.terms, key=order)]
+        if c % dc:
+            raise NotDivisible("leading coefficient %d not divisible by %d" % (c, dc))
+
+
 def exact_divide(p, d):
     """Return r with r * d == p exactly, else raise NotDivisible.
 
-    Term-driven elimination: the divisor's lexicographically greatest term
+    Inputs failing _check_leading_coefficients are rejected in O(terms).
+    Then term-driven elimination: the divisor's lexicographically greatest term
     is the leading term, and the top remaining term of the remainder is
     cancelled at each step, found in a max-heap with lazy deletion (Monagan
     and Pearce, "Sparse polynomial division using a heap", J. Symbolic
@@ -328,6 +345,7 @@ def exact_divide(p, d):
         raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:
         return Poly3.zero()
+    _check_leading_coefficients(p, d)
     d_lead = max(d.terms)
     d_lead_c = d.terms[d_lead]
     la, lq, lt = d_lead

@@ -6,17 +6,17 @@ positive a-exponents and S(T(n, m)) = (n-1)(m-1).  Positive torus knots are
 obtained by mirroring, i.e. laurent.mirror.
 
 Two HOMFLY routes are provided: the classical sum over quantum factorials
-and a product form obtained by clearing denominators.  Both take their
-Gaussian binomials from one Pascal row and end in one checked division by
-q-binomials; they differ in their summands and final divisors.  The test
-suite checks them against each other and against independent references
-built on exact_divide.
+and a product form obtained by clearing denominators.  Both run through
+_binomial_sum on dense q-rows per a-exponent (t is 0 throughout): Gaussian
+binomials from one Pascal row, each two-term factor as two shifted row
+additions, then one checked division by q-binomials as running sums.  The
+test suite checks them against each other and against Poly3 references.
 """
 
 from collections import Counter
 from itertools import accumulate
 from math import gcd
-from operator import neg
+from operator import add, neg
 
 from .complexes import diff_degree
 from .laurent import (
@@ -60,34 +60,64 @@ def _t3_index(m):
 
 
 def torus_s_invariant(n, m):
-    return (n - 1) * (m - 1)
+    return (_int_arg("n", n) - 1) * (_int_arg("m", m) - 1)
+
+
+def _shift_add(row0, s, row):
+    """The q-row row0 + q^s * row, s >= 0, as a new list."""
+    out = row0 + [0] * (s + len(row) - len(row0))
+    out[s:s + len(row)] = map(add, out[s:s + len(row)], row)
+    return out
 
 
 def _gaussian_row(n):
-    """The Gaussian binomials [n, b] in q^2 for b = 0..n, by Pascal's rule
-    [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
-    row = [Poly3.one()]
+    """The Gaussian binomials [n, b] in q^2 for b = 0..n, as dense q-rows from
+    q^0, by Pascal's rule [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
+    row = [[1]]
     for k in range(1, n + 1):
-        inner = [row[b - 1] + row[b].scale_monomial(1, eq=2 * b) for b in range(1, k)]
-        row = [Poly3.one()] + inner + [Poly3.one()]
+        row = [[1]] + [_shift_add(row[b - 1], 2 * b, row[b]) for b in range(1, k)] + [[1]]
     return row
 
 
-def _divide_q_binomials(p, pairs):
-    """p / prod (q^hi - q^lo) over the (hi, lo) pairs, hi > lo, checked exact.
+def _add_row(rows, a, lo, row):
+    """Add q^lo * row into rows[a]; lists already stored are never changed."""
+    if a in rows:
+        lo0, row0 = rows[a]
+        if lo0 > lo:
+            lo0, row0, lo, row = lo, row, lo0, row0
+        lo, row = lo0, _shift_add(row0, lo - lo0, row)
+    rows[a] = (lo, row)
 
-    Each (a, t) fiber of p is a dense q-row, divided by q^lo (q^k - 1),
-    k = hi - lo, as running sums of minus the row along each residue class
-    mod k: exact if and only if the top k sums vanish.  The quotient goes in
-    lex-greatest first, as exact_divide inserts it.
+
+def _binomial_sum(n, summand):
+    """Sum over b < n of (-1)^{n-1-b} a^ea q^eq [n-1, b] prod (a^x q^y - a^u q^v),
+    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {a: (lo, q-row)}."""
+    gauss = _gaussian_row(n - 1)
+    total = {}
+    for b in range(n):
+        ea, eq, factors = summand(b)
+        rows = {ea: (eq, gauss[b] if (n - b) % 2 else list(map(neg, gauss[b])))}
+        for x, y, u, v in factors:
+            out = {}
+            for a, (lo, row) in rows.items():
+                _add_row(out, a + x, lo + y, row)
+                _add_row(out, a + u, lo + v, list(map(neg, row)))
+            rows = out
+        for a, (lo, row) in rows.items():
+            _add_row(total, a, lo, row)
+    return total
+
+
+def _divide_q_binomials(rows, pairs):
+    """The q-rows {a: (lo, row)} over prod (q^hi - q^lo), hi > lo, checked exact.
+
+    Dividing by q^lo (q^k - 1), k = hi - lo, takes running sums of minus the
+    row along each residue class mod k: exact if and only if the top k sums
+    vanish.  The quotient goes in lex-greatest first, as exact_divide would.
     """
-    fibers = {}
-    for (a, q, t), c in p.terms.items():
-        fibers.setdefault((a, t), {})[q] = c
     quo = []
-    for (a, t), fiber in fibers.items():
-        lo = min(fiber)
-        row = [fiber.get(q, 0) for q in range(lo, max(fiber) + 1)]
+    for a, (lo, row) in rows.items():
+        row = list(row)
         for hi_e, lo_e in pairs:
             k = hi_e - lo_e
             for res in range(k):
@@ -96,43 +126,9 @@ def _divide_q_binomials(p, pairs):
                 raise NotDivisible("no exact quotient by q^%d - q^%d" % (hi_e, lo_e))
             del row[-k:]
             lo -= lo_e
-        quo += [((a, lo + i, t), c) for i, c in enumerate(row) if c]
+        quo += [((a, lo + i, 0), c) for i, c in enumerate(row) if c]
     quo.sort(reverse=True)
     return Poly3._trusted(dict(quo))
-
-
-def _homfly_jones(n, m):
-    # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
-    # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
-    # classical factor [1] of the sum cancels against [n]!.
-    row = _gaussian_row(n - 1)
-    total = Poly3.zero()
-    for b in range(n):
-        e = -b * (n - 1 - b) - m * (2 * b - n + 1)
-        term = row[b].scale_monomial((-1) ** (n - 1 - b), ea=m * (n - 1), eq=e)
-        for j in range(b - n + 1, b + 1):
-            if j:
-                term = term * Poly3({(1, j, 0): 1, (-1, -j, 0): -1})
-        total = total + term
-    return _divide_q_binomials(total, [(k, -k) for k in range(2, n + 1)])
-
-
-def _homfly_product(n, m):
-    # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
-    # * prod (a^2 - q^{2j})/(1 - q^{2j}) over prod_{i<n} (q^{2i} - 1), which
-    # makes each cofactor a signed Gaussian binomial.  The sum's factor
-    # (1 - q^{-2}) cancels the divisor's q^2 - 1 up to q^{-2}.
-    row = _gaussian_row(n - 1)
-    total = Poly3.zero()
-    for b in range(n):
-        num = row[b].scale_monomial((-1) ** (n - 1 - b), eq=-2 * m * b)
-        for i in range(1, b + 1):
-            num = num * Poly3({(2, 2 * i, 0): 1, (0, 0, 0): -1})
-        for j in range(1, n - b):
-            num = num * Poly3({(2, 0, 0): 1, (0, 2 * j, 0): -1})
-        total = total + num
-    total = total.scale_monomial(1, ea=(n - 1) * (m - 1), eq=(n - 1) * (m - 1) - 2)
-    return _divide_q_binomials(total, [(0, -2 * n)] + [(2 * i, 0) for i in range(2, n)])
 
 
 def homfly_torus(n, m, form="product"):
@@ -145,9 +141,25 @@ def homfly_torus(n, m, form="product"):
     """
     n, m = torus_id(n, m)
     if form == "jones":
-        return _homfly_jones(n, m)
+        # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
+        # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
+        # classical factor [1] of the sum cancels against [n]!.
+        rows = _binomial_sum(n, lambda b: (
+            m * (n - 1), -b * (n - 1 - b) - m * (2 * b - n + 1),
+            [(1, j, -1, -j) for j in range(b - n + 1, b + 1) if j]))
+        return _divide_q_binomials(rows, [(k, -k) for k in range(2, n + 1)])
     if form == "product":
-        return _homfly_product(n, m)
+        # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
+        # * prod (a^2 - q^{2j})/(1 - q^{2j}) over prod_{i<n} (q^{2i} - 1), which
+        # makes each cofactor a signed Gaussian binomial.  The sum's factor
+        # (1 - q^{-2}) cancels the divisor's q^2 - 1 up to q^{-2}, and the whole
+        # is scaled by a^s q^{s-2}, s = (n-1)(m-1).
+        s = (n - 1) * (m - 1)
+        rows = _binomial_sum(n, lambda b: (
+            s, s - 2 - 2 * m * b,
+            [(2, 2 * i, 0, 0) for i in range(1, b + 1)]
+            + [(2, 0, 0, 2 * j) for j in range(1, n - b)]))
+        return _divide_q_binomials(rows, [(0, -2 * n)] + [(2 * i, 0) for i in range(2, n)])
     raise ValueError("form must be 'jones' or 'product', got %r" % (form,))
 
 
@@ -308,7 +320,7 @@ def khrN_unreduced_prediction(pbar, n_level):
     NotDivisible here means pbar is not a valid unreduced superpolynomial at
     this level, so the error is allowed to surface.
     """
-    if n_level < 1:
+    if _int_arg("n_level", n_level) < 1:
         raise ValueError("need N >= 1")
     specialized = monomial_substitute(pbar, sub_a=Poly3.monomial(1, 0, n_level, 0))
     return exact_divide(specialized, Poly3({(0, 1, 0): 1, (0, -1, 0): -1}))

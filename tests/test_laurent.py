@@ -17,6 +17,7 @@ from superpoly.laurent import (
     ParseError,
     Poly3,
     YExpansion,
+    _check_leading_coefficients,
     _y_power,
     at_a_inv_t,
     at_t_minus_one,
@@ -306,13 +307,15 @@ class TestSubstitution:
 def reference_exact_divide(p, d):
     """The division as it was before the heap: max(rem) once per quotient term.
 
-    Same leading terms, box bound and errors as exact_divide, so quotients
-    (their term order included) and NotDivisible texts compare exactly.
+    Same leading-coefficient check, leading terms, box bound and errors as
+    exact_divide, so quotients (their term order included) and NotDivisible
+    texts compare exactly.
     """
     if not d.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:
         return Poly3.zero()
+    _check_leading_coefficients(p, d)
     d_lead = max(d.terms)
     d_lead_c = d.terms[d_lead]
     p_keys = list(p.terms)
@@ -447,8 +450,12 @@ class TestExactDivide:
             ),
             # The first candidate, q / t, is one below the box in t, but lex
             # between its corners 1 and q: packed, it would look boxed, and
-            # the next step would fail on the coefficient -1 instead.
-            (parse_poly("2*q + t"), parse_poly("1 + 2*t"), ESCAPED),
+            # the next step would fail on the coefficient -1 instead.  Under the
+            # order that puts the least q-exponent first, t leads p and 2*t
+            # leads d, so the leading-coefficient check rejects it first.
+            pytest.param(parse_poly("2*q + t"), parse_poly("1 + 2*t"),
+                         "NotDivisible: leading coefficient 1 not divisible by 2",
+                         id="p4-d4-leading-coefficient"),
         ],
     )
     def test_packing_edge_cases(self, p, d, outcome):
@@ -468,6 +475,20 @@ class TestExactDivide:
                 divide(parse_poly(num), parse_poly(den))
             assert str(err.value) == message
 
+    def test_wide_quotient_box_is_rejected_at_once(self):
+        # Found by test_wide_outcomes_match_reference at --hypothesis-seed=33:
+        # d's lex-leading coefficient is 1, and the quotient box spans about
+        # 10**12 on every axis, so the heap division alone runs out of memory.
+        # Under the order that puts the least a-exponent first, 1 leads p and
+        # -7 leads d.
+        p = parse_poly("a^-2992974687*q^272*t^2063 + a^524288*q^-1000000000000*t^3"
+                       " - a^34359738369*q^-2*t^-1000000000000")
+        d = parse_poly("-7*a^-78951*q^-1246033*t + 3*a^-71600*t^-3 + 8*a^-3"
+                       " - 2*a^-3*q^3*t^2 + q^493*t^-64701693")
+        for divide in (exact_divide, reference_exact_divide):
+            assert divide_outcome(divide, p, d) == (
+                "NotDivisible: leading coefficient 1 not divisible by -7")
+
     @pytest.mark.parametrize("p, d", [(Poly3.one(), 3), (3, Poly3.one()), (P_T23, "q")])
     def test_foreign_operand_is_a_type_error(self, p, d):
         with pytest.raises(TypeError):
@@ -479,10 +500,10 @@ class TestExactDivide:
         got = [homfly_torus(n, m, form) for n, m in pairs]
         divisors = []
 
-        def divide_by_product(p, binomials):
+        def divide_by_product(rows, binomials):
             d = q_binomial_product(binomials)
             divisors.append(d)
-            return reference_exact_divide(p, d)
+            return reference_exact_divide(rows_to_poly(rows), d)
 
         monkeypatch.setattr(torus, "_divide_q_binomials", divide_by_product)
         want = [homfly_torus(n, m, form) for n, m in pairs]
@@ -498,6 +519,29 @@ def q_binomial_product(binomials):
     for hi, lo in binomials:
         d = d * Poly3({(0, hi, 0): 1, (0, lo, 0): -1})
     return d
+
+
+def rows_to_poly(rows):
+    """The Poly3 of q-rows {a: (lo, row)}, at t^0."""
+    return Poly3({(a, lo + i, 0): c for a, (lo, row) in rows.items() for i, c in enumerate(row)})
+
+
+def poly_to_rows(p):
+    """{t: {a: (lo, dense q-row)}}: p split into the q-rows of each t."""
+    fibers = {}
+    for (a, q, t), c in p.terms.items():
+        fibers.setdefault(t, {}).setdefault(a, {})[q] = c
+    return {t: {a: (min(f), [f.get(q, 0) for q in range(min(f), max(f) + 1)])
+                for a, f in by_a.items()} for t, by_a in fibers.items()}
+
+
+def divide_rows_per_t(p, binomials):
+    """p over the q-binomials, one _divide_q_binomials call per t; lex-greatest first."""
+    quo = []
+    for t, rows in poly_to_rows(p).items():
+        part = torus._divide_q_binomials(rows, binomials)
+        quo += [((a, q, t), c) for (a, q, _), c in part.terms.items()]
+    return Poly3(dict(sorted(quo, reverse=True)))
 
 
 def q_binomial_outcome(divide, p, binomials):
@@ -524,7 +568,7 @@ class TestQBinomialDivision:
     @settings(max_examples=300, deadline=None)
     def test_quotient_matches_exact_divide(self, p, binomials):
         product = p * q_binomial_product(binomials)
-        got = q_binomial_outcome(torus._divide_q_binomials, product, binomials)
+        got = q_binomial_outcome(divide_rows_per_t, product, binomials)
         assert got == sorted(p.terms.items(), reverse=True)
         assert got == q_binomial_outcome(divide_by_heap, product, binomials)
 
@@ -538,8 +582,20 @@ class TestQBinomialDivision:
         if nudge and product.terms:
             keys = list(product.terms)
             perturbed = perturbed + Poly3.monomial(delta, *keys[pick % len(keys)])
-        assert q_binomial_outcome(torus._divide_q_binomials, perturbed, binomials) == (
+        assert q_binomial_outcome(divide_rows_per_t, perturbed, binomials) == (
             q_binomial_outcome(divide_by_heap, perturbed, binomials))
+
+    @given(polys, q_binomials, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_padding_zeros_and_input_rows_are_kept(self, p, binomials, before, after):
+        rows = {a: (lo - before, [0] * before + row + [0] * after)
+                for a, (lo, row) in poly_to_rows(p * q_binomial_product(binomials)).get(
+                    0, {}).items()}
+        copies = {a: (lo, list(row)) for a, (lo, row) in rows.items()}
+        got = torus._divide_q_binomials(rows, binomials)
+        assert rows == copies
+        assert list(got.terms.items()) == sorted(
+            ((k, c) for k, c in p.terms.items() if k[2] == 0), reverse=True)
 
     @pytest.mark.parametrize("p, binomials", [
         ("1", [(1, -1)]),  # shorter than the divisor
@@ -549,12 +605,12 @@ class TestQBinomialDivision:
     ])
     def test_not_divisible(self, p, binomials):
         with pytest.raises(NotDivisible, match="no exact quotient by q"):
-            torus._divide_q_binomials(parse_poly(p), binomials)
+            divide_rows_per_t(parse_poly(p), binomials)
         with pytest.raises(NotDivisible):
             divide_by_heap(parse_poly(p), binomials)
 
     def test_zero_dividend(self):
-        assert torus._divide_q_binomials(Poly3.zero(), [(3, 1)]).terms == {}
+        assert torus._divide_q_binomials({}, [(3, 1)]).terms == {}
 
     @pytest.mark.parametrize("n", range(13))
     def test_gaussian_row_is_the_factorial_quotient(self, n):
@@ -564,7 +620,36 @@ class TestQBinomialDivision:
         row = torus._gaussian_row(n)
         assert len(row) == n + 1
         for b, binomial in enumerate(row):
-            assert binomial == exact_divide(factorial(n), factorial(b) * factorial(n - b)), b
+            assert len(binomial) == 2 * b * (n - b) + 1, b
+            assert rows_to_poly({0: (0, binomial)}) == exact_divide(
+                factorial(n), factorial(b) * factorial(n - b)), b
+
+
+def reference_binomial_sum(n, summand):
+    """The β-sum as it was: each summand a Poly3, times each factor a Poly3."""
+    total = Poly3.zero()
+    for b, binomial in enumerate(torus._gaussian_row(n - 1)):
+        ea, eq, factors = summand(b)
+        term = rows_to_poly({0: (0, binomial)}).scale_monomial((-1) ** (n - 1 - b), ea=ea, eq=eq)
+        for x, y, u, v in factors:
+            term = term * (Poly3.monomial(1, x, y) - Poly3.monomial(1, u, v))
+        total = total + term
+    return total
+
+
+small = st.integers(-4, 4)
+summands = st.lists(
+    st.tuples(small, small, st.lists(st.tuples(small, small, small, small), max_size=4)),
+    min_size=7, max_size=7,
+)
+
+
+class TestBinomialSum:
+    @given(st.integers(2, 7), summands)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_poly3_summand_loop(self, n, table):
+        rows = torus._binomial_sum(n, table.__getitem__)
+        assert rows_to_poly(rows) == reference_binomial_sum(n, table.__getitem__)
 
 
 Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})

@@ -32,6 +32,7 @@ from superpoly.torus import (
     t2_series_assembly,
     t3_reduction_terms,
     torus_id,
+    torus_s_invariant,
     unreduce,
 )
 
@@ -199,6 +200,22 @@ def test_closed_forms_reject_non_int_index(name, closed_form, index):
     message = "%s must be an int, got %r" % (name, index)
     with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
         closed_form(index)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+def test_s_invariant_and_slN_prediction_reject_non_int(bad):
+    for name, call in (
+        ("n", lambda: torus_s_invariant(bad, 4)),
+        ("m", lambda: torus_s_invariant(3, bad)),
+        ("n_level", lambda: khrN_unreduced_prediction(P_T23, bad)),
+    ):
+        message = "%s must be an int, got %r" % (name, bad)
+        with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+            call()
+
+
+def test_s_invariant_of_int_pairs():
+    assert torus_s_invariant(2, 3) == 2 and torus_s_invariant(3, 7) == 12
 
 
 class TestSuperT2:
