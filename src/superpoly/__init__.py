@@ -15,6 +15,7 @@ from .laurent import (
     OddExponent,
     ParseError,
     Poly3,
+    TooLarge,
     YExpansion,
     at_a_inv_t,
     at_a_one,

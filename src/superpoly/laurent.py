@@ -10,9 +10,9 @@ Instances are immutable after construction; every operation returns a new
 polynomial, so values can be shared freely across threads.
 """
 
-from heapq import heapify, heappop, heappush
-from itertools import product
-from math import comb
+from itertools import accumulate
+from math import comb, gcd
+from operator import add, neg, sub
 
 
 class LaurentError(Exception):
@@ -38,6 +38,10 @@ class OddExponent(LaurentError):
 
 class TooManyDigits(LaurentError, ValueError):
     """A coefficient is past the interpreter's int-to-str digit limit."""
+
+
+class TooLarge(LaurentError, ValueError):
+    """The work an operation would do is past an internal limit."""
 
 
 class ParseError(LaurentError):
@@ -307,84 +311,73 @@ def delta_spectrum(p):
 
 # -- exact division -------------------------------------------------------
 
-def _check_leading_coefficients(p, d):
-    """Raise NotDivisible unless each leading coefficient of p is divisible by d's.
+# Dense row entries one exact_divide call may build (HOMFLY at T(35, 36): a few thousand).
+WORK_CAP = 10 ** 6
 
-    By Ostrowski's theorem, Newt(r d) = Newt(r) + Newt(d), so p = r d forces
-    LT(p) = LT(r) LT(d) under every monomial order.  Checked in O(terms) under
-    the lex orders on (sa a, sq q, st t) for all signs, the standard one first.
+
+def _divide_rows(rows, e, steps):
+    """Rows {base: (lo, row)} along e over prod (x^(g e) - c), (g, c) in steps.
+
+    row[j] is the coefficient at base + (lo + j) e.  Dividing by X^g - c
+    solves q_j = c (q_{j-g} - r_j) up each residue class mod g as a running
+    sum: exact iff the top g entries vanish.  Input lists are left unchanged,
+    and the quotient goes in lex-greatest first."""
+    e0, e1, e2 = e
+    quo = []
+    for (b0, b1, b2), (lo, row) in rows.items():
+        row = list(row)
+        for g, c in steps:
+            for res in range(min(g, len(row))):
+                row[res::g] = (accumulate(map(neg, row[res::g])) if c > 0
+                               else accumulate(row[res::g], lambda q, r: r - q))
+            if any(row[-g:]):  # also when the row is shorter than g
+                raise NotDivisible("not divisible by x^%s %+d" % ((g * e0, g * e1, g * e2), -c))
+            del row[-g:]
+        quo += [((b0 + k * e0, b1 + k * e1, b2 + k * e2), x) for k, x in enumerate(row, lo) if x]
+    quo.sort(reverse=True)
+    return Poly3._trusted(dict(quo))
+
+
+def exact_divide(p, d, *more):
+    """Return r with r * d * more[0] * ... == p exactly, else raise NotDivisible.
+
+    Every divisor must be a unit binomial +-x^w (x^(g e) - c), c = +-1, e
+    primitive and lex-positive, else ValueError.  Along each e, p's terms go
+    into a dense row per coset of Z e: k sits at pos = k_i // e_i, i the
+    first axis with e_i != 0, in the row at base = k - pos e.  Past WORK_CAP
+    entries in all, rows are only tested at the roots, X^g = c: NotDivisible
+    unless each signed sum per residue class mod g vanishes, else TooLarge.
     """
-    for sa, sq, st in product((1, -1), repeat=3):
-        def order(k):
-            return sa * k[0], sq * k[1], st * k[2]
-        c, dc = p.terms[max(p.terms, key=order)], d.terms[max(d.terms, key=order)]
-        if c % dc:
-            raise NotDivisible("leading coefficient %d not divisible by %d" % (c, dc))
-
-
-def exact_divide(p, d):
-    """Return r with r * d == p exactly, else raise NotDivisible.
-
-    Inputs failing _check_leading_coefficients are rejected in O(terms).
-    Then term-driven elimination: the divisor's lexicographically greatest term
-    is the leading term, and the top remaining term of the remainder is
-    cancelled at each step, found in a max-heap with lazy deletion (Monagan
-    and Pearce, "Sparse polynomial division using a heap", J. Symbolic
-    Comput. 46, 2011).  For an exact quotient, the extreme monomials of a
-    product cannot cancel, so the quotient's support lies in the box
-    [min(p)-min(d), max(p)-max(d)]; a candidate term outside it proves
-    non-divisibility, which also bounds the loop.  Hence every remainder
-    key lies in p's box [min(p), max(p)], where it is packed into one
-    mixed-radix int: the int order is the lex order, and a divisor term
-    adds a fixed offset.  Popped keys are decoded and boxed on their true
-    exponents, since a packed sum could wrap back into the box.
-    """
-    if not (isinstance(p, Poly3) and isinstance(d, Poly3)):
-        raise TypeError("exact_divide needs two Poly3 operands")
-    if not d.terms:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p.terms:
-        return Poly3.zero()
-    _check_leading_coefficients(p, d)
-    d_lead = max(d.terms)
-    d_lead_c = d.terms[d_lead]
-    la, lq, lt = d_lead
-    lo, hi = ([f(k[i] for k in p.terms) for i in range(3)] for f in (min, max))
-    box_lo = [lo[i] - min(k[i] for k in d.terms) for i in range(3)]
-    box_hi = [hi[i] - max(k[i] for k in d.terms) for i in range(3)]
-    wt = hi[2] - lo[2] + 1
-    wqt = (hi[1] - lo[1] + 1) * wt
-    d_offsets = [((a - la) * wqt + (q - lq) * wt + t - lt, c) for (a, q, t), c in d.terms.items()]
-    rem = {(a - lo[0]) * wqt + (q - lo[1]) * wt + t - lo[2]: c for (a, q, t), c in p.terms.items()}
-    heap = [-k for k in rem]
-    heapify(heap)
-    quo = {}
-    while rem:
-        k = -heappop(heap)
-        c = rem.get(k)
-        if c is None:
-            continue
-        if c % d_lead_c:
-            raise NotDivisible("leading coefficient %d not divisible by %d" % (c, d_lead_c))
-        ka, kq = divmod(k, wqt)
-        kq, kt = divmod(kq, wt)
-        key = (lo[0] + ka - la, lo[1] + kq - lq, lo[2] + kt - lt)
-        if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
-            raise NotDivisible("no exact quotient (support escaped the feasible box)")
-        cq = c // d_lead_c
-        quo[key] = cq
-        for off, dc in d_offsets:
-            k2 = k + off
-            old = rem.get(k2)
-            v = cq * dc
-            if old is None:
-                rem[k2] = -v
-                heappush(heap, -k2)
-            elif old == v:
-                del rem[k2]
-            else:
-                rem[k2] = old - v
-    return Poly3._trusted(quo)
+    if not all(isinstance(x, Poly3) for x in (p, d) + more):
+        raise TypeError("exact_divide needs Poly3 operands")
+    groups, sign, w, built = {}, 1, (0, 0, 0), 0
+    for f in (d,) + more:
+        if len(f.terms) != 2 or any(c not in (1, -1) for c in f.terms.values()):
+            raise ValueError("divisor %s is not a unit binomial" % format_poly(f))
+        (fw, c0), (top, c1) = sorted(f.terms.items())
+        g = gcd(*map(sub, top, fw))
+        groups.setdefault(tuple((x - y) // g for x, y in zip(top, fw)), []).append((g, -c0 * c1))
+        sign, w = sign * c1, tuple(map(add, w, fw))
+    quo = Poly3._trusted({tuple(map(sub, k, w)): sign * c for k, c in p.terms.items()})
+    for e, steps in groups.items():
+        i = next(i for i, x in enumerate(e) if x)
+        rows = {}
+        for k, c in quo.terms.items():
+            pos = k[i] // e[i]
+            rows.setdefault((k[0] - pos * e[0], k[1] - pos * e[1], k[2] - pos * e[2]), {})[pos] = c
+        built += sum(max(f) - min(f) + 1 for f in rows.values())
+        if built > WORK_CAP:
+            for g, c in steps:
+                sums = {}
+                for b, f in rows.items():
+                    for pos, x in f.items():
+                        sums[b, pos % g] = sums.get((b, pos % g), 0) + x * c ** (pos // g % 2)
+                if any(sums.values()):
+                    raise NotDivisible("not divisible by x^%s %+d" % (tuple(g * x for x in e), -c))
+            raise TooLarge("division needs %d dense row entries, past %d" % (built, WORK_CAP))
+        quo = _divide_rows({b: (min(f), [f.get(j, 0) for j in range(min(f), max(f) + 1)])
+                            for b, f in rows.items()}, e, steps)
+    return quo
 
 
 # -- genus expansion ------------------------------------------------------

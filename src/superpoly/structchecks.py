@@ -54,7 +54,7 @@ class ThinResult:
         self.squares_q = squares_q
 
 
-SQUARE_FACTOR = (1 + Poly3.monomial(1, -2, 2, -1)) * (1 + Poly3.monomial(1, -2, -2, -3))
+SQUARE_FACTOR = (1 + Poly3.monomial(1, -2, 2, -1), 1 + Poly3.monomial(1, -2, -2, -3))
 
 
 def sawtooth_poly(s_inv):
@@ -96,7 +96,7 @@ def thin_super(homfly, s_inv):
         )
     remainder = poly - sawtooth_poly(s_inv)
     try:
-        squares = exact_divide(remainder, SQUARE_FACTOR)
+        squares = exact_divide(remainder, *SQUARE_FACTOR)
     except NotDivisible as exc:
         raise NotDecomposable("squares quotient is inexact: %s" % exc)
     if not positivity_and_alternation(squares, "nonneg"):
@@ -127,7 +127,7 @@ def _pairing(p, survivor_of_s, binomial, survivor_name):
             quotient = exact_divide(p - survivor, binomial)
         except NotDivisible as exc:
             if first_error is None:
-                first_error = NotDivisible(
+                first_error = NotDecomposable(
                     "remainder after %s survivor S=%d: %s" % (survivor_name, s_inv, exc)
                 )
             continue
@@ -212,9 +212,8 @@ def thin_quotient_test(homfly, s_inv):
     target = homfly - at_t_minus_one(sawtooth_poly(s_inv))
     outcomes = {}
     for name, exp in (("positive", 2), ("negative", -2)):
-        divisor = (1 - Poly3.monomial(1, exp, 2, 0)) * (1 - Poly3.monomial(1, exp, -2, 0))
         try:
-            quotient = exact_divide(target, divisor)
+            quotient = exact_divide(target, *(1 - Poly3.monomial(1, exp, e, 0) for e in (2, -2)))
         except NotDivisible:
             outcomes[name] = False
             continue

@@ -9,19 +9,18 @@ Two HOMFLY routes are provided: the classical sum over quantum factorials
 and a product form obtained by clearing denominators.  Both run through
 _binomial_sum on dense q-rows per a-exponent (t is 0 throughout): Gaussian
 binomials from one Pascal row, each two-term factor as two shifted row
-additions, then one checked division by q-binomials as running sums.  The
-test suite checks them against each other and against Poly3 references.
+additions, then laurent._divide_rows, exact_divide's running sums, on the
+rows as they are.  Tests check both against each other and Poly3 references.
 """
 
 from collections import Counter
-from itertools import accumulate
 from math import gcd
 from operator import add, neg
 
 from .complexes import diff_degree
 from .laurent import (
-    NotDivisible,
     Poly3,
+    _divide_rows,
     exact_divide,
     monomial_substitute,
     q_inverse,
@@ -91,7 +90,7 @@ def _add_row(rows, a, lo, row):
 
 def _binomial_sum(n, summand):
     """Sum over b < n of (-1)^{n-1-b} a^ea q^eq [n-1, b] prod (a^x q^y - a^u q^v),
-    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {a: (lo, q-row)}."""
+    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {(a, 0, 0): (lo, q-row)}."""
     gauss = _gaussian_row(n - 1)
     total = {}
     for b in range(n):
@@ -104,62 +103,40 @@ def _binomial_sum(n, summand):
                 _add_row(out, a + u, lo + v, list(map(neg, row)))
             rows = out
         for a, (lo, row) in rows.items():
-            _add_row(total, a, lo, row)
+            _add_row(total, (a, 0, 0), lo, row)
     return total
-
-
-def _divide_q_binomials(rows, pairs):
-    """The q-rows {a: (lo, row)} over prod (q^hi - q^lo), hi > lo, checked exact.
-
-    Dividing by q^lo (q^k - 1), k = hi - lo, takes running sums of minus the
-    row along each residue class mod k: exact if and only if the top k sums
-    vanish.  The quotient goes in lex-greatest first, as exact_divide would.
-    """
-    quo = []
-    for a, (lo, row) in rows.items():
-        row = list(row)
-        for hi_e, lo_e in pairs:
-            k = hi_e - lo_e
-            for res in range(k):
-                row[res::k] = accumulate(map(neg, row[res::k]))
-            if any(row[-k:]):  # also when the row is shorter than k
-                raise NotDivisible("no exact quotient by q^%d - q^%d" % (hi_e, lo_e))
-            del row[-k:]
-            lo -= lo_e
-        quo += [((a, lo + i, 0), c) for i, c in enumerate(row) if c]
-    quo.sort(reverse=True)
-    return Poly3._trusted(dict(quo))
 
 
 def homfly_torus(n, m, form="product"):
     """Normalized HOMFLY polynomial of T(n, m).
 
     form 'jones' evaluates the quantum-factorial sum; form 'product' clears
-    denominators in the equivalent product expression.  Both are exact; a
-    failed division would raise NotDivisible, which for valid (n, m) would
-    indicate an implementation bug and is never swallowed.
+    denominators in the equivalent product expression.  Both are exact and
+    end in laurent._divide_rows on q^{2k} - 1 factors; a NotDivisible there
+    would indicate an implementation bug for valid (n, m) and is never swallowed.
     """
     n, m = torus_id(n, m)
     if form == "jones":
         # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
         # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
-        # classical factor [1] of the sum cancels against [n]!.
+        # classical factor [1] of the sum cancels against [n]!, and each
+        # q^k - q^{-k} = q^{-k} (q^{2k} - 1) of it lifts the sum by q^k.
         rows = _binomial_sum(n, lambda b: (
-            m * (n - 1), -b * (n - 1 - b) - m * (2 * b - n + 1),
+            m * (n - 1), n * (n + 1) // 2 - 1 - b * (n - 1 - b) - m * (2 * b - n + 1),
             [(1, j, -1, -j) for j in range(b - n + 1, b + 1) if j]))
-        return _divide_q_binomials(rows, [(k, -k) for k in range(2, n + 1)])
+        return _divide_rows(rows, (0, 1, 0), [(2 * k, 1) for k in range(2, n + 1)])
     if form == "product":
         # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
         # * prod (a^2 - q^{2j})/(1 - q^{2j}) over prod_{i<n} (q^{2i} - 1), which
         # makes each cofactor a signed Gaussian binomial.  The sum's factor
         # (1 - q^{-2}) cancels the divisor's q^2 - 1 up to q^{-2}, and the whole
-        # is scaled by a^s q^{s-2}, s = (n-1)(m-1).
+        # is scaled by a^s q^{s-2}, s = (n-1)(m-1), and q^{2n} for 1 - q^{-2n}.
         s = (n - 1) * (m - 1)
         rows = _binomial_sum(n, lambda b: (
-            s, s - 2 - 2 * m * b,
+            s, s - 2 + 2 * n - 2 * m * b,
             [(2, 2 * i, 0, 0) for i in range(1, b + 1)]
             + [(2, 0, 0, 2 * j) for j in range(1, n - b)]))
-        return _divide_q_binomials(rows, [(0, -2 * n)] + [(2 * i, 0) for i in range(2, n)])
+        return _divide_rows(rows, (0, 1, 0), [(2 * n, 1)] + [(2 * i, 1) for i in range(2, n)])
     raise ValueError("form must be 'jones' or 'product', got %r" % (form,))
 
 
@@ -298,7 +275,7 @@ def unreduce(cp, s_inv):
 
     (a - a^{-1}) (a/q)^S + (q^{-1} + a^2 q^{-1} t)(a q^{-1} - a^{-1} q) Q+,
     where Q+ is the positive remainder of the one-step pairing; the pairing
-    failure (DecompositionFailed via pattern_plus) propagates.
+    failure (NoSurvivor, NotDecomposable or NegativeQuotient) propagates.
     """
     from .structchecks import pattern_plus
 
@@ -318,7 +295,7 @@ def khrN_unreduced_prediction(pbar, n_level):
     """Unreduced sl(N) Poincare prediction: pbar(a = q^N) / (q - q^{-1}).
 
     NotDivisible here means pbar is not a valid unreduced superpolynomial at
-    this level, so the error is allowed to surface.
+    this level, so the error is allowed to surface, as is TooLarge.
     """
     if _int_arg("n_level", n_level) < 1:
         raise ValueError("need N >= 1")

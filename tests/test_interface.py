@@ -152,6 +152,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == 1
 
+    def test_check_names_the_row_a_pairing_fails_on(self, tmp_path, capsys):
+        path = tmp_path / "one.tsv"
+        path.write_text("X\t0\t0\t1\t\t\t1 + a^2*q^-2*t^2 + a^2*q^-2*t\n")
+        assert main(["check", "--dataset", str(path), "--only", "patterns"]) == 1
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "FAIL patterns: X: remainder after plus survivor S=0: not divisible by x^(2, -2, 1) +1")
+
     def test_check_empty_table_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.tsv"
         path.write_text("# nothing here\n\n")

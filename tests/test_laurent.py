@@ -1,13 +1,18 @@
 """Core exact-arithmetic layer: ring ops, substitution, division, rewriting."""
 
 import re
+import signal
 import sys
+from contextlib import contextmanager
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superpoly import torus
+from heap_division import _check_leading_coefficients, exact_divide as heap_exact_divide
+from superpoly import laurent, torus
+from superpoly.cli import main
 from superpoly.dataset import load_dataset
 from superpoly.laurent import (
     LaurentError,
@@ -16,8 +21,9 @@ from superpoly.laurent import (
     OddExponent,
     ParseError,
     Poly3,
+    TooLarge,
     YExpansion,
-    _check_leading_coefficients,
+    _divide_rows,
     _y_power,
     at_a_inv_t,
     at_t_minus_one,
@@ -31,7 +37,7 @@ from superpoly.laurent import (
     y_rewrite,
 )
 from superpoly.stable import stable_homfly, stable_khr2_closed, stable_super
-from superpoly.torus import homfly_torus, super_t2, super_t3
+from superpoly.torus import homfly_torus, khrN_unreduced_prediction, super_t2, super_t3
 
 P_T23 = parse_poly("a^2*q^-2 + a^2*q^2 - a^4")
 SUPER_T23 = parse_poly("a^2*q^-2 + a^2*q^2*t^2 + a^4*t^3")
@@ -133,12 +139,12 @@ class TestTrustedResults:
         assert_canonical(p.scale_monomial(0, 1), p)
         assert_canonical(monomial_substitute(p, sub_a=mono(-1, 0, 2, 0), sub_t=-1), p)
         assert_canonical(parse_poly(format_poly(p)))
-        if q.terms:
-            assert_canonical(exact_divide(p * q, q), p, q)
+        d = mono(1, 1, -2, 1) - mono(1, 0, 1, -1)
+        assert_canonical(exact_divide(p * d, d), p, d)
 
     def test_cancelling_sum_is_canonical(self):
         assert_canonical(P_T23 - P_T23, P_T23)
-        assert_canonical(exact_divide(Poly3.zero(), P_T23))
+        assert_canonical(exact_divide(Poly3.zero(), mono(1, 0, 1) - 1))
 
 
 def reference_mul(self, other):
@@ -308,8 +314,8 @@ def reference_exact_divide(p, d):
     """The division as it was before the heap: max(rem) once per quotient term.
 
     Same leading-coefficient check, leading terms, box bound and errors as
-    exact_divide, so quotients (their term order included) and NotDivisible
-    texts compare exactly.
+    the heap division, so quotients (their term order included) and
+    NotDivisible texts compare exactly.
     """
     if not d.terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -372,13 +378,18 @@ wide_perturbations = st.lists(
 
 
 class TestExactDivide:
+    """exact_divide's contract, and the heap division (the tests' reference for
+    general divisors) against the division it replaced."""
+
     def test_binomial(self):
         num = mono(1, 2) - mono(1, -2)
         den = mono(1, 1) - mono(1, -1)
         assert exact_divide(num, den) == mono(1, 1) + mono(1, -1)
 
     def test_monomial_inverse(self):
-        assert exact_divide(Poly3.one(), mono(1, 0, 2, 0)) == mono(1, 0, -2, 0)
+        assert heap_exact_divide(Poly3.one(), mono(1, 0, 2, 0)) == mono(1, 0, -2, 0)
+        with pytest.raises(ValueError, match="is not a unit binomial"):
+            exact_divide(Poly3.one(), mono(1, 0, 2, 0))
 
     def test_unreduced_round_trip(self):
         # P-bar = P (a - a^{-1})/(q - q^{-1}); rebuild and divide back.
@@ -393,6 +404,8 @@ class TestExactDivide:
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
+            heap_exact_divide(Poly3.one(), Poly3.zero())
+        with pytest.raises(ValueError, match="divisor 0 is not a unit binomial"):
             exact_divide(Poly3.one(), Poly3.zero())
 
     @given(polys, polys)
@@ -400,17 +413,17 @@ class TestExactDivide:
     def test_multiply_then_divide(self, p, d):
         if not d.terms:
             return
-        assert exact_divide(p * d, d) == p
+        assert heap_exact_divide(p * d, d) == p
 
     @given(polys, nonzero_polys, perturbations)
     @settings(max_examples=300, deadline=None)
     def test_outcomes_match_reference(self, p, d, perturbation):
         product = p * d
-        assert divide_outcome(exact_divide, product, d) == divide_outcome(
+        assert divide_outcome(heap_exact_divide, product, d) == divide_outcome(
             reference_exact_divide, product, d
         )
         perturbed = product + Poly3({(a, q, t): c for a, q, t, c in perturbation})
-        assert divide_outcome(exact_divide, perturbed, d) == divide_outcome(
+        assert divide_outcome(heap_exact_divide, perturbed, d) == divide_outcome(
             reference_exact_divide, perturbed, d
         )
 
@@ -419,14 +432,14 @@ class TestExactDivide:
     @settings(max_examples=300, deadline=None)
     def test_wide_outcomes_match_reference(self, p, d, perturbation, pick, delta):
         product = p * d
-        assert divide_outcome(exact_divide, product, d) == divide_outcome(
+        assert divide_outcome(heap_exact_divide, product, d) == divide_outcome(
             reference_exact_divide, product, d
         )
         if product.terms:
             keys = list(product.terms)
             perturbation = perturbation + [(keys[pick % len(keys)], delta)]
         perturbed = product + Poly3(dict(perturbation))
-        assert divide_outcome(exact_divide, perturbed, d) == divide_outcome(
+        assert divide_outcome(heap_exact_divide, perturbed, d) == divide_outcome(
             reference_exact_divide, perturbed, d
         )
 
@@ -459,7 +472,7 @@ class TestExactDivide:
         ],
     )
     def test_packing_edge_cases(self, p, d, outcome):
-        for divide in (exact_divide, reference_exact_divide):
+        for divide in (heap_exact_divide, reference_exact_divide):
             assert divide_outcome(divide, p, d) == outcome
 
     @pytest.mark.parametrize(
@@ -470,7 +483,7 @@ class TestExactDivide:
         ],
     )
     def test_not_divisible_messages(self, num, den, message):
-        for divide in (exact_divide, reference_exact_divide):
+        for divide in (heap_exact_divide, reference_exact_divide):
             with pytest.raises(NotDivisible) as err:
                 divide(parse_poly(num), parse_poly(den))
             assert str(err.value) == message
@@ -485,7 +498,7 @@ class TestExactDivide:
                        " - a^34359738369*q^-2*t^-1000000000000")
         d = parse_poly("-7*a^-78951*q^-1246033*t + 3*a^-71600*t^-3 + 8*a^-3"
                        " - 2*a^-3*q^3*t^2 + q^493*t^-64701693")
-        for divide in (exact_divide, reference_exact_divide):
+        for divide in (heap_exact_divide, reference_exact_divide):
             assert divide_outcome(divide, p, d) == (
                 "NotDivisible: leading coefficient 1 not divisible by -7")
 
@@ -500,17 +513,206 @@ class TestExactDivide:
         got = [homfly_torus(n, m, form) for n, m in pairs]
         divisors = []
 
-        def divide_by_product(rows, binomials):
-            d = q_binomial_product(binomials)
+        def divide_by_product(rows, e, steps):
+            assert e == (0, 1, 0) and all(c == 1 for _, c in steps)
+            d = q_binomial_product([(g, 0) for g, _ in steps])
             divisors.append(d)
             return reference_exact_divide(rows_to_poly(rows), d)
 
-        monkeypatch.setattr(torus, "_divide_q_binomials", divide_by_product)
+        monkeypatch.setattr(torus, "_divide_rows", divide_by_product)
         want = [homfly_torus(n, m, form) for n, m in pairs]
         assert len(divisors) == len(pairs)
         for (n, m), g, r in zip(pairs, got, want):
             assert format_poly(g) == format_poly(r), (n, m)
             assert list(g.terms.items()) == list(r.terms.items()), (n, m)
+
+
+def product_of(factors):
+    d = Poly3.one()
+    for f in factors:
+        d = d * f
+    return d
+
+
+def chain_outcome(p, factors):
+    """exact_divide's quotient items in insertion order, or None for NotDivisible."""
+    try:
+        return list(exact_divide(p, *factors).terms.items())
+    except NotDivisible:
+        return None
+
+
+def heap_outcome(p, factors):
+    """The same from the heap division by the product of the factors."""
+    try:
+        return list(heap_exact_divide(p, product_of(factors)).terms.items())
+    except NotDivisible:
+        return None
+
+
+signs = st.sampled_from([1, -1])
+# A factor is c1 x^w + c2 x^(w + v).  Steps along three shared directions make
+# factors of one direction with different steps common; any small v is allowed.
+binomial_steps = st.one_of(
+    st.tuples(st.sampled_from([(0, 1, 0), (1, -1, 0), (1, 2, -3)]),
+              st.integers(-3, 3).filter(bool)).map(lambda eg: tuple(eg[1] * x for x in eg[0])),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+)
+unit_binomials = st.builds(
+    lambda w, v, c1, c2: Poly3({w: c1, tuple(map(add, w, v)): c2}),
+    st.tuples(exponents, exponents, exponents), binomial_steps, signs, signs,
+)
+# One to four factors; the last repeats the first when the flag is set.
+binomial_lists = st.tuples(st.lists(unit_binomials, min_size=1, max_size=3), st.booleans()).map(
+    lambda fr: fr[0] + fr[0][:1] * fr[1])
+# Wide steps: any wide vector, or a small direction times a small step or one
+# past WORK_CAP.  Steps just under the cap are left out, since each such row
+# takes about a second to divide.
+wide_steps = st.one_of(
+    wide_keys.filter(any),
+    st.tuples(binomial_steps, st.one_of(st.integers(1, 50), st.integers(10**9, 10**12))).map(
+        lambda vg: tuple(vg[1] * x for x in vg[0])),
+)
+wide_unit_binomials = st.builds(
+    lambda w, v, c1, c2: Poly3({w: c1, tuple(map(add, w, v)): c2}),
+    wide_keys, wide_steps, signs, signs,
+)
+
+
+class TestBinomialChains:
+    @given(polys, binomial_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_products_match_the_heap(self, p, factors):
+        product = p * product_of(factors)
+        got = chain_outcome(product, factors)
+        assert got == sorted(p.terms.items(), reverse=True)
+        assert got == heap_outcome(product, factors)
+
+    @given(polys, binomial_lists, perturbations, st.integers(0, 24),
+           st.integers(-3, 3).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_products_match_the_heap(self, p, factors, perturbation, pick, delta):
+        product = p * product_of(factors)
+        perturbed = product + Poly3({(a, q, t): c for a, q, t, c in perturbation})
+        if product.terms:
+            keys = list(product.terms)
+            perturbed = perturbed + Poly3.monomial(delta, *keys[pick % len(keys)])
+        assert chain_outcome(perturbed, factors) == heap_outcome(perturbed, factors)
+
+    @pytest.mark.parametrize("factors", [
+        ["1 - q^2", "1 + q^3", "1 + q^3"],  # both signs, two steps, a repeat
+        ["a*q^-1*t - 1", "a^2*q^-2*t^2 + 1", "-a^3*q^-3*t^3 - 1"],
+        ["1 + a^-2*q^2*t^-1", "1 + a^-2*q^-2*t^-3"],  # the squares of a thin knot
+        ["t^5 - q", "q^2 - a", "a^7 + 1", "a^-1*t^2 + q^3"],  # four directions
+    ])
+    def test_chains(self, factors):
+        factors = [parse_poly(f) for f in factors]
+        p = parse_poly("3*a*q^-2 - t^4 + 2 - a^-3*q*t^2")
+        assert list(exact_divide(p * product_of(factors), *factors).terms.items()) == sorted(
+            p.terms.items(), reverse=True)
+        with pytest.raises(NotDivisible):
+            exact_divide(p * product_of(factors) + 1, *factors)
+
+    @given(wide_polys, st.lists(wide_unit_binomials, min_size=1, max_size=3),
+           wide_perturbations, st.integers(0, 24), st.integers(-3, 3).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_outcomes_multiply_back(self, p, factors, perturbation, pick, delta):
+        d = product_of(factors)
+        product = p * d
+        try:
+            assert exact_divide(product, *factors) == p
+        except TooLarge:
+            pass
+        if product.terms:
+            keys = list(product.terms)
+            perturbation = perturbation + [(keys[pick % len(keys)], delta)]
+        perturbed = product + Poly3(dict(perturbation))
+        try:
+            quotient = exact_divide(perturbed, *factors)
+        except (NotDivisible, TooLarge):
+            return
+        assert quotient * d == perturbed
+
+    @given(polys, binomial_lists, perturbations)
+    @settings(max_examples=200, deadline=None)
+    def test_root_test_past_the_cap_is_sound(self, p, factors, perturbation):
+        perturbed = p * product_of(factors) + Poly3({(a, q, t): c for a, q, t, c in perturbation})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "WORK_CAP", 0)
+            try:
+                got = chain_outcome(perturbed, factors)
+            except TooLarge:
+                got = "TooLarge"
+        want = heap_outcome(perturbed, factors)
+        if got is None:
+            assert want is None
+        if want is not None:
+            assert got in ("TooLarge", want)
+
+    def test_too_large_is_a_laurent_error_and_a_value_error(self):
+        assert issubclass(TooLarge, LaurentError) and issubclass(TooLarge, ValueError)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds.
+
+    Where there is no SIGALRM, the block runs without a limit.
+    """
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Each probe ends in milliseconds; the limit only turns a stall into a failure.
+PROBE_SECONDS = 5
+THIN_WIDE = "1 + a^-4*q^4 + a^-2000000000000*q^2000000000000"
+
+
+class TestDivisionProbes:
+    def test_unreduced_prediction_of_a_wide_non_multiple(self):
+        with time_limit(PROBE_SECONDS), pytest.raises(NotDivisible):
+            khrN_unreduced_prediction(parse_poly("q^1000000000000 + 1"), 2)
+
+    def test_wide_exact_quotient_is_too_large(self):
+        with time_limit(PROBE_SECONDS), pytest.raises(
+                TooLarge, match="1000000000001 dense row entries"):
+            exact_divide(parse_poly("q^1000000000000 - 1"), parse_poly("q - 1"))
+
+    def test_step_longer_than_every_row(self):
+        with time_limit(PROBE_SECONDS), pytest.raises(NotDivisible):
+            exact_divide(parse_poly("1 + q"), parse_poly("q^1000000000000 - 1"))
+
+    @pytest.mark.parametrize("divisor", ["0", "q", "1 + q + q^2", "2*q - 1", "q - 3", "q + q"])
+    def test_non_binomial_divisor_is_a_value_error(self, divisor):
+        with time_limit(PROBE_SECONDS), pytest.raises(
+                ValueError, match="divisor .* is not a unit binomial"):
+            exact_divide(P_T23, mono(1, 0, 1) - 1, parse_poly(divisor))
+
+    def test_thin_check_fails_by_the_root_test(self, capsys):
+        with time_limit(PROBE_SECONDS):
+            assert main(["super", "thin", "--homfly", THIN_WIDE, "--s", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: squares quotient is inexact: not divisible by x^(2, -2, 1) +1\n")
+
+    def test_thin_with_a_wide_exact_quotient_exits_2(self, capsys):
+        k = 10 ** 12
+        squares = mono(1, -2, 2, -1) + 1, mono(1, -2, -2, -3) + 1
+        homfly = at_t_minus_one(1 + product_of(squares) * (1 + mono(1, -2 * k, 2 * k, -k)))
+        with time_limit(PROBE_SECONDS):
+            assert main(["super", "thin", "--homfly", format_poly(homfly), "--s", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: division needs 2000000000004 dense row entries, past 1000000\n")
 
 
 def q_binomial_product(binomials):
@@ -522,26 +724,29 @@ def q_binomial_product(binomials):
 
 
 def rows_to_poly(rows):
-    """The Poly3 of q-rows {a: (lo, row)}, at t^0."""
-    return Poly3({(a, lo + i, 0): c for a, (lo, row) in rows.items() for i, c in enumerate(row)})
+    """The Poly3 of q-rows {(a, 0, t): (lo, row)}."""
+    return Poly3({(a, q + lo + i, t): c
+                  for (a, q, t), (lo, row) in rows.items() for i, c in enumerate(row)})
 
 
 def poly_to_rows(p):
-    """{t: {a: (lo, dense q-row)}}: p split into the q-rows of each t."""
+    """{(a, 0, t): (lo, dense q-row)}: p split into its q-rows."""
     fibers = {}
     for (a, q, t), c in p.terms.items():
-        fibers.setdefault(t, {}).setdefault(a, {})[q] = c
-    return {t: {a: (min(f), [f.get(q, 0) for q in range(min(f), max(f) + 1)])
-                for a, f in by_a.items()} for t, by_a in fibers.items()}
+        fibers.setdefault((a, 0, t), {})[q] = c
+    return {b: (min(f), [f.get(q, 0) for q in range(min(f), max(f) + 1)])
+            for b, f in fibers.items()}
 
 
-def divide_rows_per_t(p, binomials):
-    """p over the q-binomials, one _divide_q_binomials call per t; lex-greatest first."""
-    quo = []
-    for t, rows in poly_to_rows(p).items():
-        part = torus._divide_q_binomials(rows, binomials)
-        quo += [((a, q, t), c) for (a, q, _), c in part.terms.items()]
-    return Poly3(dict(sorted(quo, reverse=True)))
+def q_rows_quotient(rows, binomials):
+    """q-rows over prod (q^hi - q^lo) by _divide_rows: q^lo comes off lo first."""
+    shift = sum(lo for _, lo in binomials)
+    return _divide_rows({b: (lo - shift, row) for b, (lo, row) in rows.items()},
+                        (0, 1, 0), [(hi - lo, 1) for hi, lo in binomials])
+
+
+def divide_q_rows(p, binomials):
+    return q_rows_quotient(poly_to_rows(p), binomials)
 
 
 def q_binomial_outcome(divide, p, binomials):
@@ -553,7 +758,7 @@ def q_binomial_outcome(divide, p, binomials):
 
 
 def divide_by_heap(p, binomials):
-    return exact_divide(p, q_binomial_product(binomials))
+    return heap_exact_divide(p, q_binomial_product(binomials))
 
 
 # (hi, lo) with hi > lo: q^hi - q^lo = q^lo (q^k - 1) for k = hi - lo in 1..7.
@@ -568,7 +773,7 @@ class TestQBinomialDivision:
     @settings(max_examples=300, deadline=None)
     def test_quotient_matches_exact_divide(self, p, binomials):
         product = p * q_binomial_product(binomials)
-        got = q_binomial_outcome(divide_rows_per_t, product, binomials)
+        got = q_binomial_outcome(divide_q_rows, product, binomials)
         assert got == sorted(p.terms.items(), reverse=True)
         assert got == q_binomial_outcome(divide_by_heap, product, binomials)
 
@@ -582,20 +787,18 @@ class TestQBinomialDivision:
         if nudge and product.terms:
             keys = list(product.terms)
             perturbed = perturbed + Poly3.monomial(delta, *keys[pick % len(keys)])
-        assert q_binomial_outcome(divide_rows_per_t, perturbed, binomials) == (
+        assert q_binomial_outcome(divide_q_rows, perturbed, binomials) == (
             q_binomial_outcome(divide_by_heap, perturbed, binomials))
 
     @given(polys, q_binomials, st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
     def test_padding_zeros_and_input_rows_are_kept(self, p, binomials, before, after):
-        rows = {a: (lo - before, [0] * before + row + [0] * after)
-                for a, (lo, row) in poly_to_rows(p * q_binomial_product(binomials)).get(
-                    0, {}).items()}
-        copies = {a: (lo, list(row)) for a, (lo, row) in rows.items()}
-        got = torus._divide_q_binomials(rows, binomials)
+        rows = {b: (lo - before, [0] * before + row + [0] * after)
+                for b, (lo, row) in poly_to_rows(p * q_binomial_product(binomials)).items()}
+        copies = {b: (lo, list(row)) for b, (lo, row) in rows.items()}
+        got = q_rows_quotient(rows, binomials)
         assert rows == copies
-        assert list(got.terms.items()) == sorted(
-            ((k, c) for k, c in p.terms.items() if k[2] == 0), reverse=True)
+        assert list(got.terms.items()) == sorted(p.terms.items(), reverse=True)
 
     @pytest.mark.parametrize("p, binomials", [
         ("1", [(1, -1)]),  # shorter than the divisor
@@ -604,25 +807,27 @@ class TestQBinomialDivision:
         ("a*q - t + a*q^3 - q^2", [(2, 0)]),  # one of two (a, t) fibers is divisible
     ])
     def test_not_divisible(self, p, binomials):
-        with pytest.raises(NotDivisible, match="no exact quotient by q"):
-            divide_rows_per_t(parse_poly(p), binomials)
+        with pytest.raises(NotDivisible, match=r"not divisible by x\^\(0, \d, 0\) -1"):
+            divide_q_rows(parse_poly(p), binomials)
         with pytest.raises(NotDivisible):
             divide_by_heap(parse_poly(p), binomials)
 
     def test_zero_dividend(self):
-        assert torus._divide_q_binomials({}, [(3, 1)]).terms == {}
+        assert q_rows_quotient({}, [(3, 1)]).terms == {}
 
     @pytest.mark.parametrize("n", range(13))
     def test_gaussian_row_is_the_factorial_quotient(self, n):
-        def factorial(k):
-            return q_binomial_product([(2 * i, 0) for i in range(1, k + 1)])
+        def factors(k):
+            return [Poly3({(0, 2 * i, 0): 1, (0, 0, 0): -1}) for i in range(1, k + 1)]
 
         row = torus._gaussian_row(n)
         assert len(row) == n + 1
         for b, binomial in enumerate(row):
             assert len(binomial) == 2 * b * (n - b) + 1, b
-            assert rows_to_poly({0: (0, binomial)}) == exact_divide(
-                factorial(n), factorial(b) * factorial(n - b)), b
+            divisors = factors(b) + factors(n - b)
+            factorial = product_of(factors(n))
+            want = exact_divide(factorial, *divisors) if divisors else factorial
+            assert rows_to_poly({(0, 0, 0): (0, binomial)}) == want, b
 
 
 def reference_binomial_sum(n, summand):
@@ -630,7 +835,8 @@ def reference_binomial_sum(n, summand):
     total = Poly3.zero()
     for b, binomial in enumerate(torus._gaussian_row(n - 1)):
         ea, eq, factors = summand(b)
-        term = rows_to_poly({0: (0, binomial)}).scale_monomial((-1) ** (n - 1 - b), ea=ea, eq=eq)
+        term = rows_to_poly({(0, 0, 0): (0, binomial)}).scale_monomial(
+            (-1) ** (n - 1 - b), ea=ea, eq=eq)
         for x, y, u, v in factors:
             term = term * (Poly3.monomial(1, x, y) - Poly3.monomial(1, u, v))
         total = total + term

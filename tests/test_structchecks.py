@@ -90,6 +90,10 @@ class TestPatterns:
         with pytest.raises(NoSurvivor):
             pattern_plus(parse_poly("a^2*q^2"))
 
+    def test_inexact_remainder_is_not_decomposable(self):
+        with pytest.raises(NotDecomposable, match="remainder after plus survivor S=0: "):
+            pattern_plus(parse_poly("1 + a^2*q^-2*t^2 + a^2*q^-2*t"))
+
     def test_bundled_rows_nonnegative(self):
         for rec in load_dataset():
             if rec.superpoly is None:

@@ -5,12 +5,12 @@ from math import gcd
 
 import pytest
 
+from heap_division import exact_divide
 from superpoly.laurent import (
     Poly3,
     at_a_qN,
     at_a_inv_t,
     at_t_minus_one,
-    exact_divide,
     format_poly,
     mirror,
     monomial_substitute,
@@ -48,7 +48,7 @@ SUPER_T34 = parse_poly(
 
 
 def reference_homfly_jones(n, m):
-    """The quantum-factorial route as it was, on exact_divide throughout.
+    """The quantum-factorial route as it was, on the heap division throughout.
 
     Each quantum binomial [n-1]!/([b]![n-1-b]!) is a heap division of
     quantum factorials, and so is the final division by [n] * [n-1]!.
