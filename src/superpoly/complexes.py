@@ -9,11 +9,15 @@ integer level N.  The admissible degree of d_N is
     N < 0:  (-2, 2N, -1 + 2N)
 
 and the whole family must pairwise anticommute (so in particular each d_N
-squares to zero).  That axiom is checked, and the +-1 signs that satisfy
-it are solved for, by one walk over the length-two paths of all levels,
-source by source.  Homology with respect to d_N, taken per amalgamated
-bigrade, produces the doubly graded reductions; the N = 1 differential is
-canceling and the grading of its unique survivor is the S-invariant.
+squares to zero).  That axiom is checked by one walk over the length-two
+paths of all levels, source by source.  The in-package builders write each
++-1 sign from a closed-form rule per arrow class: in T(3, m) the sign is -1
+exactly on the d_1 arrows out of the odd level-1 generators and the d_1 and
+d_{-1} arrows out of level 2, in a thin complex exactly on each square's
+second d_1 arrow.  complex_from_arrows verifies every build.  Homology with
+respect to d_N, taken per amalgamated bigrade, produces the doubly graded
+reductions; the N = 1 differential is canceling and the grading of its
+unique survivor is the S-invariant.
 
 Coefficients are ints whenever their denominator is 1 (every built
 complex); only a truly non-integer coefficient (say from a .cplx file)
@@ -450,99 +454,19 @@ def s_invariant(c):
 
 # -- constructions ----------------------------------------------------------
 
-def _sign_equations(by_src):
-    """Yield, per pair of parallel composites, the set of its edge indices.
-
-    by_src: dict N -> {src: [(dst, edge index), ...]}.  Each set is one
-    GF(2) equation: the sign exponents of its edges sum to 1, so that the
-    two composites cancel.  Each source is walked once over one out-edge
-    map, its paths grouped by (level pair, target), and its equations are
-    yielded before the next source is walked.  A target reached by one
-    path, or by more than two, is a fault; the least faulty
-    (N, M, src, dst) is raised after the walk.
-    """
-    levels = sorted(by_src)
-    width = len(levels)
-    mask = (1 << width) - 1
-    out = _out_edges([((s, d, e) for s, edges in by_src[n].items() for (d, e) in edges)
-                      for n in levels])
-    faults = []
-    for s, edges in out.items():
-        paths = {}
-        for (k1, e1) in edges:
-            bit = k1 & mask
-            for (k2, e2) in out.get(k1 >> width, ()):
-                paths.setdefault(k2 | bit, []).append((e1, e2))
-        for key, plist in paths.items():
-            if len(plist) == 2:
-                (a1, a2), (b1, b2) = plist
-                yield {a1} ^ {a2} ^ {b1} ^ {b2}
-            else:
-                faults.append((*_level_pair(key, levels), s, key >> width, len(plist)))
-    if faults:
-        n, m, s, d, count = min(faults)
-        raise ComplexError("unpairable composite d_%d/d_%d path %d -> %d" % (n, m, s, d)
-                           if count == 1 else "more than two parallel composites %d -> %d; "
-                           "the +-1 sign rule does not apply" % (s, d))
-
-
-def _solve_signs(arrows):
-    """Assign +-1 coefficients making the arrow family anticommute.
-
-    arrows: dict N -> list of (src, dst).  Every length-two composite
-    (either order) between a fixed source and target must cancel against
-    exactly one partner path, which yields a linear system over GF(2) for
-    the sign exponents.  Of its solutions the one returned is least when
-    its bits are read from edge 0 upward: an edge whose sign the earlier
-    edges do not force keeps +1.  Returns dict N -> list of signs, one per
-    arrow of sorted(arrows[N]).  Raises ComplexError when a composite has
-    no partner or the system is inconsistent, which means the arrow sets
-    themselves are wrong (signs cannot help).
-    """
-    by_src = {}
-    nvars = 0
-    for n in sorted(arrows):
-        by_src[n] = {}
-        for (s, d) in sorted(arrows[n]):
-            by_src[n].setdefault(s, []).append((d, nvars))
-            nvars += 1
-    # Gaussian elimination over GF(2) on a set-of-indices representation,
-    # rows keyed by their pivot, the greatest index.  Column -1 is the
-    # right-hand side, read back as values[-1] = 1, so a row reduced to
-    # that column alone is an inconsistency.  The pivots are the columns that lower ones force,
-    # whatever the order of the equations, so each is reduced as it is
-    # generated; reduced rows stay a few entries long and are kept as
-    # tuples.  Free variables stay 0, i.e. the edge keeps +1.
-    rows = {}
-    for r in _sign_equations(by_src):
-        r.add(-1)
-        pivot = max(r)
-        while pivot in rows:
-            r = r.symmetric_difference(rows[pivot])
-            pivot = max(r, default=-1)
-        if pivot == -1:
-            if r:
-                raise ComplexError("sign constraints are inconsistent")
-            continue
-        rows[pivot] = tuple(r)
-    values = [0] * nvars + [1]
-    for pivot in sorted(rows):  # values[pivot] is still 0 in its own sum
-        values[pivot] = sum(map(values.__getitem__, rows[pivot])) & 1
-    bits = iter(values)
-    return {n: [-1 if next(bits) else 1 for _ in arrows[n]] for n in sorted(arrows)}
-
-
 def complex_from_arrows(gradings, arrows, label=None):
-    """Build a DotComplex from unsigned arrow sets via the GF(2) sign pass.
+    """Build a DotComplex from signed arrows and verify it.
 
-    In-package builders only: their int-triple gradings and distinct
-    in-range arrows go to DotComplex._trusted, and the result is verified.
+    arrows: dict N -> list of (src, dst, sign) triples, sign = +-1.  The
+    signs come from closed-form rules per arrow class.  In T(3, m) the
+    sign is -1 exactly on the d_1 arrows out of the odd level-1 generators
+    and the d_1 and d_{-1} arrows out of level 2.  In a thin complex it is
+    -1 exactly on each square's second d_1 arrow, base+2 -> base+3.  In-package
+    builders only: their int-triple gradings and distinct in-range arrows
+    go to DotComplex._trusted, each level sorted.  verify() then checks every
+    build exactly, and any violation raises ComplexError.
     """
-    signs = _solve_signs(arrows)
-    diffs = {
-        n: tuple((s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n]))
-        for n, pairs in arrows.items() if pairs
-    }
+    diffs = {n: tuple(sorted(entries)) for n, entries in arrows.items() if entries}
     c = DotComplex._trusted(tuple(gradings), diffs, label)
     report = verify(c)
     if not report.ok:
@@ -559,9 +483,10 @@ def build_torus_complex(n, m):
     complex with no squares.  For n = 3, d_1 is the explicit canceling
     matching, d_{-1} and d_{-2} its image under the q -> q^{-1} involution,
     and the d_2 / d_0 arrows pair each cancelled source with its image;
-    the arrows are read off the family keys of torus._t3_families.  Signs
-    come from the deterministic GF(2) pass, and the result is re-verified
-    before being returned.
+    the arrows are read off the family keys of torus._t3_families.  The sign
+    is -1 exactly on the d_1 arrows out of the odd level-1 keys and on the
+    d_1 and d_{-1} arrows out of level 2; complex_from_arrows verifies the
+    result before it is returned.
     """
     from .torus import torus_id, _t3_families
 
@@ -581,22 +506,24 @@ def build_torus_complex(n, m):
     arrows = {1: [], -1: [], 2: [], -2: [], 0: []}
     for key, _ in levels[1]:
         parity, j, i = key
+        src = index[(1, key)]
         if parity == "even":
-            targets = [(1, (j, i)), (-1, (j, i + 1))]
+            targets = [(1, (j, i), 1), (-1, (j, i + 1), 1)]
         else:
-            targets = [(2, (j, i)), (0, (j, i + 1)), (-2, (j, i + 2)),
-                       (1, (j - 1, i - 1)) if i else (-1, (j - 1, 0))]
-        for n_diff, dst in targets:
-            arrows[n_diff].append((index[(1, key)], index[(0, dst)]))
+            targets = [(2, (j, i), 1), (0, (j, i + 1), 1), (-2, (j, i + 2), 1),
+                       (1, (j - 1, i - 1), -1) if i else (-1, (j - 1, 0), 1)]
+        for n_diff, dst, sign in targets:
+            arrows[n_diff].append((src, index[(0, dst)], sign))
     for key, _ in levels[2]:
         j, i = key
-        targets = [(1, ("odd", j + 1, i)), (-1, ("odd", j + 1, i + 1)),
-                   (2, ("even", j + 1, i)), (0, ("even", j + 1, i + 1)),
-                   (-2, ("even", j + 1, i + 2))]
+        src = index[(2, key)]
+        targets = [(1, ("odd", j + 1, i), -1), (-1, ("odd", j + 1, i + 1), -1),
+                   (2, ("even", j + 1, i), 1), (0, ("even", j + 1, i + 1), 1),
+                   (-2, ("even", j + 1, i + 2), 1)]
         if i:
-            targets.append((1, ("even", j, i - 1)))
-        for n_diff, dst in targets:
-            arrows[n_diff].append((index[(2, key)], index[(1, dst)]))
+            targets.append((1, ("even", j, i - 1), -1))
+        for n_diff, dst, sign in targets:
+            arrows[n_diff].append((src, index[(1, dst)], sign))
     return complex_from_arrows(gens, arrows, label="T(3,%d)" % m)
 
 
@@ -608,7 +535,8 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     transposed; a lone generator when zero).  squares: Poly3 of base
     monomials with nonnegative multiplicities; a base x contributes the
     generators x, x*a^{-2}q^2 t^{-1}, x*a^{-2}q^{-2}t^{-3}, x*a^{-4}t^{-4}
-    with the square's two d_1 and two d_{-1} arrows.
+    with the square's two d_1 and two d_{-1} arrows.  Every arrow has sign
+    +1 except each square's second d_1 arrow, base+2 -> base+3, which has -1.
     """
     from .torus import _t2_family
 
@@ -616,8 +544,8 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     sign = -1 if sawtooth_k < 0 else 1
     gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in _t2_family(k)]
     # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.
-    d1 = [(k + i, i)[::sign] for i in range(1, k + 1)]
-    dm1 = [(k + i, i - 1)[::sign] for i in range(1, k + 1)]
+    d1 = [(k + i, i)[::sign] + (1,) for i in range(1, k + 1)]
+    dm1 = [(k + i, i - 1)[::sign] + (1,) for i in range(1, k + 1)]
     for (ea, eq, et), mult in sorted(squares.terms.items()):
         if mult < 0:
             raise ComplexError("square multiplicities must be nonnegative")
@@ -627,10 +555,10 @@ def build_thin_complex(sawtooth_k, squares, label=None):
             gens.append((ea - 2, eq + 2, et - 1))
             gens.append((ea - 2, eq - 2, et - 3))
             gens.append((ea - 4, eq, et - 4))
-            d1.append((base, base + 1))
-            d1.append((base + 2, base + 3))
-            dm1.append((base, base + 2))
-            dm1.append((base + 1, base + 3))
+            d1.append((base, base + 1, 1))
+            d1.append((base + 2, base + 3, -1))
+            dm1.append((base, base + 2, 1))
+            dm1.append((base + 1, base + 3, 1))
     return complex_from_arrows(gens, {1: d1, -1: dm1}, label=label)
 
 

@@ -20,6 +20,7 @@ from operator import add, neg
 from .complexes import diff_degree
 from .laurent import (
     Poly3,
+    TooLarge,
     _divide_rows,
     exact_divide,
     monomial_substitute,
@@ -160,6 +161,10 @@ def super_t2(k):
     return Poly3(dict.fromkeys(_t2_family(k), 1))
 
 
+# Most generators a T(3, m) family may have: m = 241 has 38,721, m = 547 has 199,473.
+T3_GENERATOR_CAP = 200_000
+
+
 def _t3_families(m):
     """Index data for the three a-levels of the T(3, m) superpolynomial.
 
@@ -170,8 +175,13 @@ def _t3_families(m):
     its index, which is the split along which the differentials act.  With
     m = 3k + 1 + e, e in {0, 1}, every grading moves by (2e, 2e, 2e) and
     every inner range grows by e (by 2e before the level-1 parity split).
+    The 6k^2 + 4k + 1 + e(4k + 2) generators, about (2/3) m^2, are counted
+    first: past T3_GENERATOR_CAP it raises TooLarge and builds nothing.
     """
     k, e = _t3_index(m)
+    count = 6 * k * k + 4 * k + 1 + e * (4 * k + 2)
+    if count > T3_GENERATOR_CAP:
+        raise TooLarge("T(3, %d) has %d generators, past %d" % (m, count, T3_GENERATOR_CAP))
     s = 2 * e
     lv0 = [((j, i), (6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s))
            for j in range(k + 1) for i in range(3 * j + 1 + e)]

@@ -4,12 +4,17 @@ The package divides only by unit binomials (laurent.exact_divide).  This
 is the general routine it replaced, unchanged: the HOMFLY references of
 test_torus.py divide by products of quantum integers with it, and the
 binomial division is cross-checked against it on products of binomials.
+Its one addition is STEP_CAP, shared with test_laurent's reference_exact_divide.
 """
 
 from heapq import heapify, heappop, heappush
 from itertools import product
 
-from superpoly.laurent import NotDivisible, Poly3
+from superpoly.laurent import NotDivisible, Poly3, TooLarge
+
+# Most quotient terms a test division may produce, past which it raises
+# TooLarge; the HOMFLY references of test_torus.py need up to 3,007.
+STEP_CAP = 5000
 
 
 def _check_leading_coefficients(p, d):
@@ -42,7 +47,8 @@ def exact_divide(p, d):
     key lies in p's box [min(p), max(p)], where it is packed into one
     mixed-radix int: the int order is the lex order, and a divisor term
     adds a fixed offset.  Popped keys are decoded and boxed on their true
-    exponents, since a packed sum could wrap back into the box.
+    exponents, since a packed sum could wrap back into the box.  A
+    quotient term past STEP_CAP raises TooLarge.
     """
     if not (isinstance(p, Poly3) and isinstance(d, Poly3)):
         raise TypeError("exact_divide needs two Poly3 operands")
@@ -76,6 +82,8 @@ def exact_divide(p, d):
         key = (lo[0] + ka - la, lo[1] + kq - lq, lo[2] + kt - lt)
         if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
             raise NotDivisible("no exact quotient (support escaped the feasible box)")
+        if len(quo) == STEP_CAP:
+            raise TooLarge("division needs more than %d quotient terms" % STEP_CAP)
         cq = c // d_lead_c
         quo[key] = cq
         for off, dc in d_offsets:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sign_solve
+from sign_solve import _sign_equations, _solve_signs, unsigned_arrows
 from superpoly import complexes
 from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly, y_genus
 from superpoly.complexes import (
@@ -20,8 +22,6 @@ from superpoly.complexes import (
     _bigrade,
     _eliminate,
     _nonzero_composites,
-    _sign_equations,
-    _solve_signs,
     _survivor,
     build_thin_complex,
     build_torus_complex,
@@ -759,7 +759,7 @@ class TestVerifyRecord:
 def reference_solve_signs(arrows):
     """The list-scan GF(2) sign solve: every row is reduced by every earlier one.
 
-    Independent reference for complexes._solve_signs: each kept row pivots
+    Independent reference for sign_solve._solve_signs: each kept row pivots
     on its greatest index, and back-substitution runs up from the least
     pivot.  The equations come pair of levels by pair of levels, not in
     _sign_equations' order; both must return the same signs.
@@ -922,7 +922,7 @@ def solve_outcome(solve, arrows):
 class TestSignSolve:
     def test_keyed_elimination_matches_list_scan(self):
         for c in _sign_cases():
-            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            arrows = unsigned_arrows(c)
             signs = _solve_signs(arrows)
             keyed = {
                 (n, s, d): sign
@@ -934,14 +934,14 @@ class TestSignSolve:
     def test_descending_order_matches_streaming(self, monkeypatch):
         # The signs do not depend on the order the equations come in:
         # generation order, reversed, or a seeded shuffle.
-        generated = complexes._sign_equations
+        generated = sign_solve._sign_equations
         rng = random.Random(12)
         orders = [lambda eqs: eqs[::-1], lambda eqs: rng.sample(eqs, len(eqs))]
         for c in [build_torus_complex(3, 61), *_sign_cases()]:
-            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            arrows = unsigned_arrows(c)
             want = _solve_signs(arrows)
             for order in orders:
-                monkeypatch.setattr(complexes, "_sign_equations",
+                monkeypatch.setattr(sign_solve, "_sign_equations",
                                     lambda by_src: iter(order(list(generated(by_src)))))
                 assert _solve_signs(arrows) == want, c.label
                 monkeypatch.undo()
@@ -949,7 +949,7 @@ class TestSignSolve:
     def test_former_signs_give_the_same_invariants(self):
         changed = []
         for c in [build_torus_complex(3, 61), *_sign_cases()]:
-            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            arrows = unsigned_arrows(c)
             signs = least_index_solve_signs(arrows)
             old = DotComplex(c.generators, {
                 n: [(s, d, sign) for (s, d), sign in zip(sorted(pairs), signs[n])]
@@ -983,7 +983,7 @@ class TestSignSolve:
                 bits for bits in range(1 << nvars)
                 if all(bin(bits & mask).count("1") % 2 for mask in masks)
             ]
-            monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: map(set, equations))
+            monkeypatch.setattr(sign_solve, "_sign_equations", lambda by_src: map(set, equations))
             arrows = {1: [(e, e + 1) for e in range(nvars)]}
             if not solutions:
                 with pytest.raises(ComplexError, match="^sign constraints are inconsistent$"):
@@ -1009,23 +1009,23 @@ class TestSignSolve:
     def test_inconsistent_system_error_is_unchanged(self, monkeypatch, equations):
         # Small arrow sets whose composites all pair up give consistent
         # systems, so the equations are fed in directly.
-        monkeypatch.setattr(complexes, "_sign_equations", lambda by_src: map(set, equations))
+        monkeypatch.setattr(sign_solve, "_sign_equations", lambda by_src: map(set, equations))
         arrows = {1: [(0, 1), (1, 2), (2, 3)]}
         want = (ComplexError, "sign constraints are inconsistent")
         assert solve_outcome(_solve_signs, arrows) == want
-        patched = lambda a: least_index_solve_signs(a, complexes._sign_equations)  # noqa: E731
+        patched = lambda a: least_index_solve_signs(a, sign_solve._sign_equations)  # noqa: E731
         assert solve_outcome(patched, arrows) == want
 
     def test_equations_match_per_pair_reference(self):
         for c in [build_torus_complex(3, 61), *_sign_cases()]:
-            arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+            arrows = unsigned_arrows(c)
             got = equations_outcome(_sign_equations, arrows)
             assert got == equations_outcome(reference_sign_equations, arrows), c.label
 
     @given(path_complexes())
     @settings(max_examples=400, deadline=None)
     def test_random_equations_match_per_pair_reference(self, c):
-        arrows = {n: [(s, d) for (s, d, _) in e] for n, e in c.diffs.items()}
+        arrows = unsigned_arrows(c)
         want = equations_outcome(reference_sign_equations, arrows)
         assert equations_outcome(_sign_equations, arrows) == want
 

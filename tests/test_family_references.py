@@ -5,22 +5,28 @@ each family out per case: one branch per residue of m mod 3 for T(3, m), a
 separate T(2, 2k+1) chain in the torus and thin builders, a stable word
 list and two-strand base case built by while loops, word codes computed
 from the nested word tuples, and a stable complex indexed by those tuples.
-The single-description code must reproduce them exactly.
+The single-description code must reproduce them exactly.  The torus and
+thin builders write each arrow's sign from a closed-form rule; their
+complexes are pinned to the GF(2) sign solve of tests/sign_solve.py.
 """
+
+import re
 
 import pytest
 
+from sign_solve import solved_complex_from_arrows, unsigned_arrows
 from superpoly import complexes
 from superpoly.complexes import (
     ComplexError,
     DotComplex,
     build_thin_complex,
     build_torus_complex,
-    complex_from_arrows,
     serialize_complex,
 )
-from superpoly.laurent import Poly3
+from superpoly.dataset import load_dataset
+from superpoly.laurent import Poly3, delta_spectrum
 from superpoly.stable import _check_stable, _generic_survivors, _word_codes, build_stable_complex
+from superpoly.structchecks import thin_super
 from superpoly.torus import _t3_families
 
 T3_MS = [m for m in range(4, 122) if m % 3]
@@ -120,7 +126,7 @@ def reference_t2_complex(m):
         gens.append((2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1))
     d1 = [(index[("w", i)], index[("u", i)]) for i in range(1, k + 1)]
     dm1 = [(index[("w", i)], index[("u", i - 1)]) for i in range(1, k + 1)]
-    return complex_from_arrows(gens, {1: d1, -1: dm1}, label="T(2,%d)" % m)
+    return solved_complex_from_arrows(gens, {1: d1, -1: dm1}, label="T(2,%d)" % m)
 
 
 def reference_thin_complex(sawtooth_k, squares, label=None):
@@ -162,7 +168,7 @@ def reference_thin_complex(sawtooth_k, squares, label=None):
             d1.append((base + 2, base + 3))
             dm1.append((base, base + 2))
             dm1.append((base + 1, base + 3))
-    return complex_from_arrows(gens, {1: d1, -1: dm1}, label=label)
+    return solved_complex_from_arrows(gens, {1: d1, -1: dm1}, label=label)
 
 
 def reference_words(n, qmax):
@@ -254,15 +260,13 @@ def reference_stable_complex(n, qmax):
 
 
 def _construction_inputs(monkeypatch, build, *args):
-    """(gradings, arrows with each level sorted, label) that build hands to complex_from_arrows.
-
-    complex_from_arrows sorts each level's arrows before it solves for the
-    signs, so these inputs fix the built complex.
-    """
+    """(gradings, unsigned arrows with each level sorted, label) that build hands to
+    complex_from_arrows; the signs are pinned separately."""
     seen = []
 
     def record(gradings, arrows, label=None):
-        seen.append((list(gradings), {n: sorted(a) for n, a in arrows.items() if a}, label))
+        seen.append((list(gradings),
+                     {n: sorted((s, d) for s, d, _ in a) for n, a in arrows.items() if a}, label))
 
     monkeypatch.setattr(complexes, "complex_from_arrows", record)
     build(*args)
@@ -281,10 +285,38 @@ class TestT3:
         expected = (gens, {n: sorted(a) for n, a in arrows.items() if a}, label)
         assert _construction_inputs(monkeypatch, build_torus_complex, 3, m) == expected
 
-    @pytest.mark.parametrize("m", [m for m in T3_MS if m <= 61])
+    @pytest.mark.parametrize("m", T3_MS)
     def test_serialized(self, m):
-        expected = serialize_complex(complex_from_arrows(*reference_t3_inputs(m)))
+        # The rule signs are the GF(2) solve's, byte for byte.
+        expected = serialize_complex(solved_complex_from_arrows(*reference_t3_inputs(m)))
         assert serialize_complex(build_torus_complex(3, m)) == expected
+
+    @pytest.mark.parametrize("m", [7, 31])
+    def test_flipped_rule_sign_is_caught(self, monkeypatch, m):
+        # One level-2 d_{-1} arrow taken to +1: verify must refuse the build
+        # and name the d_{-1} faults at that arrow's source.
+        build = complexes.complex_from_arrows
+        top = len(_t3_families(m)[2])
+        flipped = []
+
+        def tamper(gradings, arrows, label=None):
+            first = len(gradings) - top
+            k, (s, d, sign) = next((k, a) for k, a in enumerate(arrows[-1]) if a[0] >= first)
+            assert sign == -1
+            arrows[-1][k] = (s, d, 1)
+            flipped.append(s)
+            return build(gradings, arrows, label)
+
+        monkeypatch.setattr(complexes, "complex_from_arrows", tamper)
+        with pytest.raises(ComplexError) as err:
+            build_torus_complex(3, m)
+        head, _, faults = str(err.value).partition(": ")
+        assert head == "constructed complex failed verification"
+        pattern = re.compile(r"d_(-?\d+) (?:and d_(-?\d+) fail to anticommute|squared is nonzero)"
+                             r" on (\d+) -> \d+")
+        found = [pattern.fullmatch(v) for v in faults.split("; ")]
+        assert found and all(found)
+        assert all("-1" in f.group(1, 2) and int(f.group(3)) == flipped[0] for f in found)
 
     @pytest.mark.parametrize("m", [3, 6, 9, 0, -4, 2])
     def test_rejects_bad_m(self, m):
@@ -307,6 +339,18 @@ class TestT2:
         for k in range(-6, 7):
             expected = serialize_complex(reference_thin_complex(k, squares, label="k%d" % k))
             assert serialize_complex(build_thin_complex(k, squares, label="k%d" % k)) == expected
+
+    def test_bundled_thin_rows(self):
+        # Every thin row of the bundled table, against the GF(2) solve on its arrows.
+        rows = 0
+        for rec in load_dataset():
+            if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+                thin = thin_super(rec.homfly, rec.s_inv)
+                c = build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+                expected = solved_complex_from_arrows(c.generators, unsigned_arrows(c), rec.name)
+                assert serialize_complex(c) == serialize_complex(expected), rec.name
+                rows += 1
+        assert rows == 14
 
 
 class TestStableWords:

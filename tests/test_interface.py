@@ -212,6 +212,16 @@ class TestCli:
     def test_invalid_torus_is_2(self):
         assert main(["homfly", "torus", "4", "2"]) == 2
 
+    @pytest.mark.parametrize("args, m, count", [
+        (["reduce", "--torus", "3", "1000001", "--n", "1"], 1000001, 666668000001),
+        (["super", "torus", "3", "100000001"], 100000001, 6666666800000001),
+    ])
+    def test_t3_past_the_generator_cap_is_2(self, capsys, args, m, count):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: T(3, %d) has %d generators, past 200000\n" % (m, count)
+
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),
         (["--n", "0", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

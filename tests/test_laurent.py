@@ -10,7 +10,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heap_division import _check_leading_coefficients, exact_divide as heap_exact_divide
+from heap_division import STEP_CAP, _check_leading_coefficients, exact_divide as heap_exact_divide
 from superpoly import laurent, torus
 from superpoly.cli import main
 from superpoly.dataset import load_dataset
@@ -313,9 +313,9 @@ class TestSubstitution:
 def reference_exact_divide(p, d):
     """The division as it was before the heap: max(rem) once per quotient term.
 
-    Same leading-coefficient check, leading terms, box bound and errors as
-    the heap division, so quotients (their term order included) and
-    NotDivisible texts compare exactly.
+    Same leading-coefficient check, leading terms, box bound, STEP_CAP and
+    errors as the heap division, so quotients (their term order included)
+    and NotDivisible and TooLarge texts compare exactly.
     """
     if not d.terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -342,6 +342,8 @@ def reference_exact_divide(p, d):
         key = tuple(r_lead[i] - d_lead[i] for i in range(3))
         if any(key[i] < box_lo[i] or key[i] > box_hi[i] for i in range(3)):
             raise NotDivisible("no exact quotient (support escaped the feasible box)")
+        if len(quo) == STEP_CAP:
+            raise TooLarge("division needs more than %d quotient terms" % STEP_CAP)
         cq = c // d_lead_c
         quo[key] = cq
         for dk, dc in d.terms.items():
@@ -355,11 +357,11 @@ def reference_exact_divide(p, d):
 
 
 def divide_outcome(divide, p, d):
-    """The quotient's items in insertion order, or the NotDivisible text."""
+    """The quotient's items in insertion order, or the NotDivisible or TooLarge text."""
     try:
         return list(divide(p, d).terms.items())
-    except NotDivisible as exc:
-        return "NotDivisible: %s" % exc
+    except (NotDivisible, TooLarge) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 nonzero_polys = polys.filter(bool)
@@ -501,6 +503,21 @@ class TestExactDivide:
         for divide in (heap_exact_divide, reference_exact_divide):
             assert divide_outcome(divide, p, d) == (
                 "NotDivisible: leading coefficient 1 not divisible by -7")
+
+    def test_long_chain_stops_at_the_step_cap(self):
+        # Found by test_wide_outcomes_match_reference at --hypothesis-seed=54:
+        # both divisions walk a chain of over 10**5 leading terms before the
+        # quotient box rejects it, the reference paying for its whole
+        # remainder at each step.  STEP_CAP ends both at the same step.
+        p = parse_poly("5*a^-393113*t^-433 - 3*a^-3*q^-439019441*t^-1437 + a^-3*q^-179*t^2")
+        d = parse_poly("-3*a^-439019441*q^-439019441*t^-1437 + 5*a^-393113*t^-433"
+                       " + a^-3*q^-179*t^2 + q^-179*t^2")
+        product = p * d
+        perturbed = product + Poly3({(-6, -439019620, -1435): 1, list(product.terms)[3]: 1})
+        with time_limit(30):
+            for divide in (heap_exact_divide, reference_exact_divide):
+                assert divide_outcome(divide, perturbed, d) == (
+                    "TooLarge: division needs more than %d quotient terms" % STEP_CAP)
 
     @pytest.mark.parametrize("p, d", [(Poly3.one(), 3), (3, Poly3.one()), (P_T23, "q")])
     def test_foreign_operand_is_a_type_error(self, p, d):

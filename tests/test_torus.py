@@ -6,8 +6,11 @@ from math import gcd
 import pytest
 
 from heap_division import exact_divide
+from superpoly import torus
+from superpoly.complexes import build_torus_complex
 from superpoly.laurent import (
     Poly3,
+    TooLarge,
     at_a_qN,
     at_a_inv_t,
     at_t_minus_one,
@@ -262,6 +265,27 @@ class TestSuperT3:
     def test_rejects_multiples_of_three(self):
         with pytest.raises(ValueError):
             super_t3(6)
+
+    def test_generator_count_is_the_closed_count(self, monkeypatch):
+        # At the cap a family is built; one generator past it, nothing is.
+        counts = {m: sum(map(len, _t3_families(m))) for m in range(4, 122) if m % 3}
+        for m, count in counts.items():
+            monkeypatch.setattr(torus, "T3_GENERATOR_CAP", count)
+            _t3_families(m)
+            monkeypatch.setattr(torus, "T3_GENERATOR_CAP", count - 1)
+            with pytest.raises(TooLarge, match=r"^T\(3, %d\) has %d generators, past %d$"
+                               % (m, count, count - 1)):
+                _t3_families(m)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: build_torus_complex(3, m), super_t3, lambda m: t3_reduction_terms(m, 2),
+        lambda m: t3_reduction_terms(m, 0), lambda m: super_torus(3, m),
+    ], ids=["build_torus_complex", "super_t3", "t3_reduction_terms-2", "t3_reduction_terms-0",
+            "super_torus"])
+    def test_past_the_cap_builds_nothing(self, call):
+        assert torus.T3_GENERATOR_CAP > 38721  # T(3, 241) stays admitted
+        with pytest.raises(TooLarge, match=r"^T\(3, 1000001\) has 666668000001 generators"):
+            call(1000001)
 
 
 class TestSuperTorus:
