@@ -311,17 +311,17 @@ def delta_spectrum(p):
 
 # -- exact division -------------------------------------------------------
 
-# Dense row entries one exact_divide call may build (HOMFLY at T(35, 36): a few thousand).
+# Dense row entries one exact_divide call or HOMFLY division may build (T(35, 36): 63,700).
 WORK_CAP = 10 ** 6
 
 
 def _divide_rows(rows, e, steps):
     """Rows {base: (lo, row)} along e over prod (x^(g e) - c), (g, c) in steps.
 
-    row[j] is the coefficient at base + (lo + j) e.  Dividing by X^g - c
-    solves q_j = c (q_{j-g} - r_j) up each residue class mod g as a running
-    sum: exact iff the top g entries vanish.  Input lists are left unchanged,
-    and the quotient goes in lex-greatest first."""
+    row[j] is the coefficient at base + (lo + j) e; e need not be primitive.
+    Dividing by X^g - c solves q_j = c (q_{j-g} - r_j) up each residue class
+    mod g as a running sum: exact iff the top g entries vanish.  Input lists
+    are left unchanged, and the quotient goes in lex-greatest first."""
     e0, e1, e2 = e
     quo = []
     for (b0, b1, b2), (lo, row) in rows.items():

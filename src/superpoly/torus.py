@@ -7,7 +7,7 @@ obtained by mirroring, i.e. laurent.mirror.
 
 Two HOMFLY routes are provided: the classical sum over quantum factorials
 and a product form obtained by clearing denominators.  Both run through
-_binomial_sum on dense q-rows per a-exponent (t is 0 throughout): Gaussian
+_binomial_sum on dense rows in q^2 keyed by (a, q mod 2), t = 0: Gaussian
 binomials from one Pascal row, each two-term factor as two shifted row
 additions, then laurent._divide_rows, exact_divide's running sums, on the
 rows as they are.  Tests check both against each other and Poly3 references.
@@ -19,6 +19,7 @@ from operator import add, neg
 
 from .complexes import diff_degree
 from .laurent import (
+    WORK_CAP,
     Poly3,
     TooLarge,
     _divide_rows,
@@ -71,41 +72,58 @@ def _shift_add(row0, s, row):
 
 
 def _gaussian_row(n):
-    """The Gaussian binomials [n, b] in q^2 for b = 0..n, as dense q-rows from
-    q^0, by Pascal's rule [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
+    """The Gaussian binomials [n, b] for b = 0..n as dense rows in q^2 from q^0
+    (entry j at q^{2j}), by Pascal's rule [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
     row = [[1]]
     for k in range(1, n + 1):
-        row = [[1]] + [_shift_add(row[b - 1], 2 * b, row[b]) for b in range(1, k)] + [[1]]
+        row = [[1]] + [_shift_add(row[b - 1], b, row[b]) for b in range(1, k)] + [[1]]
     return row
 
 
-def _add_row(rows, a, lo, row):
-    """Add q^lo * row into rows[a]; lists already stored are never changed."""
-    if a in rows:
-        lo0, row0 = rows[a]
+def _add_row(rows, a, q, row):
+    """Add q^q * row, a row in q^2, to rows[(a, q & 1, 0)] at q >> 1; stored lists stay."""
+    key, lo = (a, q & 1, 0), q >> 1
+    if key in rows:
+        lo0, row0 = rows[key]
         if lo0 > lo:
             lo0, row0, lo, row = lo, row, lo0, row0
         lo, row = lo0, _shift_add(row0, lo - lo0, row)
-    rows[a] = (lo, row)
+    rows[key] = (lo, row)
 
 
 def _binomial_sum(n, summand):
     """Sum over b < n of (-1)^{n-1-b} a^ea q^eq [n-1, b] prod (a^x q^y - a^u q^v),
-    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {(a, 0, 0): (lo, q-row)}."""
+    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {(a, q mod 2, 0): (lo, row in q^2)}."""
     gauss = _gaussian_row(n - 1)
     total = {}
     for b in range(n):
         ea, eq, factors = summand(b)
-        rows = {ea: (eq, gauss[b] if (n - b) % 2 else list(map(neg, gauss[b])))}
+        rows = {}
+        _add_row(rows, ea, eq, gauss[b] if (n - b) % 2 else list(map(neg, gauss[b])))
         for x, y, u, v in factors:
             out = {}
-            for a, (lo, row) in rows.items():
-                _add_row(out, a + x, lo + y, row)
-                _add_row(out, a + u, lo + v, list(map(neg, row)))
+            for (a, r, _), (lo, row) in rows.items():
+                _add_row(out, a + x, r + 2 * lo + y, row)
+                _add_row(out, a + u, r + 2 * lo + v, list(map(neg, row)))
             rows = out
-        for a, (lo, row) in rows.items():
-            _add_row(total, (a, 0, 0), lo, row)
+        for (a, r, _), (lo, row) in rows.items():
+            _add_row(total, a, r + 2 * lo, row)
     return total
+
+
+# Most q^2-row entries the HOMFLY beta-sum may build: T(39, 40) needs 91,470,978.
+HOMFLY_WORK_CAP = 100_000_000
+
+
+def _homfly_size(n, m):
+    """Bounds (built, held) = (n^2 (2nL + W), nW) on homfly_torus's q^2-row entries.
+
+    A summand ends in n rows of at most L = n(n-1)/2 + 1 entries, factor step
+    f makes at most 3 such lists from each of its at most f rows, and adds n
+    rows to the sum, whose n rows hold at most W = m(n-1) + L entries each."""
+    width = n * (n - 1) // 2 + 1
+    span = m * (n - 1) + width
+    return n * n * (2 * n * width + span), n * span
 
 
 def homfly_torus(n, m, form="product"):
@@ -115,8 +133,14 @@ def homfly_torus(n, m, form="product"):
     denominators in the equivalent product expression.  Both are exact and
     end in laurent._divide_rows on q^{2k} - 1 factors; a NotDivisible there
     would indicate an implementation bug for valid (n, m) and is never swallowed.
+    Past HOMFLY_WORK_CAP entries built or WORK_CAP held by _homfly_size's
+    bounds, it raises TooLarge before building any row.
     """
     n, m = torus_id(n, m)
+    for count, cap in zip(_homfly_size(n, m), (HOMFLY_WORK_CAP, WORK_CAP)):
+        if count > cap:
+            raise TooLarge("HOMFLY of T(%d, %d) needs up to %d q^2-row entries, past %d"
+                           % (n, m, count, cap))
     if form == "jones":
         # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
         # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
@@ -125,7 +149,7 @@ def homfly_torus(n, m, form="product"):
         rows = _binomial_sum(n, lambda b: (
             m * (n - 1), n * (n + 1) // 2 - 1 - b * (n - 1 - b) - m * (2 * b - n + 1),
             [(1, j, -1, -j) for j in range(b - n + 1, b + 1) if j]))
-        return _divide_rows(rows, (0, 1, 0), [(2 * k, 1) for k in range(2, n + 1)])
+        return _divide_rows(rows, (0, 2, 0), [(k, 1) for k in range(2, n + 1)])
     if form == "product":
         # Sum over beta of q^{-2mb} prod (a^2 q^{2i} - 1)/(q^{2i} - 1)
         # * prod (a^2 - q^{2j})/(1 - q^{2j}) over prod_{i<n} (q^{2i} - 1), which
@@ -137,7 +161,7 @@ def homfly_torus(n, m, form="product"):
             s, s - 2 + 2 * n - 2 * m * b,
             [(2, 2 * i, 0, 0) for i in range(1, b + 1)]
             + [(2, 0, 0, 2 * j) for j in range(1, n - b)]))
-        return _divide_rows(rows, (0, 1, 0), [(2 * n, 1)] + [(2 * i, 1) for i in range(2, n)])
+        return _divide_rows(rows, (0, 2, 0), [(n, 1)] + [(i, 1) for i in range(2, n)])
     raise ValueError("form must be 'jones' or 'product', got %r" % (form,))
 
 

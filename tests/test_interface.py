@@ -222,6 +222,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: T(3, %d) has %d generators, past 200000\n" % (m, count)
 
+    def test_homfly_past_the_work_cap_is_2(self, capsys):
+        assert main(["homfly", "torus", "200", "201"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: HOMFLY of T(200, 201) needs up to 320812000000 "
+                                "q^2-row entries, past 100000000\n")
+
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),
         (["--n", "0", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

@@ -531,10 +531,11 @@ class TestExactDivide:
         divisors = []
 
         def divide_by_product(rows, e, steps):
-            assert e == (0, 1, 0) and all(c == 1 for _, c in steps)
-            d = q_binomial_product([(g, 0) for g, _ in steps])
+            # Rows in q^2: a step (g, 1) stands for q^{2g} - 1.
+            assert e == Q2 and all(c == 1 for _, c in steps)
+            d = q_binomial_product([(2 * g, 0) for g, _ in steps])
             divisors.append(d)
-            return reference_exact_divide(rows_to_poly(rows), d)
+            return reference_exact_divide(rows_to_poly(rows, e), d)
 
         monkeypatch.setattr(torus, "_divide_rows", divide_by_product)
         want = [homfly_torus(n, m, form) for n, m in pairs]
@@ -740,18 +741,21 @@ def q_binomial_product(binomials):
     return d
 
 
-def rows_to_poly(rows):
-    """The Poly3 of q-rows {(a, 0, t): (lo, row)}."""
-    return Poly3({(a, q + lo + i, t): c
-                  for (a, q, t), (lo, row) in rows.items() for i, c in enumerate(row)})
+Q1, Q2 = (0, 1, 0), (0, 2, 0)  # strides of q-rows and of rows in q^2
 
 
-def poly_to_rows(p):
-    """{(a, 0, t): (lo, dense q-row)}: p split into its q-rows."""
+def rows_to_poly(rows, e):
+    """The Poly3 of rows {base: (lo, row)} along e, row[j] at base + (lo + j) e."""
+    return Poly3({tuple(x + (lo + j) * y for x, y in zip(base, e)): c
+                  for base, (lo, row) in rows.items() for j, c in enumerate(row)})
+
+
+def poly_to_rows(p, e):
+    """{base: (lo, dense row)}: p split into its rows along e, e = (0, s, 0)."""
     fibers = {}
     for (a, q, t), c in p.terms.items():
-        fibers.setdefault((a, 0, t), {})[q] = c
-    return {b: (min(f), [f.get(q, 0) for q in range(min(f), max(f) + 1)])
+        fibers.setdefault((a, q % e[1], t), {})[q // e[1]] = c
+    return {b: (min(f), [f.get(j, 0) for j in range(min(f), max(f) + 1)])
             for b, f in fibers.items()}
 
 
@@ -759,11 +763,11 @@ def q_rows_quotient(rows, binomials):
     """q-rows over prod (q^hi - q^lo) by _divide_rows: q^lo comes off lo first."""
     shift = sum(lo for _, lo in binomials)
     return _divide_rows({b: (lo - shift, row) for b, (lo, row) in rows.items()},
-                        (0, 1, 0), [(hi - lo, 1) for hi, lo in binomials])
+                        Q1, [(hi - lo, 1) for hi, lo in binomials])
 
 
 def divide_q_rows(p, binomials):
-    return q_rows_quotient(poly_to_rows(p), binomials)
+    return q_rows_quotient(poly_to_rows(p, Q1), binomials)
 
 
 def q_binomial_outcome(divide, p, binomials):
@@ -811,7 +815,7 @@ class TestQBinomialDivision:
     @settings(max_examples=100, deadline=None)
     def test_padding_zeros_and_input_rows_are_kept(self, p, binomials, before, after):
         rows = {b: (lo - before, [0] * before + row + [0] * after)
-                for b, (lo, row) in poly_to_rows(p * q_binomial_product(binomials)).items()}
+                for b, (lo, row) in poly_to_rows(p * q_binomial_product(binomials), Q1).items()}
         copies = {b: (lo, list(row)) for b, (lo, row) in rows.items()}
         got = q_rows_quotient(rows, binomials)
         assert rows == copies
@@ -840,11 +844,11 @@ class TestQBinomialDivision:
         row = torus._gaussian_row(n)
         assert len(row) == n + 1
         for b, binomial in enumerate(row):
-            assert len(binomial) == 2 * b * (n - b) + 1, b
+            assert len(binomial) == b * (n - b) + 1, b
             divisors = factors(b) + factors(n - b)
             factorial = product_of(factors(n))
             want = exact_divide(factorial, *divisors) if divisors else factorial
-            assert rows_to_poly({(0, 0, 0): (0, binomial)}) == want, b
+            assert rows_to_poly({(0, 0, 0): (0, binomial)}, Q2) == want, b
 
 
 def reference_binomial_sum(n, summand):
@@ -852,7 +856,7 @@ def reference_binomial_sum(n, summand):
     total = Poly3.zero()
     for b, binomial in enumerate(torus._gaussian_row(n - 1)):
         ea, eq, factors = summand(b)
-        term = rows_to_poly({(0, 0, 0): (0, binomial)}).scale_monomial(
+        term = rows_to_poly({(0, 0, 0): (0, binomial)}, Q2).scale_monomial(
             (-1) ** (n - 1 - b), ea=ea, eq=eq)
         for x, y, u, v in factors:
             term = term * (Poly3.monomial(1, x, y) - Poly3.monomial(1, u, v))
@@ -872,7 +876,48 @@ class TestBinomialSum:
     @settings(max_examples=200, deadline=None)
     def test_matches_poly3_summand_loop(self, n, table):
         rows = torus._binomial_sum(n, table.__getitem__)
-        assert rows_to_poly(rows) == reference_binomial_sum(n, table.__getitem__)
+        assert rows_to_poly(rows, Q2) == reference_binomial_sum(n, table.__getitem__)
+
+
+def rows_outcome(divide, *args):
+    """The quotient's items in insertion order, or None for NotDivisible."""
+    try:
+        return list(divide(*args).terms.items())
+    except NotDivisible:
+        return None
+
+
+class TestMixedParityRows:
+    """Both q-parities at one a-exponent, which no HOMFLY summand makes: the
+    factor q - 1 puts every row's q^{2j} and q^{2j+1} entries side by side."""
+
+    def test_both_parities_of_one_a_exponent(self):
+        # -a^3 (q - 1) + a^3 q^2 (q - 1) = a^3 (1 - q - q^2 + q^3)
+        rows = torus._binomial_sum(2, lambda b: (3, 2 * b, [(0, 1, 0, 0)]))
+        assert rows == {(3, 0, 0): (0, [1, -1]), (3, 1, 0): (0, [-1, 1])}
+        assert rows_to_poly(rows, Q2) == parse_poly("a^3 - a^3*q - a^3*q^2 + a^3*q^3")
+
+    @given(st.integers(2, 5), summands, st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.integers(0, 99), st.integers(-3, 3).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_division_matches_heap(self, n, table, gs, pick, delta):
+        # Each summand carries every divisor q^{2g} - 1, so the sum is exact.
+        mixed = [(ea, eq, factors + [(0, 1, 0, 0)] + [(0, 2 * g, 0, 0) for g in gs])
+                 for ea, eq, factors in table]
+        rows = torus._binomial_sum(n, mixed.__getitem__)
+        assert {(a, 1 - r, t) for a, r, t in rows} == set(rows)
+        steps, d = [(g, 1) for g in gs], q_binomial_product([(2 * g, 0) for g in gs])
+        got = rows_outcome(_divide_rows, rows, Q2, steps)
+        assert got == rows_outcome(heap_exact_divide, rows_to_poly(rows, Q2), d)
+        assert got is not None
+        # One entry nudged: a monomial off a multiple of d, never divisible.
+        keys = sorted(rows)
+        lo, row = rows[keys[pick % len(keys)]]
+        row = list(row)
+        row[pick % len(row)] += delta
+        nudged = {**rows, keys[pick % len(keys)]: (lo, row)}
+        assert rows_outcome(_divide_rows, nudged, Q2, steps) is None
+        assert rows_outcome(heap_exact_divide, rows_to_poly(nudged, Q2), d) is None
 
 
 Y_POLY = Poly3({(0, 2, 1): 1, (0, 0, 0): 2, (0, -2, -1): 1})

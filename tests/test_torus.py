@@ -2,6 +2,7 @@
 
 import re
 from math import gcd
+from operator import neg
 
 import pytest
 
@@ -187,6 +188,65 @@ class TestHomfly:
             torus_id(*pair)
         with pytest.raises(TypeError, match=pattern):
             homfly_torus(*pair)
+
+    @pytest.mark.parametrize("form", ["jones", "product"])
+    def test_size_bounds_the_rows_built(self, form, monkeypatch):
+        built, held = [0], [0]
+
+        def shift_add(row0, s, row):
+            out = shift_add0(row0, s, row)
+            built[0] += len(out)
+            return out
+
+        def counting_map(f, *rows):
+            if f is neg:
+                built[0] += len(rows[0])
+            return map(f, *rows)
+
+        def divide_rows(rows, e, steps):
+            held[0] = sum(len(row) for _, row in rows.values())
+            return divide_rows0(rows, e, steps)
+
+        shift_add0, divide_rows0 = torus._shift_add, torus._divide_rows
+        monkeypatch.setattr(torus, "_shift_add", shift_add)
+        monkeypatch.setattr(torus, "map", counting_map, raising=False)
+        monkeypatch.setattr(torus, "_divide_rows", divide_rows)
+        for n, m in [(2, 3), (2, 101), (3, 4), (3, 301), (5, 6), (7, 50), (12, 13), (17, 18)]:
+            built[0] = 0
+            homfly_torus(n, m, form)
+            bound_built, bound_held = torus._homfly_size(n, m)
+            assert 0 < built[0] <= bound_built and 0 < held[0] <= bound_held, (n, m)
+
+    def test_cap_admits_every_size_in_use(self):
+        # CI stops at T(29, 30), the benchmark at T(17, 18) and T(3, 61); the
+        # docs time T(35, 36).
+        for n, m in [(17, 18), (23, 24), (29, 30), (35, 36), (3, 61)]:
+            built, held = torus._homfly_size(n, m)
+            assert built <= torus.HOMFLY_WORK_CAP and held <= torus.WORK_CAP, (n, m)
+
+    @pytest.mark.parametrize("form", ["jones", "product"])
+    def test_past_the_cap_builds_nothing(self, form, monkeypatch):
+        built, held = torus._homfly_size(7, 9)
+        monkeypatch.setattr(torus, "HOMFLY_WORK_CAP", built)
+        monkeypatch.setattr(torus, "WORK_CAP", held)
+        assert homfly_torus(7, 9, form) == homfly_torus(7, 9, "jones")
+        for name, count in [("HOMFLY_WORK_CAP", built), ("WORK_CAP", held)]:
+            with monkeypatch.context() as mp:
+                mp.setattr(torus, name, count - 1)
+                mp.setattr(torus, "_gaussian_row", None)
+                with pytest.raises(TooLarge, match=r"^HOMFLY of T\(7, 9\) needs up to %d "
+                                   r"q\^2-row entries, past %d$" % (count, count - 1)):
+                    homfly_torus(7, 9, form)
+
+    @pytest.mark.parametrize("n, m, count, cap", [
+        (200, 201, 320812000000, 100000000),
+        (40, 41, 103776000, 100000000),
+        (3, 1000001, 6000018, 1000000),
+    ])
+    def test_runaway_sizes_are_too_large(self, n, m, count, cap):
+        with pytest.raises(TooLarge, match=r"^HOMFLY of T\(%d, %d\) needs up to %d q\^2-row "
+                           r"entries, past %d$" % (n, m, count, cap)):
+            homfly_torus(n, m)
 
 
 @pytest.mark.parametrize("name, closed_form", [
