@@ -11,13 +11,10 @@ integer level N.  The admissible degree of d_N is
 and the whole family must pairwise anticommute (so in particular each d_N
 squares to zero).  That axiom is checked by one walk over the length-two
 paths of all levels, source by source.  The in-package builders write each
-+-1 sign from a closed-form rule per arrow class: in T(3, m) the sign is -1
-exactly on the d_1 arrows out of the odd level-1 generators and the d_1 and
-d_{-1} arrows out of level 2, in a thin complex exactly on each square's
-second d_1 arrow.  complex_from_arrows verifies every build.  Homology with
-respect to d_N, taken per amalgamated bigrade, produces the doubly graded
-reductions; the N = 1 differential is canceling and the grading of its
-unique survivor is the S-invariant.
++-1 sign from a closed-form rule per arrow class, and complex_from_arrows
+verifies every build.  Homology with respect to d_N, taken per amalgamated
+bigrade, produces the doubly graded reductions; the N = 1 differential is
+canceling and the grading of its unique survivor is the S-invariant.
 
 Coefficients are ints whenever their denominator is 1 (every built
 complex); only a truly non-integer coefficient (say from a .cplx file)
@@ -457,11 +454,8 @@ def s_invariant(c):
 def complex_from_arrows(gradings, arrows, label=None):
     """Build a DotComplex from signed arrows and verify it.
 
-    arrows: dict N -> list of (src, dst, sign) triples, sign = +-1.  The
-    signs come from closed-form rules per arrow class.  In T(3, m) the
-    sign is -1 exactly on the d_1 arrows out of the odd level-1 generators
-    and the d_1 and d_{-1} arrows out of level 2.  In a thin complex it is
-    -1 exactly on each square's second d_1 arrow, base+2 -> base+3.  In-package
+    arrows: dict N -> list of (src, dst, sign) triples, sign = +-1, each
+    sign from its builder's closed-form rule per arrow class.  In-package
     builders only: their int-triple gradings and distinct in-range arrows
     go to DotComplex._trusted, each level sorted.  verify() then checks every
     build exactly, and any violation raises ComplexError.
@@ -483,10 +477,10 @@ def build_torus_complex(n, m):
     complex with no squares.  For n = 3, d_1 is the explicit canceling
     matching, d_{-1} and d_{-2} its image under the q -> q^{-1} involution,
     and the d_2 / d_0 arrows pair each cancelled source with its image;
-    the arrows are read off the family keys of torus._t3_families.  The sign
-    is -1 exactly on the d_1 arrows out of the odd level-1 keys and on the
-    d_1 and d_{-1} arrows out of level 2; complex_from_arrows verifies the
-    result before it is returned.
+    each arrow's target is a row start of torus._t3_families plus an offset
+    in the row.  The sign is -1 exactly on the d_1 arrows out of the odd
+    level-1 entries and on the d_1 and d_{-1} arrows out of level 2;
+    complex_from_arrows verifies the result before it is returned.
     """
     from .torus import torus_id, _t3_families
 
@@ -497,33 +491,34 @@ def build_torus_complex(n, m):
         raise ValueError("only the n = 2 and n = 3 families have explicit complexes")
 
     levels = _t3_families(m)
-    gens = []
-    index = {}
-    for level, entries in enumerate(levels):
-        for key, g in entries:
-            index[(level, key)] = len(gens)
-            gens.append(g)
+    gens, starts = [], []
+    for rows in levels:
+        starts.append([])
+        for row in rows:
+            starts[-1].append(len(gens))
+            gens.extend(row)
+    at0, at1, at2 = starts
     arrows = {1: [], -1: [], 2: [], -2: [], 0: []}
-    for key, _ in levels[1]:
-        parity, j, i = key
-        src = index[(1, key)]
-        if parity == "even":
-            targets = [(1, (j, i), 1), (-1, (j, i + 1), 1)]
-        else:
-            targets = [(2, (j, i), 1), (0, (j, i + 1), 1), (-2, (j, i + 2), 1),
-                       (1, (j - 1, i - 1), -1) if i else (-1, (j - 1, 0), 1)]
-        for n_diff, dst, sign in targets:
-            arrows[n_diff].append((src, index[(0, dst)], sign))
-    for key, _ in levels[2]:
-        j, i = key
-        src = index[(2, key)]
-        targets = [(1, ("odd", j + 1, i), -1), (-1, ("odd", j + 1, i + 1), -1),
-                   (2, ("even", j + 1, i), 1), (0, ("even", j + 1, i + 1), 1),
-                   (-2, ("even", j + 1, i + 2), 1)]
-        if i:
-            targets.append((1, ("even", j, i - 1), -1))
-        for n_diff, dst, sign in targets:
-            arrows[n_diff].append((src, index[(1, dst)], sign))
+    for j, row in enumerate(levels[1]):
+        for r in range(len(row)):
+            i = r // 2
+            dst = at0[j] + i
+            if r % 2 == 0:
+                targets = [(1, dst, 1), (-1, dst + 1, 1)]
+            else:
+                targets = [(2, dst, 1), (0, dst + 1, 1), (-2, dst + 2, 1),
+                           (1, at0[j - 1] + i - 1, -1) if i else (-1, at0[j - 1], 1)]
+            for n_diff, d, sign in targets:
+                arrows[n_diff].append((at1[j] + r, d, sign))
+    for j, row in enumerate(levels[2]):
+        for i in range(len(row)):
+            up = at1[j + 1] + 2 * i
+            targets = [(1, up + 1, -1), (-1, up + 3, -1), (2, up, 1), (0, up + 2, 1),
+                       (-2, up + 4, 1)]
+            if i:
+                targets.append((1, at1[j] + 2 * i - 2, -1))
+            for n_diff, d, sign in targets:
+                arrows[n_diff].append((at2[j] + i, d, sign))
     return complex_from_arrows(gens, arrows, label="T(3,%d)" % m)
 
 

@@ -13,8 +13,8 @@ row fails the whole load, with one diagnostic per offending row.
 
 import os
 
-from .laurent import at_a_qN, at_t_minus_one, parse_poly, ParseError
-from .complexes import deserialize_complex, ComplexParseError
+from .laurent import at_a_one, at_a_qN, at_t_minus_one, parse_poly, ParseError
+from .complexes import _ascii_int, deserialize_complex, ComplexParseError
 
 
 class DatasetError(Exception):
@@ -79,8 +79,8 @@ def load_dataset(path=None):
             return None
 
         try:
-            s_inv = int(cols[1])
-            sigma = int(cols[2])
+            s_inv = _ascii_int(cols[1].strip())
+            sigma = _ascii_int(cols[2].strip())
             homfly = parse_poly(cols[3])
             khr2 = optional(4) and parse_poly(optional(4))
             hfk = optional(5) and parse_poly(optional(5))
@@ -110,8 +110,6 @@ def validate_record(rec):
             out.append("sl(2) column does not specialize to the a = q^2 slice")
     if rec.hfk is not None:
         euler = at_t_minus_one(rec.hfk)
-        from .laurent import at_a_one
-
         if euler != at_a_one(rec.homfly):
             out.append("Alexander-side column has the wrong Euler characteristic")
     if rec.complex_path is not None:

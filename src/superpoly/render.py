@@ -1,11 +1,12 @@
 """Dot diagram rendering: generators plotted by (q, a) with t-labels.
 
 Text output is a grid whose rows are a-levels in descending order (step 2)
-and whose columns step through q (step 2); each cell lists the t-exponents
+and whose columns step through q (step 2, or 1 when the q-exponents mix
+parities); each cell lists the t-exponents
 of the generators sitting at that spot, and the bottom row's a-grading is
 printed so the absolute normalization is visible.  SVG output draws the
-same layout with one arrow per differential entry; an arrow of level N has
-slope -1/N by construction, since it connects dots offset by (2N, -2).
+same layout with one arrow per differential entry; in the step-2 layout an
+arrow of level N has slope -1/N, since it connects dots offset by (2N, -2).
 """
 
 
@@ -18,13 +19,18 @@ def _spots(c):
     return spots
 
 
+def _q_step(spots):
+    """Column step in q: 2 when every q-exponent has one parity, else 1."""
+    return 2 if len({q % 2 for (q, _) in spots}) == 1 else 1
+
+
 def render_text(c):
     if not c.generators:
         return "(empty complex)\n"
     spots = _spots(c)
     a_values = sorted({a for (_, a) in spots}, reverse=True)
     q_values = range(
-        min(q for (q, _) in spots), max(q for (q, _) in spots) + 1, 2
+        min(q for (q, _) in spots), max(q for (q, _) in spots) + 1, _q_step(spots)
     )
     cells = {}
     width = 1
@@ -58,14 +64,15 @@ def render_svg(c):
     as_ = [a for (_, a) in spots]
     qlo, qhi = min(qs), max(qs)
     alo, ahi = min(as_), max(as_)
+    step = _q_step(spots)
 
     def xy(eq, ea):
         return (
-            GRID + (eq - qlo) // 2 * GRID,
+            GRID + (eq - qlo) // step * GRID,
             GRID + (ahi - ea) // 2 * GRID,
         )
 
-    width = 2 * GRID + (qhi - qlo) // 2 * GRID
+    width = 2 * GRID + (qhi - qlo) // step * GRID
     height = 2 * GRID + (ahi - alo) // 2 * GRID
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'

@@ -104,84 +104,63 @@ def thin_super(homfly, s_inv):
     return ThinResult(poly, s_inv, sawtooth_poly(s_inv), squares)
 
 
-def _pairing(p, survivor_of_s, binomial, survivor_name):
-    """Shared engine for the one-step pairings.
+def _splits(p, survivor, binomial):
+    """Yield (key, outcome) per positive term of p whose key passes survivor.
 
-    Scans candidate survivor monomials in canonical order; for each, the
-    remainder must be exactly divisible by the binomial with nonnegative
-    quotient.  The first success wins (deterministic); if no candidate
-    exists at all, NoSurvivor; otherwise the first candidate's failure is
-    reported.
+    Terms come in canonical order.  The outcome is the quotient of p minus
+    that monomial by the binomial when it is exact and nonnegative, else
+    the NotDivisible that stopped it, or None for a negative quotient.
     """
-    candidates = []
-    for (ea, eq, et), c in p.sorted_terms():
-        s_inv = survivor_of_s(ea, eq, et)
-        if s_inv is not None and c > 0:
-            candidates.append(s_inv)
-    if not candidates:
-        raise NoSurvivor("no monomial of the form %s is present" % survivor_name)
-    first_error = None
-    for s_inv in candidates:
-        survivor = _survivor_monomial(s_inv, survivor_name)
-        try:
-            quotient = exact_divide(p - survivor, binomial)
-        except NotDivisible as exc:
-            if first_error is None:
-                first_error = NotDecomposable(
-                    "remainder after %s survivor S=%d: %s" % (survivor_name, s_inv, exc)
-                )
-            continue
-        if not positivity_and_alternation(quotient, "nonneg"):
-            if first_error is None:
-                first_error = NegativeQuotient(
-                    "quotient for %s survivor S=%d has negative coefficients"
-                    % (survivor_name, s_inv)
-                )
-            continue
-        return s_inv, quotient
-    raise first_error
+    for key, c in p.sorted_terms():
+        if c > 0 and survivor(*key):
+            try:
+                quotient = exact_divide(p - Poly3.monomial(1, *key), binomial)
+            except NotDivisible as exc:
+                yield key, exc
+                continue
+            yield key, quotient if quotient.is_nonnegative() else None
 
 
-def _survivor_monomial(s_inv, survivor_name):
-    if survivor_name == "plus":
-        return Poly3.monomial(1, s_inv, -s_inv, 0)
-    return Poly3.monomial(1, s_inv, s_inv, s_inv)
+def _one_step(p, name, survivor, binomial):
+    """(S, Q) from the first exact nonnegative split; else the first failure.
+
+    NoSurvivor when no monomial passes survivor; otherwise a failure of the
+    first candidate is raised as NotDecomposable or NegativeQuotient.
+    """
+    failure = None
+    for key, outcome in _splits(p, survivor, binomial):
+        if isinstance(outcome, Poly3):
+            return key[0], outcome
+        if failure is None:
+            failure = key[0], outcome
+    if failure is None:
+        raise NoSurvivor("no monomial of the form %s is present" % name)
+    s_inv, exc = failure
+    if exc is None:
+        raise NegativeQuotient(
+            "quotient for %s survivor S=%d has negative coefficients" % (name, s_inv)
+        )
+    raise NotDecomposable("remainder after %s survivor S=%d: %s" % (name, s_inv, exc))
 
 
 def pattern_plus(p):
     """S and Q+ with p = a^S q^{-S} + (1 + t a^2 q^{-2}) Q+, Q+ >= 0."""
-    return _pairing(
-        p,
-        lambda ea, eq, et: ea if (eq == -ea and et == 0) else None,
-        1 + Poly3.monomial(1, 2, -2, 1),
-        "plus",
-    )
+    return _one_step(p, "plus", lambda ea, eq, et: eq == -ea and et == 0,
+                     1 + Poly3.monomial(1, 2, -2, 1))
 
 
 def pattern_minus(p):
     """S and Q- with p = (aqt)^S + (1 + a^2 q^2 t^3) Q-, Q- >= 0."""
-    return _pairing(
-        p,
-        lambda ea, eq, et: ea if (eq == ea and et == ea) else None,
-        1 + Poly3.monomial(1, 2, 2, 3),
-        "minus",
-    )
+    return _one_step(p, "minus", lambda ea, eq, et: eq == ea and et == ea,
+                     1 + Poly3.monomial(1, 2, 2, 3))
 
 
-def _three_step_splits(khr2):
-    """Yield (m, n, Q-) for each survivor q^m t^n admitting a split, in order."""
+def _knight_moves(khr2):
+    """(m, n, Q-) for each survivor q^m t^n admitting a split, lazily, in order."""
     if any(ea != 0 for (ea, _, _) in khr2.terms):
         raise ValueError("three-step pairing applies to a-free polynomials")
-    binomial = 1 + Poly3.monomial(1, 0, 6, 3)
-    for (_, eq, et), c in khr2.sorted_terms():
-        if c <= 0:
-            continue
-        try:
-            quotient = exact_divide(khr2 - Poly3.monomial(1, 0, eq, et), binomial)
-        except NotDivisible:
-            continue
-        if positivity_and_alternation(quotient, "nonneg"):
-            yield eq, et, quotient
+    splits = _splits(khr2, lambda *key: True, 1 + Poly3.monomial(1, 0, 6, 3))
+    return ((eq, et, q) for (_, eq, et), q in splits if isinstance(q, Poly3))
 
 
 def three_step_pairing(khr2):
@@ -191,12 +170,12 @@ def three_step_pairing(khr2):
     monomial order; the first exact nonnegative split is returned, and
     absence of any split comes back as None rather than an error.
     """
-    return next(_three_step_splits(khr2), None)
+    return next(_knight_moves(khr2), None)
 
 
 def all_three_step_pairings(khr2):
     """Every survivor monomial admitting a three-step split, for inspection."""
-    return list(_three_step_splits(khr2))
+    return list(_knight_moves(khr2))
 
 
 def thin_quotient_test(homfly, s_inv):

@@ -190,37 +190,35 @@ T3_GENERATOR_CAP = 200_000
 
 
 def _t3_families(m):
-    """Index data for the three a-levels of the T(3, m) superpolynomial.
+    """Gradings of the three a-levels of the T(3, m) superpolynomial, as rows.
 
-    Returns (level0, level1, level2) where each level is a list of
-    (key, (ea, eq, et)) pairs; key identifies the summation indices so that
-    repeated monomials stay distinguishable.  level1 keys (parity, j, i)
-    carry an 'even' or 'odd' flag splitting the inner sum by the parity of
-    its index, which is the split along which the differentials act.  With
-    m = 3k + 1 + e, e in {0, 1}, every grading moves by (2e, 2e, 2e) and
-    every inner range grows by e (by 2e before the level-1 parity split).
-    The 6k^2 + 4k + 1 + e(4k + 2) generators, about (2/3) m^2, are counted
-    first: past T3_GENERATOR_CAP it raises TooLarge and builds nothing.
+    Returns (level0, level1, level2); level[j][i] is the (ea, eq, et)
+    grading of the generator with summation indices (j, i), so repeated
+    monomials stay distinguishable by position.  In level 1 the parity of
+    i splits the inner sum, the split along which the differentials act,
+    and i // 2 is the index within each half.  With m = 3k + 1 + e, e in
+    {0, 1}, every grading moves by (2e, 2e, 2e) and every inner range grows
+    by e (by 2e in level 1).  The 6k^2 + 4k + 1 + e(4k + 2) generators,
+    about (2/3) m^2, are counted first: past T3_GENERATOR_CAP it raises
+    TooLarge and builds nothing.
     """
     k, e = _t3_index(m)
     count = 6 * k * k + 4 * k + 1 + e * (4 * k + 2)
     if count > T3_GENERATOR_CAP:
         raise TooLarge("T(3, %d) has %d generators, past %d" % (m, count, T3_GENERATOR_CAP))
     s = 2 * e
-    lv0 = [((j, i), (6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s))
-           for j in range(k + 1) for i in range(3 * j + 1 + e)]
-    lv1 = [((("even", "odd")[i % 2], j, i // 2),
-            (6 * k + 2 + s, 6 * j - 2 * i - 2 + s, 4 * k + 2 * j - 2 * (i // 2) + 1 + s))
-           for j in range(k + 1) for i in range(6 * j - 1 + s)]
-    lv2 = [((j, i), (6 * k + 4 + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + 4 + s))
-           for j in range(k) for i in range(3 * j + 1 + e)]
+    lv0 = [[(6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s)
+            for i in range(3 * j + 1 + e)] for j in range(k + 1)]
+    lv1 = [[(6 * k + 2 + s, 6 * j - 2 * i - 2 + s, 4 * k + 2 * j - 2 * (i // 2) + 1 + s)
+            for i in range(6 * j - 1 + s)] for j in range(k + 1)]
+    lv2 = [[(6 * k + 4 + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + 4 + s)
+            for i in range(3 * j + 1 + e)] for j in range(k)]
     return lv0, lv1, lv2
 
 
 def super_t3(m):
     """Reduced superpolynomial of T(3, m), m coprime to 3."""
-    lv0, lv1, lv2 = _t3_families(m)
-    return Poly3(Counter(g for _, g in lv0 + lv1 + lv2))
+    return Poly3(Counter(g for level in _t3_families(m) for row in level for g in row))
 
 
 def super_torus(n, m):
@@ -248,7 +246,7 @@ def t3_reduction_terms(m, n_diff):
         raise ValueError("only the N = 2 and N = 0 reductions are specified")
     _, lv1, lv2 = _t3_families(m)
     shift = diff_degree(n_diff)
-    killed = [g for key, g in lv1 if key[0] == "odd"] + [g for _, g in lv2]
+    killed = [g for row in lv1 for g in row[1::2]] + [g for row in lv2 for g in row]
     images = [(ea + shift[0], eq + shift[1], et + shift[2]) for ea, eq, et in killed]
     return Poly3(Counter(killed)), Poly3(Counter(images))
 

@@ -277,7 +277,18 @@ def _construction_inputs(monkeypatch, build, *args):
 class TestT3:
     @pytest.mark.parametrize("m", T3_MS)
     def test_families(self, m):
-        assert _t3_families(m) == reference_t3_families(m)[1:]
+        # Row entry (j, i) of each level is the reference's key (j, i); in
+        # level 1 it is the key (parity of i, j, i // 2).
+        _, *expected = reference_t3_families(m)
+        levels = _t3_families(m)
+        for rows, entries in zip(levels, expected):
+            assert [g for row in rows for g in row] == [g for _, g in entries]
+        for rows, entries in zip(levels[::2], expected[::2]):
+            assert [(j, i) for j, row in enumerate(rows) for i in range(len(row))] == [
+                key for key, _ in entries]
+        assert [(("even", "odd")[i % 2], j, i // 2)
+                for j, row in enumerate(levels[1]) for i in range(len(row))] == [
+            key for key, _ in expected[1]]
 
     @pytest.mark.parametrize("m", T3_MS)
     def test_arrows(self, monkeypatch, m):
@@ -296,7 +307,7 @@ class TestT3:
         # One level-2 d_{-1} arrow taken to +1: verify must refuse the build
         # and name the d_{-1} faults at that arrow's source.
         build = complexes.complex_from_arrows
-        top = len(_t3_families(m)[2])
+        top = sum(map(len, _t3_families(m)[2]))
         flipped = []
 
         def tamper(gradings, arrows, label=None):

@@ -13,6 +13,17 @@ from superpoly.render import render_svg, render_text
 from superpoly.cli import main
 
 
+def trefoil_table(tmp_path, columns):
+    """A one-row table: the bundled 3_1 row with the given columns replaced."""
+    with open(bundled_path()) as fh:
+        cols = next(line for line in fh if line.startswith("3_1\t")).split("\t")
+    for i, text in columns.items():
+        cols[i] = text
+    path = tmp_path / "table.tsv"
+    path.write_text("\t".join(cols))
+    return str(path)
+
+
 class TestDataset:
     def test_bundled_loads_clean(self):
         records = load_dataset("bundled")
@@ -60,6 +71,18 @@ class TestDataset:
             "line 1 (unknot): complex file: d_1 entry 0 -> 1 refers to a missing generator (line 2)"
         ]
 
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("digits", ["\u0662", "0_2", "\uff12"])
+    def test_s_and_sigma_need_ascii_digits(self, tmp_path, column, digits):
+        # int() reads these as 2; the table takes the ASCII digits parse_poly reads.
+        with pytest.raises(DatasetError) as err:
+            load_dataset(trefoil_table(tmp_path, {column: digits}))
+        assert err.value.problems == ["line 1 (3_1): not an ASCII integer: %r" % digits]
+
+    def test_s_and_sigma_may_carry_spaces(self, tmp_path):
+        (rec,) = load_dataset(trefoil_table(tmp_path, {1: " 2 ", 2: "+2 "}))
+        assert (rec.s_inv, rec.sigma) == (2, 2)
+
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "short.tsv"
         path.write_text("just_a_name\t0\n")
@@ -89,6 +112,25 @@ class TestRender:
         counts = [sum(1 for cell in row.split("|")[1].split() if cell) for row in rows]
         assert counts == [1, 5, 5]
         assert "bottom row a-grading: 6" in text
+
+    @pytest.mark.parametrize("gradings", [
+        [(0, 0, 0), (0, 1, 0), (2, 3, 1)],
+        [(0, -1, 5), (2, 4, 7), (-2, 0, 3), (0, 3, 9)],
+        [(0, 0, 0), (0, 2, 1), (2, 4, 2)],
+    ])
+    def test_every_generator_is_drawn(self, gradings):
+        # q-exponents of both parities get a column step of 1, in text and SVG.
+        from superpoly.complexes import DotComplex
+
+        c = DotComplex(gradings, {})
+        text = render_text(c)
+        cells = [cell for line in text.splitlines() if line.startswith("a=")
+                 for cell in line.split("|")[1].split()]
+        assert sorted(cells) == sorted(str(et) for _, _, et in gradings)
+        svg = render_svg(c)
+        assert svg.count("<circle") == len(gradings)
+        labels = re.findall(r'text-anchor="middle">(-?\d+)</text>', svg)
+        assert sorted(labels) == sorted(str(et) for _, _, et in gradings)
 
     def test_svg_self_contained(self):
         svg = render_svg(build_torus_complex(2, 3))

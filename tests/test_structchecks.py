@@ -1,17 +1,24 @@
 """Thin construction, pairing decompositions, bounds, derived invariants."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superpoly.laurent import (
+    NotDivisible,
     Poly3,
     at_a_qN,
     at_t_minus_one,
+    exact_divide,
     parse_poly,
+    positivity_and_alternation,
 )
+from superpoly import structchecks
 from superpoly.structchecks import (
+    NegativeQuotient,
     NoSurvivor,
     NotAlternating,
     NotDecomposable,
+    StructureError,
     all_three_step_pairings,
     derived_invariants,
     morton_check,
@@ -94,6 +101,16 @@ class TestPatterns:
         with pytest.raises(NotDecomposable, match="remainder after plus survivor S=0: "):
             pattern_plus(parse_poly("1 + a^2*q^-2*t^2 + a^2*q^-2*t"))
 
+    @pytest.mark.parametrize("pattern, name, text", [
+        (pattern_plus, "plus", "1 + a^6*q^-6*t^3 - a^2*q^-2*t"),
+        (pattern_minus, "minus", "1 + a^6*q^6*t^9 - a^2*q^2*t^3"),
+    ])
+    def test_negative_quotient(self, pattern, name, text):
+        # The remainder divides exactly, but the quotient 1 - (binomial term) is not >= 0.
+        message = "^quotient for %s survivor S=0 has negative coefficients$" % name
+        with pytest.raises(NegativeQuotient, match=message):
+            pattern(parse_poly(text))
+
     def test_bundled_rows_nonnegative(self):
         for rec in load_dataset():
             if rec.superpoly is None:
@@ -125,6 +142,10 @@ class TestThreeStep:
     def test_absence_is_none(self):
         assert three_step_pairing(parse_poly("1 + q^2*t")) is None
 
+    def test_negative_quotient_is_none(self):
+        # 1 + q^18 t^9 - q^6 t^3 = 1 + (1 + q^6 t^3)(q^12 t^6 - q^6 t^3): exact, not >= 0.
+        assert three_step_pairing(parse_poly("1 + q^18*t^9 - q^6*t^3")) is None
+
     def test_t2_family(self):
         # Every (2, m) reduction through m = 21.
         for k in range(1, 11):
@@ -135,6 +156,21 @@ class TestThreeStep:
         for m in range(4, 32):
             if m % 3:
                 assert three_step_pairing(khr2_t3_closed(m)) is not None
+
+    def test_scan_stops_at_the_first_split(self, monkeypatch):
+        # Candidates q^2, q^6 t^2, q^8 t^3: the second splits, the third is never tried.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return exact_divide(*args)
+
+        monkeypatch.setattr(structchecks, "exact_divide", counting)
+        khr2 = at_a_qN(super_t2(1), 2)
+        assert three_step_pairing(khr2) == (6, 2, parse_poly("q^2"))
+        assert len(calls) == 2
+        all_three_step_pairings(khr2)
+        assert len(calls) == 2 + 3
 
     def test_all_pairings_superset(self):
         khr2 = at_a_qN(super_t2(1), 2)
@@ -200,3 +236,133 @@ class TestDerived:
     def test_unit(self):
         g_h, alexander, _ = derived_invariants(Poly3.one())
         assert g_h == 0 and alexander == Poly3.one()
+
+
+# The earlier scans, one for the one-step pairings and one for the three-step
+# pairing, verbatim; the single survivor scan must reproduce their outcomes.
+
+
+def reference_pairing(p, survivor_of_s, binomial, survivor_name):
+    """Shared engine for the one-step pairings.
+
+    Scans candidate survivor monomials in canonical order; for each, the
+    remainder must be exactly divisible by the binomial with nonnegative
+    quotient.  The first success wins (deterministic); if no candidate
+    exists at all, NoSurvivor; otherwise the first candidate's failure is
+    reported.
+    """
+    candidates = []
+    for (ea, eq, et), c in p.sorted_terms():
+        s_inv = survivor_of_s(ea, eq, et)
+        if s_inv is not None and c > 0:
+            candidates.append(s_inv)
+    if not candidates:
+        raise NoSurvivor("no monomial of the form %s is present" % survivor_name)
+    first_error = None
+    for s_inv in candidates:
+        survivor = reference_survivor_monomial(s_inv, survivor_name)
+        try:
+            quotient = exact_divide(p - survivor, binomial)
+        except NotDivisible as exc:
+            if first_error is None:
+                first_error = NotDecomposable(
+                    "remainder after %s survivor S=%d: %s" % (survivor_name, s_inv, exc)
+                )
+            continue
+        if not positivity_and_alternation(quotient, "nonneg"):
+            if first_error is None:
+                first_error = NegativeQuotient(
+                    "quotient for %s survivor S=%d has negative coefficients"
+                    % (survivor_name, s_inv)
+                )
+            continue
+        return s_inv, quotient
+    raise first_error
+
+
+def reference_survivor_monomial(s_inv, survivor_name):
+    if survivor_name == "plus":
+        return Poly3.monomial(1, s_inv, -s_inv, 0)
+    return Poly3.monomial(1, s_inv, s_inv, s_inv)
+
+
+def reference_three_step_splits(khr2):
+    """Yield (m, n, Q-) for each survivor q^m t^n admitting a split, in order."""
+    if any(ea != 0 for (ea, _, _) in khr2.terms):
+        raise ValueError("three-step pairing applies to a-free polynomials")
+    binomial = 1 + Poly3.monomial(1, 0, 6, 3)
+    for (_, eq, et), c in khr2.sorted_terms():
+        if c <= 0:
+            continue
+        try:
+            quotient = exact_divide(khr2 - Poly3.monomial(1, 0, eq, et), binomial)
+        except NotDivisible:
+            continue
+        if positivity_and_alternation(quotient, "nonneg"):
+            yield eq, et, quotient
+
+
+PLUS_BINOMIAL = 1 + Poly3.monomial(1, 2, -2, 1)
+MINUS_BINOMIAL = 1 + Poly3.monomial(1, 2, 2, 3)
+KNIGHT_BINOMIAL = 1 + Poly3.monomial(1, 0, 6, 3)
+
+REFERENCE_PAIRS = [
+    (pattern_plus, lambda p: reference_pairing(
+        p, lambda ea, eq, et: ea if (eq == -ea and et == 0) else None, PLUS_BINOMIAL, "plus")),
+    (pattern_minus, lambda p: reference_pairing(
+        p, lambda ea, eq, et: ea if (eq == ea and et == ea) else None, MINUS_BINOMIAL, "minus")),
+    (three_step_pairing, lambda p: next(reference_three_step_splits(p), None)),
+    (all_three_step_pairings, lambda p: list(reference_three_step_splits(p))),
+]
+
+
+def outcome(call, p):
+    """The result of call(p), or its exception's type and text."""
+    try:
+        return call(p)
+    except (StructureError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(p):
+    for public, reference in REFERENCE_PAIRS:
+        assert outcome(public, p) == outcome(reference, p), (public.__name__, p)
+
+
+class TestMatchesReferenceScan:
+    def test_table_rows(self):
+        for rec in load_dataset():
+            for p in (rec.homfly, rec.khr2, rec.hfk, rec.superpoly):
+                if p is not None:
+                    assert_matches_reference(p)
+
+    def test_torus_families(self):
+        for k in range(1, 21):
+            assert_matches_reference(super_t2(k))
+        for m in range(4, 62):
+            if m % 3:
+                assert_matches_reference(super_t3(m))
+                assert_matches_reference(khr2_t3_closed(m))
+
+    # Each perturbation adds c * a^i q^j t^k * factor: a lone monomial breaks
+    # exact division, a multiple of a pairing binomial keeps it.
+    @given(
+        st.sampled_from([Poly3.one(), CP_41, super_t2(1), super_t2(2), super_t3(4)]),
+        st.lists(st.tuples(
+            st.sampled_from([-1, 1, 2]), st.integers(-4, 4), st.integers(-6, 6),
+            st.integers(-3, 4),
+            st.sampled_from([Poly3.one(), PLUS_BINOMIAL, MINUS_BINOMIAL, KNIGHT_BINOMIAL]),
+        ), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(Poly3.one(), [(-1, 0, 0, 0, Poly3.one()), (1, 2, 2, 0, Poly3.one())])
+    @example(Poly3.one(), [(1, 2, -2, 2, Poly3.one())])
+    @example(Poly3.one(), [(-1, 2, -2, 1, PLUS_BINOMIAL)])
+    @example(Poly3.one(), [(-1, 2, 2, 3, MINUS_BINOMIAL)])
+    @example(Poly3.one(), [(-1, 0, 6, 3, KNIGHT_BINOMIAL)])
+    def test_perturbed(self, base, perturbations):
+        p = base
+        for c, ea, eq, et, factor in perturbations:
+            p = p + Poly3.monomial(c, ea, eq, et) * factor
+        assert_matches_reference(p)
+        assert_matches_reference(at_a_qN(p, 2))
