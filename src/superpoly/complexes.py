@@ -20,13 +20,14 @@ Coefficients are ints whenever their denominator is 1 (every built
 complex); only a truly non-integer coefficient (say from a .cplx file)
 stays a Fraction.  All linear algebra is exact and runs on ints: one
 sparse elimination routine serves every rank and the S-invariant
-survivor, and a row holding Fractions is scaled to integers first.
+survivor, after a level holding Fractions is scaled by one constant.
 """
 
 import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .laurent import Poly3, delta_spectrum, y_genus
 
@@ -294,22 +295,17 @@ def verify(c, max_eq=None):
 # -- exact homology ---------------------------------------------------------
 
 def _eliminate(rows, pivots):
-    """Reduce sparse rows {col: nonzero coeff} into pivots; count the independent ones.
+    """Reduce sparse int rows {col: nonzero coeff} into pivots; count the independent ones.
 
     pivots maps a column to the kept row whose least column it is.  Each
     row is reduced against the pivot at its least column until that column
     is free, and is then kept there; a row reduced to nothing is dependent.
     A unit pivot is cleared with integer arithmetic.  Any other pivot takes
     a fraction-free step, after which the row is divided by the gcd of its
-    entries, so entries stay exact and bounded.  A row holding Fractions is
-    first scaled by the lcm of its denominators.  Scaling a row never
-    changes the rank.  The rows themselves are consumed.
+    entries, so entries stay exact and bounded.  The rows are consumed.
     """
     rank = 0
     for row in rows:
-        if any(type(v) is not int for v in row.values()):
-            scale = lcm(*(v.denominator for v in row.values()))
-            row = {k: int(v * scale) for k, v in row.items()}
         while row:
             col = min(row)
             prow = pivots.get(col)
@@ -336,6 +332,15 @@ def _eliminate(rows, pivots):
                 if content > 1:
                     row = {k: v // content for k, v in row.items()}
     return rank
+
+
+def _int_level(c, n):
+    """The d_N entries, times the lcm of their denominators if one is a Fraction: same ranks."""
+    level = c.diffs.get(n, ())
+    if Fraction in set(map(type, map(itemgetter(2), level))):
+        scale = lcm(*(v.denominator for (_, _, v) in level))
+        return [(s, d, int(v * scale)) for (s, d, v) in level]
+    return level
 
 
 class HomologyReport:
@@ -365,6 +370,9 @@ def homology(c, n):
     Poincare polynomial lives in q^p t^k.  For N = 0 they group by
     (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
     Alexander-side regrading.  An absent d_N means the zero differential.
+    All of d_N is one elimination: an entry's degree puts its target one
+    level below its source's block, so two blocks share no column, and the
+    rank out of block (p, k) is the count of pivots in block (p, k - 1).
     A d_N entry of the wrong degree raises GradingMismatch, and a d_N whose
     square is nonzero raises ComplexError naming the least source -> target
     pair of d_N^2.  Both checks are skipped when verify() recorded d_N as
@@ -384,14 +392,15 @@ def homology(c, n):
             raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
     key_of = _bigrade(n)
     keys = [key_of(g) for g in c.generators]
-    blocks = {}
-    # Its degree puts each d_N entry's target in its source's block, one level down.
-    for (s, d, coeff) in c.diffs.get(n, ()):
-        blocks.setdefault(keys[s], {}).setdefault(s, {})[d] = coeff
-    ranks = {key: _eliminate(rows.values(), {}) for key, rows in blocks.items()}
+    rows = {}
+    for (s, d, coeff) in _int_level(c, n):
+        rows.setdefault(s, {})[d] = coeff
+    pivots = {}
+    _eliminate(rows.values(), pivots)
+    into = Counter(map(keys.__getitem__, pivots))
     dims = {}
     for key, size in Counter(keys).items():
-        dim = size - ranks.get(key, 0) - ranks.get((key[0], key[1] + 1), 0)
+        dim = size - into[key] - into[(key[0], key[1] - 1)]
         if dim:
             dims[key] = dim
     poly = Poly3({(0, p, k): dim for (p, k), dim in dims.items()})
@@ -411,7 +420,7 @@ def _survivor(c):
     tag = len(c.generators)
     out_rows = {i: {tag + i: 1} for i in block}
     in_rows = {}
-    for (s, d, coeff) in c.diffs.get(1, []):
+    for (s, d, coeff) in _int_level(c, 1):
         if s in out_rows:
             out_rows[s][d] = coeff
         elif d in out_rows:

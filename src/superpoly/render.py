@@ -1,8 +1,8 @@
 """Dot diagram rendering: generators plotted by (q, a) with t-labels.
 
-Text output is a grid whose rows are a-levels in descending order (step 2)
-and whose columns step through q (step 2, or 1 when the q-exponents mix
-parities); each cell lists the t-exponents
+Text output is a grid whose rows step down through a and whose columns
+step up through q, each axis by 2, or by 1 when its exponents mix
+parities; each cell lists the t-exponents
 of the generators sitting at that spot, and the bottom row's a-grading is
 printed so the absolute normalization is visible.  SVG output draws the
 same layout with one arrow per differential entry; in the step-2 layout an
@@ -19,25 +19,21 @@ def _spots(c):
     return spots
 
 
-def _q_step(spots):
-    """Column step in q: 2 when every q-exponent has one parity, else 1."""
-    return 2 if len({q % 2 for (q, _) in spots}) == 1 else 1
+def _grid(spots):
+    """The q columns, ascending, and the a rows, descending; an axis of one parity steps by 2."""
+    qs, as_ = [q for (q, _) in spots], [a for (_, a) in spots]
+    qstep = 2 if len({q % 2 for q in qs}) == 1 else 1
+    astep = 2 if len({a % 2 for a in as_}) == 1 else 1
+    return range(min(qs), max(qs) + 1, qstep), range(max(as_), min(as_) - 1, -astep)
 
 
 def render_text(c):
     if not c.generators:
         return "(empty complex)\n"
     spots = _spots(c)
-    a_values = sorted({a for (_, a) in spots}, reverse=True)
-    q_values = range(
-        min(q for (q, _) in spots), max(q for (q, _) in spots) + 1, _q_step(spots)
-    )
-    cells = {}
-    width = 1
-    for (q, a), ts in spots.items():
-        text = ",".join(str(t) for t in ts)
-        cells[(q, a)] = text
-        width = max(width, len(text))
+    q_values, a_values = _grid(spots)
+    cells = {spot: ",".join(map(str, ts)) for spot, ts in spots.items()}
+    width = max(map(len, cells.values()))
     lines = []
     if c.label:
         lines.append("# %s" % c.label)
@@ -60,20 +56,13 @@ def render_svg(c):
     if not c.generators:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="40"></svg>'
     spots = _spots(c)
-    qs = [q for (q, _) in spots]
-    as_ = [a for (_, a) in spots]
-    qlo, qhi = min(qs), max(qs)
-    alo, ahi = min(as_), max(as_)
-    step = _q_step(spots)
+    cols, rows = _grid(spots)
 
     def xy(eq, ea):
-        return (
-            GRID + (eq - qlo) // step * GRID,
-            GRID + (ahi - ea) // 2 * GRID,
-        )
+        return GRID + cols.index(eq) * GRID, GRID + rows.index(ea) * GRID
 
-    width = 2 * GRID + (qhi - qlo) // step * GRID
-    height = 2 * GRID + (ahi - alo) // 2 * GRID
+    width = GRID * (len(cols) + 1)
+    height = GRID * (len(rows) + 1)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
         % (width, height)
@@ -82,14 +71,11 @@ def render_svg(c):
         '<defs><marker id="tip" markerWidth="8" markerHeight="8" refX="7" refY="4" '
         'orient="auto"><path d="M0,0 L8,4 L0,8 z"/></marker></defs>'
     )
-    palette = {}
     colors = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085"]
-    for n in sorted(c.diffs):
-        palette[n] = colors[len(palette) % len(colors)]
+    palette = {n: colors[i % len(colors)] for i, n in enumerate(sorted(c.diffs))}
     for n, entries in sorted(c.diffs.items()):
         for (s, d, coeff) in entries:
-            (sq, sa) = c.generators[s][1], c.generators[s][0]
-            (dq, da) = c.generators[d][1], c.generators[d][0]
+            (sa, sq, _), (da, dq, _) = c.generators[s], c.generators[d]
             x1, y1 = xy(sq, sa)
             x2, y2 = xy(dq, da)
             parts.append(
@@ -105,7 +91,7 @@ def render_svg(c):
             % (x, y - 7, ",".join(str(t) for t in ts))
         )
     parts.append(
-        '<text x="4" y="%d" font-size="11">a=%d</text>' % (xy(qlo, alo)[1] + 4, alo)
+        '<text x="4" y="%d" font-size="11">a=%d</text>' % (height - GRID + 4, rows[-1])
     )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -81,15 +81,16 @@ def geometric(ratio, qmax):
     return TruncSeries(total, qmax)
 
 
-def _check_stable(n, qmax):
-    """TypeError unless n and qmax are ints (not bools); ValueError unless n >= 2 and qmax >= 0."""
-    for name, value in (("n", n), ("qmax", qmax)):
+def _check_stable(n, qmax, names=("n", "qmax")):
+    """TypeError unless n and qmax are ints (not bools); ValueError unless n >= 2 and qmax >= 0.
+    The messages call the two by names, the caller's names for them."""
+    for name, value in zip(names, (n, qmax)):
         if type(value) is not int:
             raise TypeError("%s must be an int, got %r" % (name, value))
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError("need %s >= 2" % names[0])
     if qmax < 0:
-        raise ValueError("need qmax >= 0")
+        raise ValueError("need %s >= 0" % names[1])
 
 
 def stable_super(n, qmax):

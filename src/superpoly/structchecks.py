@@ -94,6 +94,10 @@ def thin_super(homfly, s_inv):
         raise NotAlternating(
             "global sign is inconsistent with S = %d (specialization broke)" % s_inv
         )
+    # A nonnegative squares quotient cancels none of the |S| + 1 zigzag monomials.
+    if abs(s_inv) + 1 > len(poly.terms):
+        raise NotDecomposable("the zigzag of S = %d has %d terms, the polynomial only %d"
+                              % (s_inv, abs(s_inv) + 1, len(poly.terms)))
     remainder = poly - sawtooth_poly(s_inv)
     try:
         squares = exact_divide(remainder, *SQUARE_FACTOR)

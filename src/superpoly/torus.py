@@ -27,7 +27,7 @@ from .laurent import (
     monomial_substitute,
     q_inverse,
 )
-from .stable import TruncSeries, geometric
+from .stable import TruncSeries, _check_stable, geometric
 
 
 class NegativeCoefficient(Exception):
@@ -351,8 +351,7 @@ def stable_beta_terms(n, which, depth):
     the expansion reproduces the q/t-grading lattice of the middle and
     extreme a-levels of the (3, m) family.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_stable(n, depth, ("n", "depth"))
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
 
@@ -376,6 +375,7 @@ def t2_series_assembly(m, depth):
     Everything between the brackets is computed in q^{-1}, as TruncSeries
     with cutoff depth.
     """
+    _check_stable(m, depth, ("m", "depth"))
     if m < 3 or m % 2 == 0:
         raise ValueError("need odd m >= 3")
     inv_q2t2 = geometric(Poly3.monomial(1, 0, 2, -2), depth)   # 1/(1 - q^{-2} t^{-2})

@@ -1,16 +1,19 @@
 """Complex axioms, homology engine, constructions, serialization."""
 
+import os
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sign_solve
+from block_homology import block_s_invariant, reference_block_homology
 from sign_solve import _sign_equations, _solve_signs, unsigned_arrows
 from superpoly import complexes
-from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, parse_poly, y_genus
+from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, format_poly, parse_poly, y_genus
 from superpoly.complexes import (
     ComplexError,
     ComplexParseError,
@@ -21,6 +24,7 @@ from superpoly.complexes import (
     _bad_degrees,
     _bigrade,
     _eliminate,
+    _int_level,
     _nonzero_composites,
     _survivor,
     build_thin_complex,
@@ -1219,13 +1223,22 @@ def _survivor_cases():
             yield c
 
 
+def int_rows(rows):
+    """Each row times the lcm of its denominators: integer rows of the same rank."""
+    scaled = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row.values()))
+        scaled.append({k: int(v * scale) for k, v in row.items()})
+    return scaled
+
+
 class TestEliminationEngine:
     @given(sparse_rows())
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_dense_reference(self, case):
         ncols, rows = case
         dense = [[row.get(k, 0) for k in range(ncols)] for row in rows]
-        assert _eliminate([dict(r) for r in rows], {}) == reference_rank(dense)
+        assert _eliminate(int_rows(rows), {}) == reference_rank(dense)
 
     def test_rank_deficient_non_unit(self):
         # Row 1 is 3/2 row 0, and row 3 is row 0 / 2 + row 2.
@@ -1235,7 +1248,7 @@ class TestEliminationEngine:
         ]
         dense = [[row.get(k, 0) for k in range(3)] for row in rows]
         pivots = {}
-        assert _eliminate(rows, pivots) == 2 == reference_rank(dense)
+        assert _eliminate(int_rows(rows), pivots) == 2 == reference_rank(dense)
         assert all(type(v) is int for row in pivots.values() for v in row.values())
 
     def test_homology_matches_dense_reference(self):
@@ -1254,3 +1267,88 @@ class TestEliminationEngine:
         c = deserialize_complex("gen 0 4 0 2\ngen 1 2 2 1\ndiff 1 0 1 3/2\n")
         assert c.diffs[1][0][2] == Fraction(3, 2)
         assert serialize_complex(c).endswith("diff 1 0 1 3/2\n")
+
+
+# -- one elimination per level against the per-block reference --------------
+
+def block_outcome(homology_of, s_invariant_of, c):
+    """(dims items in order, Poincare text) per level 0..3, then S, or each error's type and text."""
+    out = []
+    for call in [lambda n=n: homology_of(c, n) for n in range(4)] + [lambda: s_invariant_of(c)]:
+        try:
+            result = call()
+        except (ComplexError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+            continue
+        if isinstance(result, int):
+            out.append(result)
+        else:
+            out.append((list(result.dims.items()), format_poly(result.poincare)))
+    return out
+
+
+def assert_matches_block_reference(c):
+    assert block_outcome(homology, s_invariant, c) == block_outcome(
+        reference_block_homology, block_s_invariant, c
+    ), c.label
+
+
+def halved_level(c, n):
+    """c with every d_N coefficient halved: a level of Fractions (or ints) with the same ranks."""
+    diffs = {lv: [(s, d, Fraction(v, 2) if lv == n else v) for (s, d, v) in entries]
+             for lv, entries in c.diffs.items()}
+    return DotComplex(c.generators, diffs, label=c.label)
+
+
+def bundled_942():
+    path = os.path.join(os.path.dirname(complexes.__file__), "data", "9_42.cplx")
+    with open(path) as fh:
+        return deserialize_complex(fh.read(), label="9_42")
+
+
+class TestMatchesBlockReference:
+    def test_t3_family(self):
+        for m in range(4, 122):
+            if m % 3:
+                assert_matches_block_reference(build_torus_complex(3, m))
+
+    def test_thin_complexes_of_the_bundled_rows(self):
+        count = 0
+        for rec in load_dataset():
+            if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+                thin = thin_super(rec.homfly, rec.s_inv)
+                c = build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+                assert_matches_block_reference(c)
+                count += 1
+        assert count
+
+    @pytest.mark.parametrize("n, qmax", [(4, 40), (5, 40), (6, 30)])
+    def test_stable_complexes(self, n, qmax):
+        assert_matches_block_reference(build_stable_complex(n, qmax))
+
+    def test_bundled_942_and_its_mirror(self):
+        c = bundled_942()
+        for case in (c, mirror_complex(c), halved_level(c, 1), mirror_complex(halved_level(c, 1))):
+            assert_matches_block_reference(case)
+        assert s_invariant(halved_level(c, 1)) == s_invariant(c)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_valid_complexes(self, rng, fractions):
+        c, n_level = random_valid_complex(rng)
+        if fractions:
+            # A diagonal change of basis by rationals keeps every square zero.
+            f = [Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 7])) for _ in c.generators]
+            c = DotComplex(c.generators, {n: [(s, d, v * f[s] / f[d]) for (s, d, v) in entries]
+                                          for n, entries in c.diffs.items()})
+        assert_matches_block_reference(c)
+
+    def test_int_level_is_the_level_itself(self):
+        c = build_torus_complex(3, 7)
+        assert all(_int_level(c, n) is c.diffs[n] for n in c.diffs)
+        assert _int_level(c, 5) == ()
+
+    def test_fraction_level_is_scaled_by_one_constant(self):
+        c = DotComplex([(0, 0, 0), (-2, 2, -1), (0, 4, 0), (-2, 6, -1)],
+                       {1: [(0, 1, Fraction(1, 2)), (2, 3, Fraction(-2, 3))]})
+        assert _int_level(c, 1) == [(0, 1, 3), (2, 3, -4)]

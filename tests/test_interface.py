@@ -3,6 +3,10 @@
 import io
 import os
 import re
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -132,6 +136,21 @@ class TestRender:
         labels = re.findall(r'text-anchor="middle">(-?\d+)</text>', svg)
         assert sorted(labels) == sorted(str(et) for _, _, et in gradings)
 
+    @pytest.mark.parametrize("gradings", [
+        [(0, 0, 0), (1, 0, 1), (2, 0, 2)],
+        [(0, 0, 0), (1, 1, 0), (3, 4, 2), (4, 4, 1), (-3, 0, 5)],
+        [(0, 0, 0), (0, 2, 1), (4, 2, 2), (-2, 6, 3)],
+    ])
+    def test_every_spot_gets_its_own_circle(self, gradings):
+        # a-exponents of both parities get a row step of 1, in text and SVG.
+        from superpoly.complexes import DotComplex
+
+        c = DotComplex(gradings, {})
+        circles = re.findall(r'<circle cx="(-?\d+)" cy="(-?\d+)"', render_svg(c))
+        assert len(set(circles)) == len(circles) == len({(q, a) for a, q, _ in gradings})
+        rows = [line for line in render_text(c).splitlines() if line.startswith("a=")]
+        assert {int(row[2:6]) for row in rows} >= {a for a, _, _ in gradings}
+
     def test_svg_self_contained(self):
         svg = render_svg(build_torus_complex(2, 3))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
@@ -164,6 +183,25 @@ class TestCli:
         assert main(["super", "thin", "--homfly", "-", "--s", "2"]) == 0
         out = capsys.readouterr().out.strip()
         assert parse_poly(out) == parse_poly("a^2*q^-2 + a^2*q^2*t^2 + a^4*t^3")
+
+    def test_super_thin_long_zigzag_exits_1_at_once(self):
+        # In a child under a 1 GB address-space limit, so a runaway fails the
+        # test with a MemoryError instead of filling the machine.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        argv = ["super", "thin", "--homfly", "a^2*q^-2 + a^2*q^2 - a^4", "--s", "200000002"]
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from superpoly.cli import main; sys.exit(main())"]
+            + argv, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "S = 200000002 has 200000003 terms" in proc.stderr
 
     def test_super_unreduced(self, capsys):
         assert main(["super", "torus", "2", "3", "--unreduced"]) == 0

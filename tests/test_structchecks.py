@@ -24,6 +24,7 @@ from superpoly.structchecks import (
     morton_check,
     pattern_minus,
     pattern_plus,
+    sawtooth_poly,
     thin_quotient_test,
     thin_super,
     three_step_pairing,
@@ -76,6 +77,44 @@ class TestThinSuper:
     def test_odd_s_rejected(self):
         with pytest.raises(ValueError):
             thin_super(homfly_torus(2, 3), 1)
+
+    @pytest.mark.parametrize("s_inv", range(-60, 61, 2))
+    def test_sawtooth_has_one_unit_term_per_step(self, s_inv):
+        terms = sawtooth_poly(s_inv).terms
+        assert len(terms) == abs(s_inv) + 1
+        assert set(terms.values()) == {1}
+
+    def test_long_zigzag_rejected_before_it_is_built(self, monkeypatch):
+        def unbuilt(s_inv):
+            raise AssertionError("sawtooth_poly(%d) was built" % s_inv)
+
+        monkeypatch.setattr(structchecks, "sawtooth_poly", unbuilt)
+        homfly = parse_poly("a^2*q^-2 + a^2*q^2 - a^4")
+        with pytest.raises(NotDecomposable, match="S = 200000002 has 200000003 terms"):
+            thin_super(homfly, 200000002)
+
+    def test_term_count_rejects_only_what_the_split_rejects(self):
+        # Where the zigzag outnumbers the terms, the squares split fails as well.
+        def rejected_by_count(homfly, s_inv):
+            try:
+                thin_super(homfly, s_inv)
+            except NotDecomposable as exc:
+                return str(exc).startswith("the zigzag of S")
+            except NotAlternating:
+                pass
+            return False
+
+        cases = [(rec, s_inv) for rec in load_dataset() for s_inv in range(-16, 17, 2)
+                 if rejected_by_count(rec.homfly, s_inv)]
+        assert cases
+        for rec, s_inv in cases:
+            poly = Poly3({(ea, eq, ea + eq // 2 - s_inv // 2): abs(c)
+                          for (ea, eq, _), c in rec.homfly.terms.items()})
+            try:
+                squares = exact_divide(poly - sawtooth_poly(s_inv), *structchecks.SQUARE_FACTOR)
+            except NotDivisible:
+                continue
+            assert not squares.is_nonnegative(), (rec.name, s_inv)
 
 
 class TestPatterns:

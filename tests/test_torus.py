@@ -489,6 +489,26 @@ class TestBetaSeries:
         for m in (3, 5, 7):
             assert t2_series_assembly(m, 2 * m + 6) == super_t2((m - 1) // 2)
 
+    @pytest.mark.parametrize("call, error, name", [
+        (lambda: stable_beta_terms(2, "first", -1), ValueError, "depth"),
+        (lambda: stable_beta_terms(2.5, "first", 3), TypeError, "n"),
+        (lambda: stable_beta_terms(True, "first", 3), TypeError, "n"),
+        (lambda: stable_beta_terms(1, "last", 3), ValueError, "n"),
+        (lambda: stable_beta_terms(2, "last", 3.0), TypeError, "depth"),
+        (lambda: stable_beta_terms(2, "first", False), TypeError, "depth"),
+        (lambda: t2_series_assembly(5, -1), ValueError, "depth"),
+        (lambda: t2_series_assembly(5.0, 10), TypeError, "m"),
+        (lambda: t2_series_assembly(True, 10), TypeError, "m"),
+        (lambda: t2_series_assembly(4, 10), ValueError, "m"),
+        (lambda: t2_series_assembly(5, 10.5), TypeError, "depth"),
+    ])
+    def test_arguments_are_checked(self, call, error, name):
+        with pytest.raises(error, match=r"\b%s\b" % name):
+            call()
+
+    def test_zero_depth_is_a_cutoff(self):
+        assert stable_beta_terms(2, "first", 0) == Poly3.one()
+
     def test_t2_assembly_at_t_minus_one(self):
         for m in (3, 5):
             assert at_t_minus_one(t2_series_assembly(m, 2 * m + 6)) == homfly_torus(2, m)
