@@ -23,10 +23,10 @@ from .laurent import (
     at_t_minus_one,
     exact_divide,
     format_poly,
+    homfly_alternates,
     mirror,
     monomial_substitute,
     parse_poly,
-    positivity_and_alternation,
     y_rewrite,
 )
 from .torus import (

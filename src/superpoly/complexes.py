@@ -13,14 +13,16 @@ squares to zero).  That axiom is checked by one walk over the length-two
 paths of all levels, source by source.  The in-package builders write each
 +-1 sign from a closed-form rule per arrow class, and complex_from_arrows
 verifies every build.  Homology with respect to d_N, taken per amalgamated
-bigrade, produces the doubly graded reductions; the N = 1 differential is
-canceling and the grading of its unique survivor is the S-invariant.
+bigrade, produces the doubly graded reductions.  The N = 1 differential is
+canceling, and since it is homogeneous for the full (a, q, t) grading the
+S-invariant is read off the per-grading d_1 count: the a-grading of the
+one grading whose homology is nonzero.
 
 Coefficients are ints whenever their denominator is 1 (every built
 complex); only a truly non-integer coefficient (say from a .cplx file)
 stays a Fraction.  All linear algebra is exact and runs on ints: one
-sparse elimination routine serves every rank and the S-invariant
-survivor, after a level holding Fractions is scaled by one constant.
+sparse elimination per level serves every homology count and the
+S-invariant, after a level holding Fractions is scaled by one constant.
 """
 
 import re
@@ -363,25 +365,17 @@ def _bigrade(n):
     return lambda g: (g[1], g[2] - g[0])
 
 
-def homology(c, n):
-    """Homology of (C, d_N) for N >= 0, per amalgamated bigrade.
+def _count(c, n, key_of, image_of):
+    """{key: dim} of the d_N homology summed per key_of(grading), zero dims left out.
 
-    For N >= 1 generators group by (p, k) = (N*ea + eq, et) and the output
-    Poincare polynomial lives in q^p t^k.  For N = 0 they group by
-    (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
-    Alexander-side regrading.  An absent d_N means the zero differential.
-    All of d_N is one elimination: an entry's degree puts its target one
-    level below its source's block, so two blocks share no column, and the
-    rank out of block (p, k) is the count of pivots in block (p, k - 1).
-    A d_N entry of the wrong degree raises GradingMismatch, and a d_N whose
-    square is nonzero raises ComplexError naming the least source -> target
-    pair of d_N^2.  Both checks are skipped when verify() recorded d_N as
-    sound on the complex's current level and generators tuples.
+    image_of(key) is the key that d_N maps the generators of key into.  All
+    of d_N is one elimination: the rank out of a key is the count of pivots
+    (target columns) at its image key, and the rank into it the count at the
+    key itself.  A d_N entry of the wrong degree raises GradingMismatch, and
+    a d_N whose square is nonzero raises ComplexError naming the least
+    source -> target pair of d_N^2.  Both checks are skipped when verify()
+    recorded d_N as sound on the complex's current level and generators.
     """
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 0:
-        raise ValueError("reductions are only defined for N >= 0")
     level, gens = c._verified.get(n, (None, None))
     if level is not c.diffs.get(n) or gens is not c.generators:
         bad = next(_bad_degrees(c, n), None)
@@ -390,8 +384,7 @@ def homology(c, n):
         bad = _nonzero_composites(c, [n])
         if bad:
             raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
-    key_of = _bigrade(n)
-    keys = [key_of(g) for g in c.generators]
+    keys = list(map(key_of, c.generators))
     rows = {}
     for (s, d, coeff) in _int_level(c, n):
         rows.setdefault(s, {})[d] = coeff
@@ -400,62 +393,51 @@ def homology(c, n):
     into = Counter(map(keys.__getitem__, pivots))
     dims = {}
     for key, size in Counter(keys).items():
-        dim = size - into[key] - into[(key[0], key[1] - 1)]
+        dim = size - into[key] - into[image_of(key)]
         if dim:
             dims[key] = dim
+    return dims
+
+
+def homology(c, n):
+    """Homology of (C, d_N) for N >= 0, per amalgamated bigrade.
+
+    For N >= 1 generators group by (p, k) = (N*ea + eq, et) and the output
+    Poincare polynomial lives in q^p t^k.  For N = 0 they group by
+    (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
+    Alexander-side regrading.  An absent d_N means the zero differential.
+    An entry's degree puts its target one level below its source's block,
+    so _count gets (p, k - 1) as the image of (p, k); its checks and errors
+    are homology's.
+    """
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
+    if n < 0:
+        raise ValueError("reductions are only defined for N >= 0")
+    dims = _count(c, n, _bigrade(n), lambda key: (key[0], key[1] - 1))
     poly = Poly3({(0, p, k): dim for (p, k), dim in dims.items()})
     return HomologyReport(n, poly, dims)
 
 
-def _survivor(c):
-    """Generator indices of a d_1 class spanning ker / im in the (0, 0) block.
-
-    Each block generator's row is its image below plus a tag column of its
-    own past every generator index; rows whose image part eliminates to
-    nothing are kernel vectors, read off their tags.  The first kernel
-    vector that is independent of the image from above is the class.
-    Returns None when every kernel vector lies in the image.
-    """
-    block = [i for i, key in enumerate(map(_bigrade(1), c.generators)) if key == (0, 0)]
-    tag = len(c.generators)
-    out_rows = {i: {tag + i: 1} for i in block}
-    in_rows = {}
-    for (s, d, coeff) in _int_level(c, 1):
-        if s in out_rows:
-            out_rows[s][d] = coeff
-        elif d in out_rows:
-            in_rows.setdefault(s, {})[tag + d] = coeff
-    kernel = {}
-    _eliminate(out_rows.values(), kernel)
-    image = {}
-    _eliminate(in_rows.values(), image)
-    for col in sorted(kernel):
-        if col >= tag and _eliminate([dict(kernel[col])], image):
-            return [k - tag for k in kernel[col]]
-    return None
-
-
 def s_invariant(c):
-    """The a-grading of the unique d_1 survivor.
+    """The a-grading of the unique d_1 survivor, read off the per-grading d_1 count.
 
-    Requires d_1 to be canceling; the survivor must sit at a^S q^{-S} t^0.
-    Raises NotCanceling when the d_1 homology is not one-dimensional and
-    SurvivorOffLine when the surviving class violates q = -a or t != 0, or
-    mixes a-gradings.
+    Every d_1 entry has degree (-2, 2, -1) (checked), so d_1 is homogeneous
+    for the full (a, q, t) grading and its homology splits over the
+    gradings: no class representative is needed, only the one grading whose
+    count is nonzero.  Raises NotCanceling when the d_1 homology is not
+    one-dimensional and SurvivorOffLine when the survivor is off
+    a^S q^{-S} t^0.
     """
-    report = homology(c, 1)
-    if report.total_dim != 1:
-        raise NotCanceling("d_1 homology has dimension %d, expected 1" % report.total_dim)
-    ((p, k),) = report.dims
-    if p != 0 or k != 0:
-        raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (p, k))
-    support = _survivor(c)
-    if support is None:
-        raise SurvivorOffLine("could not isolate a one-dimensional surviving class")
-    a_values = {c.generators[i][0] for i in support}
-    if len(a_values) != 1:
-        raise SurvivorOffLine("surviving class mixes a-gradings %s" % sorted(a_values))
-    return a_values.pop()
+    da, dq, dt = diff_degree(1)
+    dims = _count(c, 1, lambda g: g, lambda g: (g[0] + da, g[1] + dq, g[2] + dt))
+    total = sum(dims.values())
+    if total != 1:
+        raise NotCanceling("d_1 homology has dimension %d, expected 1" % total)
+    ((ea, eq, et),) = dims
+    if ea + eq != 0 or et != 0:
+        raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (ea + eq, et))
+    return ea
 
 
 # -- constructions ----------------------------------------------------------

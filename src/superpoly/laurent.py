@@ -156,19 +156,6 @@ class Poly3:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers need an explicit inverse monomial")
-        result = Poly3.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Poly3.monomial(other)
@@ -475,23 +462,16 @@ def y_genus(p):
     return top // 2
 
 
-# -- positivity and alternation checks ------------------------------------
+# -- HOMFLY sign test -------------------------------------------------------
 
-def positivity_and_alternation(p, mode):
-    """Coefficient sign tests.
+def homfly_alternates(p):
+    """One global sign eps with sign(coeff of a^{2i} q^{2j}) = eps * (-1)^j on every term.
 
-    mode 'nonneg': every coefficient is >= 0.
-    mode 'homfly-alternating': p is a two-variable HOMFLY polynomial
-    (et identically 0; enforced as a precondition) and there is one global
-    sign eps with sign(coeff of a^{2i} q^{2j}) = eps * (-1)^j for every
-    nonzero term.  Odd a- or q-exponents raise OddExponent.
+    p is a two-variable HOMFLY polynomial: a t-dependent p raises
+    ValueError, and an odd a- or q-exponent raises OddExponent.
     """
-    if mode == "nonneg":
-        return p.is_nonnegative()
-    if mode != "homfly-alternating":
-        raise ValueError("unknown mode %r" % (mode,))
     if any(et != 0 for (_, _, et) in p.terms):
-        raise ValueError("homfly-alternating mode needs a t-free polynomial")
+        raise ValueError("the HOMFLY sign test needs a t-free polynomial")
     eps = 0
     for (ea, eq, _), c in sorted(p.terms.items()):
         if ea % 2 or eq % 2:

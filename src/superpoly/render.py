@@ -7,7 +7,10 @@ of the generators sitting at that spot, and the bottom row's a-grading is
 printed so the absolute normalization is visible.  SVG output draws the
 same layout with one arrow per differential entry; in the step-2 layout an
 arrow of level N has slope -1/N, since it connects dots offset by (2N, -2).
+A text grid of more than laurent.WORK_CAP cells raises TooLarge instead.
 """
+
+from .laurent import WORK_CAP, TooLarge
 
 
 def _spots(c):
@@ -32,6 +35,9 @@ def render_text(c):
         return "(empty complex)\n"
     spots = _spots(c)
     q_values, a_values = _grid(spots)
+    if len(q_values) * len(a_values) > WORK_CAP:
+        raise TooLarge("the text grid needs %d x %d cells, past %d"
+                       % (len(a_values), len(q_values), WORK_CAP))
     cells = {spot: ",".join(map(str, ts)) for spot, ts in spots.items()}
     width = max(map(len, cells.values()))
     lines = []

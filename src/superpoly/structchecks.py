@@ -16,8 +16,8 @@ from .laurent import (
     at_t_minus_one,
     delta_spectrum,
     exact_divide,
+    homfly_alternates,
     mirror,
-    positivity_and_alternation,
     NotDivisible,
     OddExponent,
 )
@@ -81,7 +81,7 @@ def thin_super(homfly, s_inv):
     if s_inv % 2:
         raise ValueError("S must be even, got %d" % s_inv)
     try:
-        alternating = positivity_and_alternation(homfly, "homfly-alternating")
+        alternating = homfly_alternates(homfly)
     except OddExponent as exc:
         raise NotAlternating(str(exc))
     if not alternating:
@@ -98,14 +98,14 @@ def thin_super(homfly, s_inv):
     if abs(s_inv) + 1 > len(poly.terms):
         raise NotDecomposable("the zigzag of S = %d has %d terms, the polynomial only %d"
                               % (s_inv, abs(s_inv) + 1, len(poly.terms)))
-    remainder = poly - sawtooth_poly(s_inv)
+    sawtooth = sawtooth_poly(s_inv)
     try:
-        squares = exact_divide(remainder, *SQUARE_FACTOR)
+        squares = exact_divide(poly - sawtooth, *SQUARE_FACTOR)
     except NotDivisible as exc:
         raise NotDecomposable("squares quotient is inexact: %s" % exc)
-    if not positivity_and_alternation(squares, "nonneg"):
+    if not squares.is_nonnegative():
         raise NotDecomposable("squares quotient has a negative coefficient")
-    return ThinResult(poly, s_inv, sawtooth_poly(s_inv), squares)
+    return ThinResult(poly, s_inv, sawtooth, squares)
 
 
 def _splits(p, survivor, binomial):
@@ -204,7 +204,7 @@ def thin_quotient_test(homfly, s_inv):
             outcomes[name] = True
             continue
         try:
-            outcomes[name] = positivity_and_alternation(quotient, "homfly-alternating")
+            outcomes[name] = homfly_alternates(quotient)
         except OddExponent:
             outcomes[name] = False
     which = next((name for name in ("negative", "positive") if outcomes[name]), None)

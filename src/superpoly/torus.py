@@ -167,12 +167,25 @@ def homfly_torus(n, m, form="product"):
 
 # -- superpolynomials for the (2, m) and (3, m) families -------------------
 
+# Most generators an explicit T(2, m) or T(3, m) family may have: T(3, 241)
+# has 38,721, T(3, 547) 199,473 and T(2, 199999), the largest T(2, m) under it, 199,999.
+GENERATOR_CAP = 200_000
+
+
+def _check_generators(what, count):
+    """TooLarge naming what and its count when count is past GENERATOR_CAP."""
+    if count > GENERATOR_CAP:
+        raise TooLarge("%s has %d generators, past %d" % (what, count, GENERATOR_CAP))
+
+
 def _t2_family(k):
     """Gradings of the T(2, 2k+1) zigzag: u_0..u_k, then w_1..w_k.
 
     u_i = a^{2k} q^{4i-2k} t^{2i} and w_i = a^{2k+2} q^{4i-2k-2} t^{2i+1};
-    k = 0 leaves the lone generator u_0 = 1.
+    k = 0 leaves the lone generator u_0 = 1.  Past GENERATOR_CAP the 2k + 1
+    generators raise TooLarge before any is built.
     """
+    _check_generators("T(2, 2k+1) at k = %d" % k, 2 * k + 1)
     return [(2 * k, 4 * i - 2 * k, 2 * i) for i in range(k + 1)] + [
         (2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1) for i in range(1, k + 1)
     ]
@@ -185,10 +198,6 @@ def super_t2(k):
     return Poly3(dict.fromkeys(_t2_family(k), 1))
 
 
-# Most generators a T(3, m) family may have: m = 241 has 38,721, m = 547 has 199,473.
-T3_GENERATOR_CAP = 200_000
-
-
 def _t3_families(m):
     """Gradings of the three a-levels of the T(3, m) superpolynomial, as rows.
 
@@ -199,13 +208,11 @@ def _t3_families(m):
     and i // 2 is the index within each half.  With m = 3k + 1 + e, e in
     {0, 1}, every grading moves by (2e, 2e, 2e) and every inner range grows
     by e (by 2e in level 1).  The 6k^2 + 4k + 1 + e(4k + 2) generators,
-    about (2/3) m^2, are counted first: past T3_GENERATOR_CAP it raises
+    about (2/3) m^2, are counted first: past GENERATOR_CAP it raises
     TooLarge and builds nothing.
     """
     k, e = _t3_index(m)
-    count = 6 * k * k + 4 * k + 1 + e * (4 * k + 2)
-    if count > T3_GENERATOR_CAP:
-        raise TooLarge("T(3, %d) has %d generators, past %d" % (m, count, T3_GENERATOR_CAP))
+    _check_generators("T(3, %d)" % m, 6 * k * k + 4 * k + 1 + e * (4 * k + 2))
     s = 2 * e
     lv0 = [[(6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s)
             for i in range(3 * j + 1 + e)] for j in range(k + 1)]
@@ -291,10 +298,12 @@ def cp0_t3_closed(m):
 def hfk_t2(k):
     """Closed form for the Alexander-side Poincare polynomial of T(2, 2k+1).
 
-    q^{-2k} t^{-2k} (1 + (1 + q^{-2} t^{-1}) sum_{i=1..k} q^{4i} t^{2i}).
+    q^{-2k} t^{-2k} (1 + (1 + q^{-2} t^{-1}) sum_{i=1..k} q^{4i} t^{2i}),
+    2k + 1 terms, checked against GENERATOR_CAP before any is built.
     """
     if _int_arg("k", k) < 1:
         raise ValueError("need k >= 1")
+    _check_generators("T(2, 2k+1) at k = %d" % k, 2 * k + 1)
     s = Poly3({(0, 4 * i, 2 * i): 1 for i in range(1, k + 1)})
     body = 1 + (1 + Poly3.monomial(1, 0, -2, -1)) * s
     return body.scale_monomial(1, eq=-2 * k, et=-2 * k)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sign_solve
-from block_homology import block_s_invariant, reference_block_homology
+from block_homology import block_s_invariant, block_survivor, reference_block_homology
 from sign_solve import _sign_equations, _solve_signs, unsigned_arrows
 from superpoly import complexes
 from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, format_poly, parse_poly, y_genus
@@ -26,7 +26,6 @@ from superpoly.complexes import (
     _eliminate,
     _int_level,
     _nonzero_composites,
-    _survivor,
     build_thin_complex,
     build_torus_complex,
     deserialize_complex,
@@ -1257,9 +1256,10 @@ class TestEliminationEngine:
             c, n_level = random_valid_complex(rng)
             assert homology(c, n_level).dims == reference_dims(c, n_level)
 
-    def test_survivor_support_matches_dense_reference(self):
+    def test_s_invariant_is_the_a_grading_of_the_dense_survivor(self):
         for c in _survivor_cases():
-            assert sorted(_survivor(c)) == sorted(reference_survivor(c)), c.label
+            (a_grading,) = {c.generators[i][0] for i in reference_survivor(c)}
+            assert s_invariant(c) == a_grading, c.label
 
     def test_integer_coefficients_stored_as_int(self):
         c = DotComplex([(4, 0, 2), (2, 2, 1)], {1: [(0, 1, Fraction(4, 2))]})
@@ -1306,6 +1306,48 @@ def bundled_942():
         return deserialize_complex(fh.read(), label="9_42")
 
 
+def graded_conjugate(c, rng):
+    """c in a random integer basis of each (a, q, t) grading: every d_N becomes B d_N B^-1.
+
+    B is block diagonal over the gradings, a product of random integer
+    shears inside each repeated grading, so degrees, squares and
+    anticommutators all survive and only the supports of the classes grow.
+    """
+    groups = {}
+    for i, g in enumerate(c.generators):
+        groups.setdefault(g, []).append(i)
+    cols, inverse = {}, {}  # cols[j] = {i: B[i][j]}, inverse[k] = {l: B^-1[k][l]}
+    for idxs in groups.values():
+        k = len(idxs)
+        b = [[int(r == s) for s in range(k)] for r in range(k)]
+        inv = [row[:] for row in b]
+        for _ in range(k + 2 if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            lam = rng.choice([1, -1, 2, -2, 3])
+            b[i] = [x + lam * y for x, y in zip(b[i], b[j])]
+            for row in inv:
+                row[j] -= lam * row[i]
+        for r, x in enumerate(idxs):
+            cols[x] = {idxs[s]: b[s][r] for s in range(k) if b[s][r]}
+            inverse[x] = {idxs[s]: v for s, v in enumerate(inv[r]) if v}
+    diffs = {}
+    for n, entries in c.diffs.items():
+        out = {}
+        for (src, dst, v) in entries:
+            for i, bv in cols[src].items():
+                for l, iv in inverse[dst].items():
+                    out[i, l] = out.get((i, l), 0) + bv * v * iv
+        diffs[n] = [(i, l, v) for (i, l), v in out.items() if v]
+    return DotComplex(c.generators, diffs, label=c.label)
+
+
+def bundled_thin_complexes():
+    for rec in load_dataset():
+        if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
+            thin = thin_super(rec.homfly, rec.s_inv)
+            yield build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
+
+
 class TestMatchesBlockReference:
     def test_t3_family(self):
         for m in range(4, 122):
@@ -1314,13 +1356,23 @@ class TestMatchesBlockReference:
 
     def test_thin_complexes_of_the_bundled_rows(self):
         count = 0
-        for rec in load_dataset():
-            if rec.superpoly is not None and len(delta_spectrum(rec.superpoly)) == 1:
-                thin = thin_super(rec.homfly, rec.s_inv)
-                c = build_thin_complex(rec.s_inv // 2, thin.squares_q, label=rec.name)
-                assert_matches_block_reference(c)
-                count += 1
+        for c in bundled_thin_complexes():
+            assert_matches_block_reference(c)
+            count += 1
         assert count
+
+    def test_t3_and_thin_complexes_in_random_graded_bases(self):
+        rng = random.Random(0x5EED)
+        wide = 0
+        cases = [build_torus_complex(3, m) for m in range(4, 62) if m % 3]
+        for c in cases + list(bundled_thin_complexes()):
+            for _ in range(2):
+                conj = graded_conjugate(c, rng)
+                assert_matches_block_reference(conj)
+                wide += len(block_survivor(conj)) > 1
+        # The survivor's grading repeats in some thin complexes (6_1, 6_3,
+        # 7_6, 7_7), so the class search there runs on wider supports.
+        assert wide
 
     @pytest.mark.parametrize("n, qmax", [(4, 40), (5, 40), (6, 30)])
     def test_stable_complexes(self, n, qmax):

@@ -157,6 +157,28 @@ class TestRender:
         assert svg.count("<circle") == 3
         assert svg.count("<line") == 2
 
+    def test_text_grid_past_the_cap_is_refused(self, monkeypatch):
+        from superpoly import render
+        from superpoly.complexes import DotComplex
+        from superpoly.laurent import TooLarge
+
+        c = DotComplex([(0, 0, 0), (2, 0, 1), (0, 6, 2)], {})  # 2 rows x 4 columns
+        monkeypatch.setattr(render, "WORK_CAP", 8)
+        assert render_text(c).count("|") == 2
+        monkeypatch.setattr(render, "WORK_CAP", 7)
+        with pytest.raises(TooLarge, match=r"^the text grid needs 2 x 4 cells, past 7$"):
+            render_text(c)
+
+    def test_wide_complex_text_exits_2_and_svg_renders(self, tmp_path, capsys):
+        path = tmp_path / "wide.cplx"
+        path.write_text("gen 0 0 0 0\ngen 1 0 200000000 0\n")
+        assert main(["render", "--complex", str(path), "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the text grid needs 1 x 100000001 cells, past 1000000\n"
+        assert main(["render", "--complex", str(path), "--format", "svg"]) == 0
+        assert capsys.readouterr().out.count("<circle") == 2
+
 
 class TestCli:
     def test_homfly_canonical_round_trip(self, capsys):
@@ -301,6 +323,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: T(3, %d) has %d generators, past 200000\n" % (m, count)
+
+    @pytest.mark.parametrize("args, k", [
+        (["super", "torus", "2", "20000001"], 10000000),
+        (["reduce", "--torus", "2", "10000001", "--n", "1"], 5000000),
+    ])
+    def test_t2_past_the_generator_cap_is_2(self, capsys, args, k):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: T(2, 2k+1) at k = %d has %d generators, past 200000\n"
+                                % (k, 2 * k + 1))
+
+    def test_t2_cap_probe_exits_2_at_once_in_a_child(self):
+        # Under a 1 GB address-space limit a runaway fails with a MemoryError.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from superpoly.cli import main; sys.exit(main())",
+             "super", "torus", "2", "20000001"], capture_output=True, text=True, timeout=60,
+            preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: T(2, 2k+1) at k = 10000000 has 20000001 generators, "
+                               "past 200000\n")
 
     def test_homfly_past_the_work_cap_is_2(self, capsys):
         assert main(["homfly", "torus", "200", "201"]) == 2

@@ -10,7 +10,6 @@ from superpoly.laurent import (
     at_t_minus_one,
     exact_divide,
     parse_poly,
-    positivity_and_alternation,
 )
 from superpoly import structchecks
 from superpoly.structchecks import (
@@ -308,7 +307,7 @@ def reference_pairing(p, survivor_of_s, binomial, survivor_name):
                     "remainder after %s survivor S=%d: %s" % (survivor_name, s_inv, exc)
                 )
             continue
-        if not positivity_and_alternation(quotient, "nonneg"):
+        if not quotient.is_nonnegative():
             if first_error is None:
                 first_error = NegativeQuotient(
                     "quotient for %s survivor S=%d has negative coefficients"
@@ -337,7 +336,7 @@ def reference_three_step_splits(khr2):
             quotient = exact_divide(khr2 - Poly3.monomial(1, 0, eq, et), binomial)
         except NotDivisible:
             continue
-        if positivity_and_alternation(quotient, "nonneg"):
+        if quotient.is_nonnegative():
             yield eq, et, quotient
 
 

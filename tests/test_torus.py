@@ -8,7 +8,7 @@ import pytest
 
 from heap_division import exact_divide
 from superpoly import torus
-from superpoly.complexes import build_torus_complex
+from superpoly.complexes import build_thin_complex, build_torus_complex
 from superpoly.laurent import (
     Poly3,
     TooLarge,
@@ -21,8 +21,11 @@ from superpoly.laurent import (
     parse_poly,
     y_rewrite,
 )
+from superpoly.stable import finite_vs_stable
+from superpoly.structchecks import thin_quotient_test
 from superpoly.torus import (
     NegativeCoefficient,
+    _t2_family,
     _t3_families,
     cp0_t3_closed,
     hfk_t2,
@@ -301,6 +304,32 @@ class TestSuperT2:
                 level = (ea - 2 * k) // 2
                 assert et >= 0 and et % 2 == level % 2 and c > 0
 
+    def test_generator_count_is_the_closed_count(self, monkeypatch):
+        # At the cap the family and hfk_t2's 2k + 1 terms are built; one past it, neither is.
+        for k in range(1, 40):
+            count = 2 * k + 1
+            monkeypatch.setattr(torus, "GENERATOR_CAP", count)
+            assert len(_t2_family(k)) == len(hfk_t2(k).terms) == count
+            monkeypatch.setattr(torus, "GENERATOR_CAP", count - 1)
+            for call in (_t2_family, hfk_t2):
+                with pytest.raises(TooLarge, match=r"^T\(2, 2k\+1\) at k = %d has %d generators, "
+                                   r"past %d$" % (k, count, count - 1)):
+                    call(k)
+
+    @pytest.mark.parametrize("call, k", [
+        (lambda: hfk_t2(10 ** 8), 10 ** 8), (lambda: super_t2(10 ** 8), 10 ** 8),
+        (lambda: super_torus(2, 20000001), 10 ** 7),
+        (lambda: build_torus_complex(2, 10000001), 5 * 10 ** 6),
+        (lambda: build_thin_complex(-10 ** 8, Poly3.zero()), 10 ** 8),
+        (lambda: thin_quotient_test(parse_poly("1"), 2 * 10 ** 7), 10 ** 7),
+        (lambda: finite_vs_stable(2, 2 * 10 ** 8 + 1, "super"), 10 ** 8),
+    ], ids=["hfk_t2", "super_t2", "super_torus", "build_torus_complex", "build_thin_complex",
+            "thin_quotient_test", "finite_vs_stable"])
+    def test_past_the_cap_builds_nothing(self, call, k):
+        with pytest.raises(TooLarge, match=r"^T\(2, 2k\+1\) at k = %d has %d generators, past "
+                           r"200000$" % (k, 2 * k + 1)):
+            call()
+
 
 class TestSuperT3:
     def test_m4_display(self):
@@ -331,9 +360,9 @@ class TestSuperT3:
         counts = {m: sum(len(row) for rows in _t3_families(m) for row in rows)
                   for m in range(4, 122) if m % 3}
         for m, count in counts.items():
-            monkeypatch.setattr(torus, "T3_GENERATOR_CAP", count)
+            monkeypatch.setattr(torus, "GENERATOR_CAP", count)
             _t3_families(m)
-            monkeypatch.setattr(torus, "T3_GENERATOR_CAP", count - 1)
+            monkeypatch.setattr(torus, "GENERATOR_CAP", count - 1)
             with pytest.raises(TooLarge, match=r"^T\(3, %d\) has %d generators, past %d$"
                                % (m, count, count - 1)):
                 _t3_families(m)
@@ -344,7 +373,7 @@ class TestSuperT3:
     ], ids=["build_torus_complex", "super_t3", "t3_reduction_terms-2", "t3_reduction_terms-0",
             "super_torus"])
     def test_past_the_cap_builds_nothing(self, call):
-        assert torus.T3_GENERATOR_CAP > 38721  # T(3, 241) stays admitted
+        assert torus.GENERATOR_CAP > 38721  # T(3, 241) stays admitted
         with pytest.raises(TooLarge, match=r"^T\(3, 1000001\) has 666668000001 generators"):
             call(1000001)
 
