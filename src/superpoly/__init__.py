@@ -35,7 +35,6 @@ from .torus import (
     homfly_torus,
     khrN_unreduced_prediction,
     khr2_t3_closed,
-    stable_beta_terms,
     super_t2,
     super_t3,
     super_torus,
@@ -61,6 +60,7 @@ from .stable import (
     TruncSeries,
     build_stable_complex,
     finite_vs_stable,
+    stable_beta_terms,
     stable_hfk,
     stable_homfly,
     stable_khr2,

@@ -602,6 +602,4 @@ def parse_poly(text):
         skip_ws()
         if i >= n:
             break
-    if i < n:
-        raise ParseError("trailing garbage", i)
     return Poly3._trusted(terms)

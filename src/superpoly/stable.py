@@ -13,14 +13,17 @@ object, with one new canceling differential and one new acyclic one per
 level, and the Alexander-side differential given by a shift-by-one-period
 embedding.  Everything here is truncated at a q-degree cutoff: generators
 with eq > qmax are dropped, and an edge survives only if both endpoints do.
+The series in q^{-1} of finite T(n, m), the extreme beta-terms and the
+two-bracket T(2, m) form, are truncated series too and live here as well.
 
 The tensor-word bookkeeping gives every differential a sign twist by the
 parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from .laurent import Poly3, at_a_qN, format_poly
-from .complexes import DotComplex
+from .laurent import Poly3, at_a_qN, format_poly, q_inverse
+from .complexes import DotComplex, diff_degree
+from .torus import khr2_t3_closed, super_t2, super_torus, torus_id
 
 
 class GenericityMismatch(Exception):
@@ -68,17 +71,14 @@ class TruncSeries:
 
 
 def geometric(ratio, qmax):
-    """1 + r + r^2 + ... truncated; ratio must raise the q-degree."""
-    if not ratio.terms or min(k[1] for k in ratio.terms) <= 0:
-        raise ValueError("geometric ratio must have positive q-degrees")
-    total = Poly3.one()
-    power = Poly3.one()
-    while True:
-        power = Poly3._trusted({k: c for k, c in (power * ratio).terms.items() if k[1] <= qmax})
-        if not power:
-            break
-        total = total + power
-    return TruncSeries(total, qmax)
+    """1 + r + r^2 + ... truncated, for a one-term ratio r of positive q-degree."""
+    if len(ratio.terms) != 1:
+        raise ValueError("geometric ratio must be one term, got %d" % len(ratio.terms))
+    ((ea, eq, et), c), = ratio.terms.items()
+    if eq <= 0:
+        raise ValueError("geometric ratio must have positive q-degree")
+    return TruncSeries(Poly3._trusted(
+        {(k * ea, k * eq, k * et): c ** k for k in range(qmax // eq + 1)}), qmax)
 
 
 def _check_stable(n, qmax, names=("n", "qmax")):
@@ -127,6 +127,58 @@ def stable_hfk(n, qmax):
     return s * (1 + Poly3.monomial(1, 0, 2, 1))
 
 
+# -- partial beta-term series for general (n, m) ---------------------------
+
+def stable_beta_terms(n, which, depth):
+    """Truncated series for the extreme beta-contributions to T(n, m).
+
+    which 'first' expands prod_j (1 + a^2 q^{-2j} t) / (1 - t^{-2j} q^{-2(j+1)}),
+    which 'last' the partner prod_j (a^2 + q^{-2j} t^{-(2j+1)}) over the same
+    denominators, each denominator as a geometric series in negative powers
+    of q.  Terms with q-exponent below -depth are dropped: the series is
+    computed as a TruncSeries in q^{-1} with cutoff depth.
+
+    The j = 1 factors match the two bracket terms of the (2, m) series
+    expansion exactly; for j >= 2 the factor exponents grow with j so that
+    the expansion reproduces the q/t-grading lattice of the middle and
+    extreme a-levels of the (3, m) family.
+    """
+    _check_stable(n, depth, ("n", "depth"))
+    if which not in ("first", "last"):
+        raise ValueError("which must be 'first' or 'last'")
+
+    out = TruncSeries(Poly3.one(), depth)
+    for j in range(1, n):
+        if which == "first":
+            numerator = 1 + Poly3.monomial(1, 2, 2 * j, 1)
+        else:
+            numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2 * j, -(2 * j + 1))
+        out = out * numerator * geometric(Poly3.monomial(1, 0, 2 * (j + 1), -2 * j), depth)
+    return q_inverse(out.body)
+
+
+def t2_series_assembly(m, depth):
+    """The full two-bracket series form of the T(2, m) superpolynomial.
+
+    (-aqt)^{m-1} (1 - q^{-2} t^{-2})/(1 - q^{-4} t^{-2}) [ B0 + q^{-2m}
+    (-t)^{2-m} B1 ] with B0, B1 the bracket series; all denominators are
+    expanded to the given q-depth.  For depth comfortably beyond 2m the
+    tails telescope away and the result is exactly super_t2((m-1)/2).
+    Everything between the brackets is computed in q^{-1}, as TruncSeries
+    with cutoff depth.
+    """
+    _check_stable(m, depth, ("m", "depth"))
+    if m < 3 or m % 2 == 0:
+        raise ValueError("need odd m >= 3")
+    inv_q2t2 = geometric(Poly3.monomial(1, 0, 2, -2), depth)   # 1/(1 - q^{-2} t^{-2})
+    inv_q4t2 = geometric(Poly3.monomial(1, 0, 4, -2), depth)   # 1/(1 - q^{-4} t^{-2})
+    b0 = inv_q2t2 * (1 + Poly3.monomial(1, 2, 2, 1))
+    b1 = inv_q2t2 * (Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2, -3))
+    shifted = b1.body.scale_monomial((-1) ** (m - 2), eq=2 * m, et=2 - m)
+    body = (b0 + shifted) * (1 - Poly3.monomial(1, 0, 2, -2)) * inv_q4t2
+    return q_inverse(body.body).scale_monomial((-1) ** (m - 1), ea=m - 1, eq=m - 1, et=m - 1)
+
+
 # -- the block complex ------------------------------------------------------
 
 def _steps(n, qmax):
@@ -134,21 +186,27 @@ def _steps(n, qmax):
     return [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
 
 
+def _level(l):
+    """Level l's (period, flag): each step of i_l moves a word by (0, 2l, 2l-2),
+    a set flag c_l by (2, 2l-2, 2l-1)."""
+    return (0, 2 * l, 2 * l - 2), (2, 2 * l - 2, 2 * l - 1)
+
+
 def _word_codes(n, qmax):
     """All tensor words ((i_2, c_2), ..., (i_n, c_n)) with eq <= qmax, as (code, grading).
 
-    Level l contributes i_l * (0, 2l, 2l-2) plus, when its flag is set,
-    (2, 2l-2, 2l-1).  The code is the sum of flag l at bit l - 2 and i_l
+    Level l contributes i_l times its _level period plus, when its flag is
+    set, its _level flag.  The code is the sum of flag l at bit l - 2 and i_l
     times _steps(n, qmax)[l - 2]; words come in lexicographic order of ((c_2, i_2), ...).
     """
     words = [(0, (0, 0, 0))]
     for pos, step in enumerate(_steps(n, qmax)):
-        dq, dt = 2 * pos + 4, 2 * pos + 2  # the period of level l = pos + 2
+        (_, dq, dt), (fa, fq, ft) = _level(pos + 2)
         new = []
         for code, (ea, eq, et) in words:
             for flag in (0, 1):
-                code_f, ea_f = code + (flag << pos), ea + 2 * flag
-                eq_f, et_f = eq + flag * (dq - 2), et + flag * (dt + 1)
+                code_f, ea_f = code + (flag << pos), ea + flag * fa
+                eq_f, et_f = eq + flag * fq, et + flag * ft
                 new += [(code_f + i * step, (ea_f, eq_f + i * dq, et_f + i * dt))
                         for i in range((qmax - eq_f) // dq + 1)]
         words = new
@@ -195,6 +253,7 @@ def build_stable_complex(n, qmax):
 
 def stable_khr2_closed(n, qmax):
     """Closed forms for the stable sl(2) reduction, n in {2, 3, 4}."""
+    _check_stable(n, qmax)
     if n == 2:
         return geometric(Poly3.monomial(1, 0, 4, 2), qmax) * (1 + Poly3.monomial(1, 0, 6, 3))
     if n == 3:
@@ -215,73 +274,64 @@ def stable_khr2_closed(n, qmax):
 
 
 def _generic_survivors(n, qmax):
-    """Graded dimensions left after the generic d_2 reduction.
+    """Graded dimensions left after the generic d_2 reduction, {grading: dim}.
 
-    Recursive: the n-strand object is a string of pairs of blocks, each a
-    copy of the already-reduced (n-1)-strand answer; the new d_2 component
-    maps each flagged block to its partner on every grading-allowed slot,
-    and blocks at different string positions do not interact (the
-    filtration assumption).  The published genericity assumption is that
-    d_2 has maximal rank, so a da x db block has rank min(da, db) by
-    definition.  Returns {grading: dim}; the base two-strand object has no
-    reduction at all.
+    Starts from the two-strand words, which the reduction leaves alone.
+    Level l = 3..n makes a string of pairs of blocks, each a copy of the
+    survivors so far moved by i _level periods, the flagged one also by the
+    _level flag; the new d_2 component maps each flagged block to its
+    partner on every grading-allowed slot, and blocks at different string
+    positions do not interact (the filtration assumption).  The published
+    genericity assumption is that d_2 has maximal rank, so a da x db block
+    has rank min(da, db) by definition.
 
     Each level discards rank via min-size blocks, so the result at
     q-degree d is reliable once qmax exceeds d by the boundary margin; the
     caller compensates by inflating qmax.
     """
-    if n == 2:
-        return {g: 1 for _, g in _word_codes(2, qmax)}
-    period = (0, 2 * n, 2 * n - 2)
-    flag = (2, 2 * n - 2, 2 * n - 1)
-    inner = _generic_survivors(n - 1, qmax)
-    survivors = {}
-    i = 0
-    while i * period[1] <= qmax:
-        b_block = {}
-        a_block = {}
-        for g, d in inner.items():
-            gb = (g[0], g[1] + i * period[1], g[2] + i * period[2])
-            if gb[1] <= qmax:
-                b_block[gb] = b_block.get(gb, 0) + d
-            ga = (gb[0] + flag[0], gb[1] + flag[1], gb[2] + flag[2])
-            if ga[1] <= qmax:
-                a_block[ga] = a_block.get(ga, 0) + d
-        for g, da in sorted(a_block.items()):
-            target = (g[0] - 2, g[1] + 4, g[2] - 1)
-            db = b_block.get(target, 0)
-            r = min(da, db)
-            if da - r:
-                survivors[g] = survivors.get(g, 0) + (da - r)
-            b_block[target] = db - r
-        for g, db in sorted(b_block.items()):
-            if db:
-                survivors[g] = survivors.get(g, 0) + db
-        i += 1
-    return survivors
+    dims = {g: 1 for _, g in _word_codes(2, qmax)}
+    sa, sq, st = diff_degree(2)
+    for l in range(3, n + 1):
+        (_, pq, pt), (fa, fq, ft) = _level(l)
+        survivors = {}
+        for i in range(qmax // pq + 1):
+            b_block = {}
+            a_block = {}
+            for (ea, eq, et), d in dims.items():
+                gb = (ea, eq + i * pq, et + i * pt)
+                if gb[1] <= qmax:
+                    b_block[gb] = b_block.get(gb, 0) + d
+                ga = (ea + fa, gb[1] + fq, gb[2] + ft)
+                if ga[1] <= qmax:
+                    a_block[ga] = a_block.get(ga, 0) + d
+            for g, da in sorted(a_block.items()):
+                target = (g[0] + sa, g[1] + sq, g[2] + st)
+                db = b_block.get(target, 0)
+                r = min(da, db)
+                if da - r:
+                    survivors[g] = survivors.get(g, 0) + (da - r)
+                b_block[target] = db - r
+            for g, db in sorted(b_block.items()):
+                if db:
+                    survivors[g] = survivors.get(g, 0) + db
+        dims = survivors
+    return dims
 
 
 def stable_khr2_generic(n, qmax):
     """The generic-route stable sl(2) series: reduce, then set a = q^2."""
     _check_stable(n, qmax)
     margin = 4 * n
-    dims = _generic_survivors(n, qmax + margin)
-    amalgamated = {}
-    for (ea, eq, et), d in dims.items():
-        key = (0, 2 * ea + eq, et)
-        amalgamated[key] = amalgamated.get(key, 0) + d
-    return TruncSeries(Poly3(amalgamated), qmax)
+    return TruncSeries(at_a_qN(Poly3._trusted(_generic_survivors(n, qmax + margin)), 2), qmax)
 
 
 def stable_khr2(n, qmax):
     """Stable sl(2) Poincare series by two routes, compared exactly.
 
-    Route one truncates the closed form; route two performs the generic
-    maximal-rank reduction on the block complex.  A disagreement raises
-    GenericityMismatch (a broken construction on one side).
+    Route one truncates the closed form, n in {2, 3, 4}; route two performs
+    the generic maximal-rank reduction on the block complex.  A disagreement
+    raises GenericityMismatch (a broken construction on one side).
     """
-    if n not in (2, 3, 4):
-        raise ValueError("closed forms exist for 2, 3, 4 strands only")
     closed = stable_khr2_closed(n, qmax)
     generic = stable_khr2_generic(n, qmax)
     if generic != closed:
@@ -302,8 +352,6 @@ def finite_vs_stable(n, m, kind):
     kind 'super' compares superpolynomials, kind 'khr2' the sl(2)
     reductions (n = 2 via the specialization, n = 3 via the closed form).
     """
-    from .torus import torus_id, super_t2, super_torus, khr2_t3_closed
-
     n, m = torus_id(n, m)
     if n not in (2, 3):
         raise ValueError("finite families exist for n in {2, 3} only")

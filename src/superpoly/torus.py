@@ -25,9 +25,7 @@ from .laurent import (
     _divide_rows,
     exact_divide,
     monomial_substitute,
-    q_inverse,
 )
-from .stable import TruncSeries, _check_stable, geometric
 
 
 class NegativeCoefficient(Exception):
@@ -342,55 +340,3 @@ def khrN_unreduced_prediction(pbar, n_level):
         raise ValueError("need N >= 1")
     specialized = monomial_substitute(pbar, sub_a=Poly3.monomial(1, 0, n_level, 0))
     return exact_divide(specialized, Poly3({(0, 1, 0): 1, (0, -1, 0): -1}))
-
-
-# -- partial beta-term series for general (n, m) ---------------------------
-
-def stable_beta_terms(n, which, depth):
-    """Truncated series for the extreme beta-contributions to T(n, m).
-
-    which 'first' expands prod_j (1 + a^2 q^{-2j} t) / (1 - t^{-2j} q^{-2(j+1)}),
-    which 'last' the partner prod_j (a^2 + q^{-2j} t^{-(2j+1)}) over the same
-    denominators, each denominator as a geometric series in negative powers
-    of q.  Terms with q-exponent below -depth are dropped: the series is
-    computed as a TruncSeries in q^{-1} with cutoff depth.
-
-    The j = 1 factors match the two bracket terms of the (2, m) series
-    expansion exactly; for j >= 2 the factor exponents grow with j so that
-    the expansion reproduces the q/t-grading lattice of the middle and
-    extreme a-levels of the (3, m) family.
-    """
-    _check_stable(n, depth, ("n", "depth"))
-    if which not in ("first", "last"):
-        raise ValueError("which must be 'first' or 'last'")
-
-    out = TruncSeries(Poly3.one(), depth)
-    for j in range(1, n):
-        if which == "first":
-            numerator = 1 + Poly3.monomial(1, 2, 2 * j, 1)
-        else:
-            numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2 * j, -(2 * j + 1))
-        out = out * numerator * geometric(Poly3.monomial(1, 0, 2 * (j + 1), -2 * j), depth)
-    return q_inverse(out.body)
-
-
-def t2_series_assembly(m, depth):
-    """The full two-bracket series form of the T(2, m) superpolynomial.
-
-    (-aqt)^{m-1} (1 - q^{-2} t^{-2})/(1 - q^{-4} t^{-2}) [ B0 + q^{-2m}
-    (-t)^{2-m} B1 ] with B0, B1 the bracket series; all denominators are
-    expanded to the given q-depth.  For depth comfortably beyond 2m the
-    tails telescope away and the result is exactly super_t2((m-1)/2).
-    Everything between the brackets is computed in q^{-1}, as TruncSeries
-    with cutoff depth.
-    """
-    _check_stable(m, depth, ("m", "depth"))
-    if m < 3 or m % 2 == 0:
-        raise ValueError("need odd m >= 3")
-    inv_q2t2 = geometric(Poly3.monomial(1, 0, 2, -2), depth)   # 1/(1 - q^{-2} t^{-2})
-    inv_q4t2 = geometric(Poly3.monomial(1, 0, 4, -2), depth)   # 1/(1 - q^{-4} t^{-2})
-    b0 = inv_q2t2 * (1 + Poly3.monomial(1, 2, 2, 1))
-    b1 = inv_q2t2 * (Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2, -3))
-    shifted = b1.body.scale_monomial((-1) ** (m - 2), eq=2 * m, et=2 - m)
-    body = (b0 + shifted) * (1 - Poly3.monomial(1, 0, 2, -2)) * inv_q4t2
-    return q_inverse(body.body).scale_monomial((-1) ** (m - 1), ea=m - 1, eq=m - 1, et=m - 1)

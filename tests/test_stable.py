@@ -53,6 +53,10 @@ class TestSeries:
         assert grown.body == Poly3.zero()
         with pytest.raises(ValueError):
             geometric(Poly3.one(), 10)
+        with pytest.raises(ValueError):
+            geometric(Poly3.zero(), 10)
+        with pytest.raises(ValueError, match="one term"):
+            geometric(Poly3({(0, 2, 0): 1, (0, 4, 1): 1}), 10)
 
     def test_header_round_trip(self):
         from superpoly.laurent import parse_poly as pp
@@ -65,6 +69,7 @@ class TestSeries:
 
 STABLE_INPUT_FUNCTIONS = [
     stable_super, stable_homfly, stable_hfk, build_stable_complex, stable_khr2_generic,
+    stable_khr2_closed,
 ]
 
 
@@ -177,6 +182,87 @@ class TestKhr2:
     def test_unsupported_strands(self):
         with pytest.raises(ValueError):
             stable_khr2(5, 20)
+
+
+# -- the earlier series and survivor routines, kept as references ------------
+
+def reference_geometric(ratio, qmax):
+    """1 + r + r^2 + ... by Poly3 products, each power truncated; r of positive q-degrees."""
+    total = Poly3.one()
+    power = Poly3.one()
+    while True:
+        power = Poly3({k: c for k, c in (power * ratio).terms.items() if k[1] <= qmax})
+        if not power:
+            break
+        total = total + power
+    return TruncSeries(total, qmax)
+
+
+def reference_generic_survivors(n, qmax):
+    """The generic d_2 reduction written recursively, with its own period, flag and shift."""
+    if n == 2:
+        return {g: 1 for _, g in stable._word_codes(2, qmax)}
+    period = (0, 2 * n, 2 * n - 2)
+    flag = (2, 2 * n - 2, 2 * n - 1)
+    inner = reference_generic_survivors(n - 1, qmax)
+    survivors = {}
+    i = 0
+    while i * period[1] <= qmax:
+        b_block = {}
+        a_block = {}
+        for g, d in inner.items():
+            gb = (g[0], g[1] + i * period[1], g[2] + i * period[2])
+            if gb[1] <= qmax:
+                b_block[gb] = b_block.get(gb, 0) + d
+            ga = (gb[0] + flag[0], gb[1] + flag[1], gb[2] + flag[2])
+            if ga[1] <= qmax:
+                a_block[ga] = a_block.get(ga, 0) + d
+        for g, da in sorted(a_block.items()):
+            target = (g[0] - 2, g[1] + 4, g[2] - 1)
+            db = b_block.get(target, 0)
+            r = min(da, db)
+            if da - r:
+                survivors[g] = survivors.get(g, 0) + (da - r)
+            b_block[target] = db - r
+        for g, db in sorted(b_block.items()):
+            if db:
+                survivors[g] = survivors.get(g, 0) + db
+        i += 1
+    return survivors
+
+
+class TestReferences:
+    """The one-term geometric series and the level loop against the earlier routines."""
+
+    RATIOS = [Poly3.monomial(c, 0, eq, et) for c in (1, -1)
+              for eq, et in ((1, 0), (2, -2), (4, 2), (6, 4), (8, 6), (10, 0))]
+    RATIOS += [Poly3.monomial(1, 2, 3, -5), Poly3.monomial(-1, -3, 7, 1)]
+
+    @pytest.mark.parametrize("ratio", RATIOS, ids=str)
+    def test_geometric(self, ratio):
+        for qmax in range(-3, 82):
+            got, want = geometric(ratio, qmax), reference_geometric(ratio, qmax)
+            assert got.qmax == want.qmax == qmax
+            assert list(got.body.terms.items()) == list(want.body.terms.items()), qmax
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_generic_survivors(self, n):
+        for qmax in range(0, 82):
+            got = stable._generic_survivors(n, qmax)
+            want = reference_generic_survivors(n, qmax)
+            assert list(got.items()) == list(want.items()), qmax
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_generic_series(self, n):
+        # The earlier amalgamation wrote a = q^2 out by hand.
+        for qmax in range(0, 82, 9):
+            amalgamated = {}
+            for (ea, eq, et), d in reference_generic_survivors(n, qmax + 4 * n).items():
+                key = (0, 2 * ea + eq, et)
+                amalgamated[key] = amalgamated.get(key, 0) + d
+            got = stable_khr2_generic(n, qmax)
+            want = TruncSeries(Poly3(amalgamated), qmax)
+            assert list(got.body.terms.items()) == list(want.body.terms.items()), qmax
 
 
 # -- the earlier generic route: consecutive primes, rank by elimination ------

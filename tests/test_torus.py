@@ -21,7 +21,7 @@ from superpoly.laurent import (
     parse_poly,
     y_rewrite,
 )
-from superpoly.stable import finite_vs_stable
+from superpoly.stable import finite_vs_stable, stable_beta_terms, t2_series_assembly
 from superpoly.structchecks import thin_quotient_test
 from superpoly.torus import (
     NegativeCoefficient,
@@ -32,11 +32,9 @@ from superpoly.torus import (
     homfly_torus,
     khrN_unreduced_prediction,
     khr2_t3_closed,
-    stable_beta_terms,
     super_t2,
     super_t3,
     super_torus,
-    t2_series_assembly,
     t3_reduction_terms,
     torus_id,
     torus_s_invariant,
