@@ -80,7 +80,8 @@ class DotComplex:
     the entry as .entry = (N, src, dst), for an index outside
     [0, len(generators)) or a (src, dst) pair twice in one level, even if
     one copy has coefficient 0.  The in-package builders, whose entries are
-    valid by construction, hand their finished tuples to _trusted instead.
+    valid by construction, hand their levels to _trusted instead, which
+    sorts them but checks nothing.
     verify() records in _verified the levels it found sound (see homology).
     """
 
@@ -125,14 +126,16 @@ class DotComplex:
         self._verified = {}
 
     @classmethod
-    def _trusted(cls, generators, diffs, label=None):
-        """The complex over these parts, taken without a copy or a check.
+    def _trusted(cls, generators, levels, label=None):
+        """The complex over a generator tuple and levels {N: entries}, taken without a check.
 
-        The parts must be what the constructor would make of them: nonempty
-        sorted levels, indices in range, no (src, dst) pair twice.
+        Each level becomes a sorted tuple and an empty one is dropped; the rest
+        keep the order given.  The entries must be what the constructor would
+        keep: nonzero coefficients, indices in range, no (src, dst) pair twice.
         """
         c = cls.__new__(cls)
-        c.generators, c.diffs, c.label, c._verified = generators, diffs, label, {}
+        c.generators, c.label, c._verified = generators, label, {}
+        c.diffs = {n: level for n, entries in levels.items() if (level := tuple(sorted(entries)))}
         return c
 
     def __len__(self):
@@ -154,8 +157,7 @@ def mirror_complex(c, label=None):
     a reversed arrow between negated endpoints equals the original shift.
     """
     gens = tuple((-ea, -eq, -et) for (ea, eq, et) in c.generators)
-    diffs = {n: tuple(sorted((d, s, coeff) for (s, d, coeff) in entries))
-             for n, entries in c.diffs.items()}
+    diffs = {n: ((d, s, coeff) for (s, d, coeff) in entries) for n, entries in c.diffs.items()}
     return DotComplex._trusted(gens, diffs, label)
 
 
@@ -448,11 +450,10 @@ def complex_from_arrows(gradings, arrows, label=None):
     arrows: dict N -> list of (src, dst, sign) triples, sign = +-1, each
     sign from its builder's closed-form rule per arrow class.  In-package
     builders only: their int-triple gradings and distinct in-range arrows
-    go to DotComplex._trusted, each level sorted.  verify() then checks every
-    build exactly, and any violation raises ComplexError.
+    go to DotComplex._trusted.  verify() then checks every build exactly,
+    and any violation raises ComplexError.
     """
-    diffs = {n: tuple(sorted(entries)) for n, entries in arrows.items() if entries}
-    c = DotComplex._trusted(tuple(gradings), diffs, label)
+    c = DotComplex._trusted(tuple(gradings), arrows, label)
     report = verify(c)
     if not report.ok:
         raise ComplexError(

@@ -21,7 +21,7 @@ parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from .laurent import Poly3, at_a_qN, format_poly, q_inverse
+from .laurent import WORK_CAP, Poly3, TooLarge, at_a_qN, format_poly, q_inverse
 from .complexes import DotComplex, diff_degree
 from .torus import khr2_t3_closed, super_t2, super_torus, torus_id
 
@@ -71,14 +71,21 @@ class TruncSeries:
 
 
 def geometric(ratio, qmax):
-    """1 + r + r^2 + ... truncated, for a one-term ratio r of positive q-degree."""
+    """1 + r + r^2 + ... truncated, for a one-term ratio r of positive q-degree.
+
+    More than WORK_CAP terms raise TooLarge before any is built.
+    """
     if len(ratio.terms) != 1:
         raise ValueError("geometric ratio must be one term, got %d" % len(ratio.terms))
     ((ea, eq, et), c), = ratio.terms.items()
     if eq <= 0:
         raise ValueError("geometric ratio must have positive q-degree")
+    count = qmax // eq + 1
+    if count > WORK_CAP:
+        raise TooLarge("the geometric series of ratio %s needs %d terms, past %d"
+                       % (format_poly(ratio), count, WORK_CAP))
     return TruncSeries(Poly3._trusted(
-        {(k * ea, k * eq, k * et): c ** k for k in range(qmax // eq + 1)}), qmax)
+        {(k * ea, k * eq, k * et): c ** k for k in range(count)}), qmax)
 
 
 def _check_stable(n, qmax, names=("n", "qmax")):
@@ -246,8 +253,6 @@ def build_stable_complex(n, qmax):
                 if pos and dropped + steps[pos - 1] in index:
                     diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
                 sign = -sign
-    # Each level is built in source order, so sorting it costs little.
-    diffs = {level: tuple(sorted(entries)) for level, entries in diffs.items() if entries}
     return DotComplex._trusted(tuple(g for _, g in words), diffs, "stable-%d" % n)
 
 
@@ -293,25 +298,24 @@ def _generic_survivors(n, qmax):
     sa, sq, st = diff_degree(2)
     for l in range(3, n + 1):
         (_, pq, pt), (fa, fq, ft) = _level(l)
-        survivors = {}
+        # Shifts are injective and keep order: each block is a sorted shifted copy
+        # of dims, the flagged one read off the b-block, and each b-grading is
+        # the d_2 target of at most one a-grading.
+        dims, survivors = sorted(dims.items()), {}
         for i in range(qmax // pq + 1):
-            b_block = {}
-            a_block = {}
-            for (ea, eq, et), d in dims.items():
-                gb = (ea, eq + i * pq, et + i * pt)
-                if gb[1] <= qmax:
-                    b_block[gb] = b_block.get(gb, 0) + d
-                ga = (ea + fa, gb[1] + fq, gb[2] + ft)
-                if ga[1] <= qmax:
-                    a_block[ga] = a_block.get(ga, 0) + d
-            for g, da in sorted(a_block.items()):
+            b_block = {(ea, eq + i * pq, et + i * pt): d
+                       for (ea, eq, et), d in dims if eq + i * pq <= qmax}
+            for (ea, eq, et), da in list(b_block.items()):
+                g = (ea + fa, eq + fq, et + ft)
+                if g[1] > qmax:
+                    continue
                 target = (g[0] + sa, g[1] + sq, g[2] + st)
-                db = b_block.get(target, 0)
-                r = min(da, db)
+                r = min(da, b_block.get(target, 0))
                 if da - r:
                     survivors[g] = survivors.get(g, 0) + (da - r)
-                b_block[target] = db - r
-            for g, db in sorted(b_block.items()):
+                if r:
+                    b_block[target] -= r
+            for g, db in b_block.items():
                 if db:
                     survivors[g] = survivors.get(g, 0) + db
         dims = survivors

@@ -185,30 +185,24 @@ def all_three_step_pairings(khr2):
 def thin_quotient_test(homfly, s_inv):
     """Does (P - P_zigzag) admit an alternating quotient by the square norms?
 
-    Tries both sign placements of the degree-two factor, (1 - a^2 q^{+-2})
-    and (1 - a^{-2} q^{+-2}); true iff either divides exactly and the
-    quotient is zero or alternating.  Returns (ok, which) where which names
-    the convention that succeeded ('positive', 'negative', or None).
+    The two sign placements of the degree-two factor, (1 - a^2 q^{+-2}) and
+    (1 - a^{-2} q^{+-2}), differ by the unit a^{-4}, which the alternation
+    test ignores, so one division decides both: true iff it is exact and
+    the quotient is zero or alternating.  Returns (ok, which) where which
+    names the convention, 'negative' on success, else None.
     """
     if s_inv % 2:
         raise ValueError("S must be even, got %d" % s_inv)
     target = homfly - at_t_minus_one(sawtooth_poly(s_inv))
-    outcomes = {}
-    for name, exp in (("positive", 2), ("negative", -2)):
-        try:
-            quotient = exact_divide(target, *(1 - Poly3.monomial(1, exp, e, 0) for e in (2, -2)))
-        except NotDivisible:
-            outcomes[name] = False
-            continue
-        if not quotient:
-            outcomes[name] = True
-            continue
-        try:
-            outcomes[name] = homfly_alternates(quotient)
-        except OddExponent:
-            outcomes[name] = False
-    which = next((name for name in ("negative", "positive") if outcomes[name]), None)
-    return (which is not None), which
+    try:
+        quotient = exact_divide(target, *(1 - Poly3.monomial(1, -2, e, 0) for e in (2, -2)))
+    except NotDivisible:
+        return False, None
+    try:
+        ok = not quotient or homfly_alternates(quotient)
+    except OddExponent:
+        ok = False
+    return ok, "negative" if ok else None
 
 
 def morton_check(p, writhe, components):

@@ -359,6 +359,15 @@ class TestCli:
         assert captured.err == ("error: HOMFLY of T(200, 201) needs up to 320812000000 "
                                 "q^2-row entries, past 100000000\n")
 
+    def test_stable_past_the_series_term_cap_is_2(self, capsys):
+        start = time.monotonic()
+        assert main(["stable", "--n", "2", "--qmax", "10000000"]) == 2
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the geometric series of ratio 1*a^0*q^4*t^2 needs "
+                                "2500001 terms, past 1000000\n")
+
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),
         (["--n", "0", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

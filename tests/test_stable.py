@@ -2,12 +2,13 @@
 
 import sys
 import threading
+import time
 from itertools import count, islice, takewhile
 
 import pytest
 
 from superpoly import stable
-from superpoly.laurent import Poly3, at_a_qN, at_t_minus_one, parse_poly
+from superpoly.laurent import Poly3, TooLarge, at_a_qN, at_t_minus_one, parse_poly
 from superpoly.complexes import _eliminate, homology, verify
 from superpoly.stable import (
     GenericityMismatch,
@@ -16,6 +17,7 @@ from superpoly.stable import (
     build_stable_complex,
     finite_vs_stable,
     geometric,
+    stable_beta_terms,
     stable_hfk,
     stable_homfly,
     stable_khr2,
@@ -57,6 +59,23 @@ class TestSeries:
             geometric(Poly3.zero(), 10)
         with pytest.raises(ValueError, match="one term"):
             geometric(Poly3({(0, 2, 0): 1, (0, 4, 1): 1}), 10)
+
+    def test_series_past_the_term_cap_builds_nothing(self, monkeypatch):
+        # At the cap the series is built; one term past it, nothing is.
+        ratio = Poly3.monomial(-1, 2, 6, 1)
+        for cap in (1, 2, 7, 40):
+            monkeypatch.setattr(stable, "WORK_CAP", cap)
+            assert len(geometric(ratio, 6 * cap - 1).body.terms) == cap
+            with pytest.raises(TooLarge, match=r"^the geometric series of ratio -1\*a\^2\*q\^6"
+                               r"\*t\^1 needs %d terms, past %d$" % (cap + 1, cap)):
+                geometric(ratio, 6 * cap)
+
+    def test_beta_terms_past_the_term_cap_end_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(TooLarge, match=r"^the geometric series of ratio 1\*a\^0\*q\^4"
+                           r"\*t\^-2 needs 250000001 terms, past 1000000$"):
+            stable_beta_terms(2, "first", 10 ** 9)
+        assert time.monotonic() - start < 1
 
     def test_header_round_trip(self):
         from superpoly.laurent import parse_poly as pp

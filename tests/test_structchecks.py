@@ -1,14 +1,18 @@
 """Thin construction, pairing decompositions, bounds, derived invariants."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superpoly.laurent import (
     NotDivisible,
+    OddExponent,
     Poly3,
     at_a_qN,
     at_t_minus_one,
     exact_divide,
+    homfly_alternates,
     parse_poly,
 )
 from superpoly import structchecks
@@ -220,7 +224,52 @@ class TestThreeStep:
             three_step_pairing(super_t2(1))
 
 
+def reference_thin_quotient_test(homfly, s_inv):
+    """The quotient test with one division per sign placement, as first written."""
+    if s_inv % 2:
+        raise ValueError("S must be even, got %d" % s_inv)
+    target = homfly - at_t_minus_one(sawtooth_poly(s_inv))
+    outcomes = {}
+    for name, exp in (("positive", 2), ("negative", -2)):
+        try:
+            quotient = exact_divide(target, *(1 - Poly3.monomial(1, exp, e, 0) for e in (2, -2)))
+        except NotDivisible:
+            outcomes[name] = False
+            continue
+        if not quotient:
+            outcomes[name] = True
+            continue
+        try:
+            outcomes[name] = homfly_alternates(quotient)
+        except OddExponent:
+            outcomes[name] = False
+    which = next((name for name in ("negative", "positive") if outcomes[name]), None)
+    return (which is not None), which
+
+
+def seeded_quotient_cases(count, seed=0):
+    """(homfly, S): zigzag plus a square norm times an even polynomial, some with noise."""
+    rng = random.Random(seed)
+    norm = (1 - Poly3.monomial(1, 2, 2, 0)) * (1 - Poly3.monomial(1, 2, -2, 0))
+    for _ in range(count):
+        s_inv = rng.choice((-6, -4, -2, 0, 2, 4, 6))
+        f = Poly3({(2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3), 0): rng.choice((-2, -1, 1, 3))
+                   for _ in range(rng.randint(0, 4))})
+        p = at_t_minus_one(sawtooth_poly(s_inv)) + norm * f
+        if rng.random() < 0.3:
+            p = p + Poly3.monomial(rng.choice((-1, 1)), rng.randint(-4, 4), rng.randint(-4, 4), 0)
+        yield p, s_inv
+
+
 class TestQuotient:
+    def test_one_division_matches_both_placements(self):
+        cases = [(rec.homfly, rec.s_inv) for rec in load_dataset()]
+        cases += [(homfly_torus(2, m), s) for m in range(3, 16, 2) for s in (-2, 0, m - 1, 1)]
+        cases += list(seeded_quotient_cases(400))
+        for homfly, s_inv in cases:
+            assert (outcome(thin_quotient_test, homfly, s_inv)
+                    == outcome(reference_thin_quotient_test, homfly, s_inv)), (homfly, s_inv)
+
     def test_figure_eight_vs_unknot(self):
         ok, which = thin_quotient_test(at_t_minus_one(CP_41), 0)
         assert ok and which in ("positive", "negative")
@@ -354,10 +403,10 @@ REFERENCE_PAIRS = [
 ]
 
 
-def outcome(call, p):
-    """The result of call(p), or its exception's type and text."""
+def outcome(call, *args):
+    """The result of call(*args), or its exception's type and text."""
     try:
-        return call(p)
+        return call(*args)
     except (StructureError, ValueError) as exc:
         return type(exc), str(exc)
 
