@@ -61,7 +61,7 @@ def _symmetry(rec):
 
 
 def _quotient(rec):
-    ok, _ = thin_quotient_test(rec.homfly, rec.s_inv)
+    ok = thin_quotient_test(rec.homfly, rec.s_inv)
     if not ok and rec.superpoly is not None and _is_thin(rec.superpoly):
         return "thin row fails the alternating-quotient test"
 

@@ -188,21 +188,16 @@ def thin_quotient_test(homfly, s_inv):
     The two sign placements of the degree-two factor, (1 - a^2 q^{+-2}) and
     (1 - a^{-2} q^{+-2}), differ by the unit a^{-4}, which the alternation
     test ignores, so one division decides both: true iff it is exact and
-    the quotient is zero or alternating.  Returns (ok, which) where which
-    names the convention, 'negative' on success, else None.
+    the quotient is zero or alternating.
     """
     if s_inv % 2:
         raise ValueError("S must be even, got %d" % s_inv)
     target = homfly - at_t_minus_one(sawtooth_poly(s_inv))
     try:
         quotient = exact_divide(target, *(1 - Poly3.monomial(1, -2, e, 0) for e in (2, -2)))
-    except NotDivisible:
-        return False, None
-    try:
-        ok = not quotient or homfly_alternates(quotient)
-    except OddExponent:
-        ok = False
-    return ok, "negative" if ok else None
+        return not quotient or homfly_alternates(quotient)
+    except (NotDivisible, OddExponent):
+        return False
 
 
 def morton_check(p, writhe, components):

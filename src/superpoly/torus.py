@@ -7,25 +7,19 @@ obtained by mirroring, i.e. laurent.mirror.
 
 Two HOMFLY routes are provided: the classical sum over quantum factorials
 and a product form obtained by clearing denominators.  Both run through
-_binomial_sum on dense rows in q^2 keyed by (a, q mod 2), t = 0: Gaussian
-binomials from one Pascal row, each two-term factor as two shifted row
-additions, then laurent._divide_rows, exact_divide's running sums, on the
-rows as they are.  Tests check both against each other and Poly3 references.
+_binomial_sum on rows in q^2 keyed by (a, q mod 2), t = 0, each one int of
+w-bit slots, w derived from the summands: Gaussian binomials from one Pascal
+row, each two-term factor as two shifted int additions, then the rows, read
+back as lists, go to laurent._divide_rows, exact_divide's running sums.
 """
 
 from collections import Counter
 from math import gcd
-from operator import add, neg
+from operator import add, sub
+from sys import byteorder
 
 from .complexes import diff_degree
-from .laurent import (
-    WORK_CAP,
-    Poly3,
-    TooLarge,
-    _divide_rows,
-    exact_divide,
-    monomial_substitute,
-)
+from .laurent import WORK_CAP, Poly3, TooLarge, _divide_rows, exact_divide, monomial_substitute
 
 
 class NegativeCoefficient(Exception):
@@ -62,63 +56,72 @@ def torus_s_invariant(n, m):
     return (_int_arg("n", n) - 1) * (_int_arg("m", m) - 1)
 
 
-def _shift_add(row0, s, row):
-    """The q-row row0 + q^s * row, s >= 0, as a new list."""
-    out = row0 + [0] * (s + len(row) - len(row0))
-    out[s:s + len(row)] = map(add, out[s:s + len(row)], row)
-    return out
-
-
-def _gaussian_row(n):
-    """The Gaussian binomials [n, b] for b = 0..n as dense rows in q^2 from q^0
-    (entry j at q^{2j}), by Pascal's rule [n, b] = [n-1, b-1] + q^{2b} [n-1, b]."""
-    row = [[1]]
+def _gaussian_row(n, w):
+    """The Gaussian binomials [n, b], b = 0..n, as rows in q^2 packed in w-bit slots, by
+    Pascal's rule [n, b] = [n-1, b-1] + q^{2b} [n-1, b]; [n, b] has b(n-b) + 1 slots."""
+    row = [1]
     for k in range(1, n + 1):
-        row = [[1]] + [_shift_add(row[b - 1], b, row[b]) for b in range(1, k)] + [[1]]
+        row = [1] + [row[b - 1] + (row[b] << b * w) for b in range(1, k)] + [1]
     return row
 
 
-def _add_row(rows, a, q, row):
-    """Add q^q * row, a row in q^2, to rows[(a, q & 1, 0)] at q >> 1; stored lists stay."""
-    key, lo = (a, q & 1, 0), q >> 1
-    if key in rows:
-        lo0, row0 = rows[key]
-        if lo0 > lo:
-            lo0, row0, lo, row = lo, row, lo0, row0
-        lo, row = lo0, _shift_add(row0, lo - lo0, row)
-    rows[key] = (lo, row)
+def _merge(rows, a, q, size, p, w, op=add):
+    """rows[(a, q & 1)] op= q^q * p, p a packed row in q^2 of size slots; absent rows are 0."""
+    key, lo = (a, q & 1), q >> 1
+    if key not in rows:
+        rows[key] = lo, size, op(0, p)
+        return
+    lo0, size0, p0 = rows[key]
+    if lo0 <= lo:
+        rows[key] = lo0, max(size0, lo - lo0 + size), op(p0, p << (lo - lo0) * w)
+    else:
+        rows[key] = lo, max(lo0 - lo + size0, size), op(p0 << (lo0 - lo) * w, p)
+
+
+def _unpack(p, size, w):
+    """The size slots of p, low first, each in [-2^(w-1), 2^(w-1)): with 2^(w-1) added to
+    every slot, each is a digit in [0, 2^w), read off the bytes."""
+    half, k = 1 << w - 1, w // 8
+    raw = (p + half * ((1 << w * size) - 1) // ((1 << w) - 1)).to_bytes(k * size, byteorder)
+    if w == 64:  # one machine word per slot
+        return [x - half for x in memoryview(raw).cast("Q")]
+    return [int.from_bytes(raw[i:i + k], byteorder) - half for i in range(0, k * size, k)]
 
 
 def _binomial_sum(n, summand):
     """Sum over b < n of (-1)^{n-1-b} a^ea q^eq [n-1, b] prod (a^x q^y - a^u q^v),
-    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {(a, q mod 2, 0): (lo, row in q^2)}."""
-    gauss = _gaussian_row(n - 1)
+    with (ea, eq, [(x, y, u, v), ...]) = summand(b), as {(a, q mod 2, 0): (lo, row in q^2)}.
+
+    A row is one int, entry j times 2^{wj}: the ring map X -> 2^w, so only the total
+    must fit to be read back.  [n-1, b] has coefficient sum C(n-1, b) and each factor
+    at most doubles the sum of absolute values, so every entry of the total is at most
+    2^{n-1+f} in size, f the most factors of a summand: below 2^{w-1} for w >= n + f + 1."""
+    summands = [summand(b) for b in range(n)]
+    w = 64 * ((n + max(len(factors) for _, _, factors in summands)) // 64 + 1)
     total = {}
-    for b in range(n):
-        ea, eq, factors = summand(b)
-        rows = {}
-        _add_row(rows, ea, eq, gauss[b] if (n - b) % 2 else list(map(neg, gauss[b])))
+    for b, (gauss, (ea, eq, factors)) in enumerate(zip(_gaussian_row(n - 1, w), summands)):
+        rows = {(ea, eq & 1): (eq >> 1, b * (n - 1 - b) + 1, gauss if (n - b) % 2 else -gauss)}
         for x, y, u, v in factors:
             out = {}
-            for (a, r, _), (lo, row) in rows.items():
-                _add_row(out, a + x, r + 2 * lo + y, row)
-                _add_row(out, a + u, r + 2 * lo + v, list(map(neg, row)))
+            for (a, r), (lo, size, p) in rows.items():
+                _merge(out, a + x, r + 2 * lo + y, size, p, w)
+                _merge(out, a + u, r + 2 * lo + v, size, p, w, sub)
             rows = out
-        for (a, r, _), (lo, row) in rows.items():
-            _add_row(total, a, r + 2 * lo, row)
-    return total
+        for (a, r), (lo, size, p) in rows.items():
+            _merge(total, a, r + 2 * lo, size, p, w)
+    return {(a, r, 0): (lo, _unpack(p, size, w)) for (a, r), (lo, size, p) in total.items()}
 
 
-# Most q^2-row entries the HOMFLY beta-sum may build: T(39, 40) needs 91,470,978.
+# Most q^2-row slots the HOMFLY beta-sum may build: T(39, 40) needs 91,470,978.
 HOMFLY_WORK_CAP = 100_000_000
 
 
 def _homfly_size(n, m):
-    """Bounds (built, held) = (n^2 (2nL + W), nW) on homfly_torus's q^2-row entries.
+    """Bounds (built, held) = (n^2 (2nL + W), nW) on homfly_torus's q^2-row slots.
 
-    A summand ends in n rows of at most L = n(n-1)/2 + 1 entries, factor step
-    f makes at most 3 such lists from each of its at most f rows, and adds n
-    rows to the sum, whose n rows hold at most W = m(n-1) + L entries each."""
+    A summand ends in n rows of at most L = n(n-1)/2 + 1 slots, factor step
+    f makes at most 2 such rows from each of its at most f rows, and adds n
+    rows to the sum, whose n rows hold at most W = m(n-1) + L slots each."""
     width = n * (n - 1) // 2 + 1
     span = m * (n - 1) + width
     return n * n * (2 * n * width + span), n * span
@@ -131,7 +134,7 @@ def homfly_torus(n, m, form="product"):
     denominators in the equivalent product expression.  Both are exact and
     end in laurent._divide_rows on q^{2k} - 1 factors; a NotDivisible there
     would indicate an implementation bug for valid (n, m) and is never swallowed.
-    Past HOMFLY_WORK_CAP entries built or WORK_CAP held by _homfly_size's
+    Past HOMFLY_WORK_CAP slots built or WORK_CAP held by _homfly_size's
     bounds, it raises TooLarge before building any row.
     """
     n, m = torus_id(n, m)

@@ -5,7 +5,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from math import gcd
-from operator import add
+from operator import add, neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -826,20 +826,68 @@ class TestQBinomialDivision:
         def factors(k):
             return [Poly3({(0, 2 * i, 0): 1, (0, 0, 0): -1}) for i in range(1, k + 1)]
 
-        row = torus._gaussian_row(n)
+        row, lists = torus._gaussian_row(n, 64), reference_gaussian_row(n)
         assert len(row) == n + 1
         for b, binomial in enumerate(row):
-            assert len(binomial) == b * (n - b) + 1, b
+            size = b * (n - b) + 1
+            assert binomial >> 64 * (size - 1) == 1, b  # the leading 1 sits in the top slot
+            entries = torus._unpack(binomial, size, 64)
+            assert entries == lists[b], b
             divisors = factors(b) + factors(n - b)
             factorial = product_of(factors(n))
             want = exact_divide(factorial, *divisors) if divisors else factorial
-            assert rows_to_poly({(0, 0, 0): (0, binomial)}, Q2) == want, b
+            assert rows_to_poly({(0, 0, 0): (0, entries)}, Q2) == want, b
+
+
+def reference_shift_add(row0, s, row):
+    """The q-row row0 + q^s * row, s >= 0, as a new list."""
+    out = row0 + [0] * (s + len(row) - len(row0))
+    out[s:s + len(row)] = map(add, out[s:s + len(row)], row)
+    return out
+
+
+def reference_gaussian_row(n):
+    """The Gaussian binomials [n, b] for b = 0..n as dense lists in q^2 from q^0."""
+    row = [[1]]
+    for k in range(1, n + 1):
+        row = [[1]] + [reference_shift_add(row[b - 1], b, row[b]) for b in range(1, k)] + [[1]]
+    return row
+
+
+def reference_add_row(rows, a, q, row):
+    """Add q^q * row, a list in q^2, to rows[(a, q & 1, 0)] at q >> 1; stored lists stay."""
+    key, lo = (a, q & 1, 0), q >> 1
+    if key in rows:
+        lo0, row0 = rows[key]
+        if lo0 > lo:
+            lo0, row0, lo, row = lo, row, lo0, row0
+        lo, row = lo0, reference_shift_add(row0, lo - lo0, row)
+    rows[key] = (lo, row)
+
+
+def reference_rows_binomial_sum(n, summand):
+    """The β-sum on dense lists, as it was before the rows were packed ints."""
+    gauss = reference_gaussian_row(n - 1)
+    total = {}
+    for b in range(n):
+        ea, eq, factors = summand(b)
+        rows = {}
+        reference_add_row(rows, ea, eq, gauss[b] if (n - b) % 2 else list(map(neg, gauss[b])))
+        for x, y, u, v in factors:
+            out = {}
+            for (a, r, _), (lo, row) in rows.items():
+                reference_add_row(out, a + x, r + 2 * lo + y, row)
+                reference_add_row(out, a + u, r + 2 * lo + v, list(map(neg, row)))
+            rows = out
+        for (a, r, _), (lo, row) in rows.items():
+            reference_add_row(total, a, r + 2 * lo, row)
+    return total
 
 
 def reference_binomial_sum(n, summand):
     """The β-sum as it was: each summand a Poly3, times each factor a Poly3."""
     total = Poly3.zero()
-    for b, binomial in enumerate(torus._gaussian_row(n - 1)):
+    for b, binomial in enumerate(reference_gaussian_row(n - 1)):
         ea, eq, factors = summand(b)
         term = rows_to_poly({(0, 0, 0): (0, binomial)}, Q2).scale_monomial(
             (-1) ** (n - 1 - b), ea=ea, eq=eq)
@@ -862,6 +910,36 @@ class TestBinomialSum:
     def test_matches_poly3_summand_loop(self, n, table):
         rows = torus._binomial_sum(n, table.__getitem__)
         assert rows_to_poly(rows, Q2) == reference_binomial_sum(n, table.__getitem__)
+
+    @given(st.integers(2, 7), summands)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_list_rows_exactly(self, n, table):
+        # Same keys in the same order, same lo, same lengths and zero entries.
+        assert (list(torus._binomial_sum(n, table.__getitem__).items())
+                == list(reference_rows_binomial_sum(n, table.__getitem__).items()))
+
+    @pytest.mark.parametrize("n, table, rows", [
+        # a^1 (a - a) and a^2 (a - a): all-zero summands leave rows of zeros
+        (2, [(1, 0, [(1, 0, 1, 0)]), (2, 0, [(1, 0, 1, 0)])],
+         {(2, 0, 0): (0, [0]), (3, 0, 0): (0, [0])}),
+        # (1 - q^6) - (1 + q^2)(1 - q^4) + (1 - 1) = q^4 - q^2, zeros at both ends
+        (3, [(0, 0, [(0, 0, 0, 6)]), (0, 0, [(0, 0, 0, 4)]), (0, 0, [(0, 0, 0, 0)])],
+         {(0, 0, 0): (0, [0, -1, 1, 0])}),
+    ])
+    def test_zero_entries_are_kept(self, n, table, rows):
+        for binomial_sum in (torus._binomial_sum, reference_rows_binomial_sum):
+            assert list(binomial_sum(n, table.__getitem__).items()) == list(rows.items())
+
+    @pytest.mark.parametrize("eq", [0, 2])
+    def test_entries_past_one_word(self, eq):
+        # 70 factors q - 1 make w = 128.  At eq = 0 the two summands cancel to zeros;
+        # at eq = 2 the sum is (q^2 - 1)(q - 1)^70, whose largest entry is about 3.2e19.
+        summand = lambda b: (0, eq * b, [(0, 1, 0, 0)] * 70)  # noqa: E731
+        rows = torus._binomial_sum(2, summand)
+        assert list(rows.items()) == list(reference_rows_binomial_sum(2, summand).items())
+        top = max(abs(c) for _, row in rows.values() for c in row)
+        assert top > 2 ** 64 if eq else top == 0
+        assert rows_to_poly(rows, Q2) == reference_binomial_sum(2, summand)
 
 
 def rows_outcome(divide, *args):

@@ -2,7 +2,6 @@
 
 import re
 from math import gcd
-from operator import neg
 
 import pytest
 
@@ -192,25 +191,26 @@ class TestHomfly:
 
     @pytest.mark.parametrize("form", ["jones", "product"])
     def test_size_bounds_the_rows_built(self, form, monkeypatch):
+        # Slots of every packed row made: each _merge makes one int, Pascal's
+        # rule makes [k, b] for 0 < b < k <= n, and each [n, b] may be negated.
         built, held = [0], [0]
 
-        def shift_add(row0, s, row):
-            out = shift_add0(row0, s, row)
-            built[0] += len(out)
-            return out
+        def gaussian_row(n, w):
+            built[0] += sum(b * (k - b) + 1 for k in range(n + 1) for b in range(1, k))
+            built[0] += sum(b * (n - b) + 1 for b in range(n + 1))
+            return gaussian_row0(n, w)
 
-        def counting_map(f, *rows):
-            if f is neg:
-                built[0] += len(rows[0])
-            return map(f, *rows)
+        def merge(rows, a, q, *rest):
+            merge0(rows, a, q, *rest)
+            built[0] += rows[a, q & 1][1]
 
         def divide_rows(rows, e, steps):
             held[0] = sum(len(row) for _, row in rows.values())
             return divide_rows0(rows, e, steps)
 
-        shift_add0, divide_rows0 = torus._shift_add, torus._divide_rows
-        monkeypatch.setattr(torus, "_shift_add", shift_add)
-        monkeypatch.setattr(torus, "map", counting_map, raising=False)
+        gaussian_row0, merge0, divide_rows0 = torus._gaussian_row, torus._merge, torus._divide_rows
+        monkeypatch.setattr(torus, "_gaussian_row", gaussian_row)
+        monkeypatch.setattr(torus, "_merge", merge)
         monkeypatch.setattr(torus, "_divide_rows", divide_rows)
         for n, m in [(2, 3), (2, 101), (3, 4), (3, 301), (5, 6), (7, 50), (12, 13), (17, 18)]:
             built[0] = 0
