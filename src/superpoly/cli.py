@@ -7,24 +7,14 @@ convention for bad arguments).
 """
 
 import argparse
+import functools
 import sys
 
 from .laurent import ParseError, format_poly, parse_poly
-from .torus import (
-    homfly_torus,
-    super_torus,
-    torus_s_invariant,
-    unreduce,
-)
+from .torus import homfly_torus, super_torus, torus_s_invariant, unreduce
 from .structchecks import thin_super, StructureError
-from .complexes import (
-    ComplexError,
-    ComplexParseError,
-    build_torus_complex,
-    deserialize_complex,
-    homology,
-    verify,
-)
+from .complexes import (ComplexError, ComplexParseError, build_torus_complex,
+                        deserialize_complex, homology, verify)
 from .stable import TruncSeries, build_stable_complex, stable_khr2, stable_super
 from .render import render_svg, render_text
 from .checks import run_battery
@@ -41,7 +31,9 @@ def _load_complex(path):
         return deserialize_complex(fh.read())
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="superpoly",
         description="exact torus-knot homology computations",
@@ -86,8 +78,11 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="check the axioms on a complex file")
     p.add_argument("--complex", dest="complex_file", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ParseError, ComplexParseError) as exc:

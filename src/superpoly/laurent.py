@@ -299,7 +299,8 @@ def delta_spectrum(p):
 # -- exact division -------------------------------------------------------
 
 # Dense row entries one exact_divide call or HOMFLY division may build (T(35, 36): 63,700),
-# and terms one stable.geometric series may hold (stable --n 2 --qmax 10^6: 250,001).
+# terms one stable.geometric series may hold (stable --n 2 --qmax 10^6: 250,001), and
+# term pairs one truncated-series product may form (stable --n 2 --qmax 10^6: 500,002).
 WORK_CAP = 10 ** 6
 
 

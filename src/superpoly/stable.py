@@ -56,7 +56,11 @@ class TruncSeries:
         return TruncSeries(self.body + self._operand(other), self.qmax)
 
     def __mul__(self, other):
-        return TruncSeries(self.body * self._operand(other), self.qmax)
+        other = self._operand(other)
+        pairs = len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1)
+        if pairs > WORK_CAP:  # refused before multiplying: the work lies in the pairs
+            raise TooLarge("the series product needs %d term pairs, past %d" % (pairs, WORK_CAP))
+        return TruncSeries(self.body * other, self.qmax)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

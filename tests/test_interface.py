@@ -1,5 +1,6 @@
 """Dataset loading, rendering, and the command-line surface."""
 
+import argparse
 import io
 import os
 import re
@@ -14,7 +15,11 @@ from superpoly.laurent import Poly3, parse_poly, format_poly
 from superpoly.complexes import build_torus_complex, serialize_complex
 from superpoly.dataset import DatasetError, bundled_path, load_dataset
 from superpoly.render import render_svg, render_text
+from superpoly.torus import homfly_torus
+from superpoly import cli
 from superpoly.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def trefoil_table(tmp_path, columns):
@@ -26,6 +31,32 @@ def trefoil_table(tmp_path, columns):
     path = tmp_path / "table.tsv"
     path.write_text("\t".join(cols))
     return str(path)
+
+
+def run_capped_child(argv):
+    """`superpoly argv` in a child under a 1 GB address-space limit, where a
+    runaway fails with a MemoryError; it must end within 5 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from superpoly.cli import main; sys.exit(main())"]
+        + argv, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert time.monotonic() - start < 5
+    return proc
+
+
+def subparser_helps(parser):
+    """{prog: help text} for parser and every subparser below it."""
+    helps = {parser.prog: parser.format_help()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                helps.update(subparser_helps(child))
+    return helps
 
 
 class TestDataset:
@@ -308,6 +339,55 @@ class TestCli:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_main_can_be_called_again_and_again(self, capsys):
+        # The parser is built once per process; no option and no mutually exclusive
+        # group state may carry from one call to the next.
+        complex_9_42 = os.path.join(os.path.dirname(bundled_path()), "9_42.cplx")
+        calls = [
+            ["homfly", "torus", "3", "5", "--form", "jones"],
+            ["homfly", "torus", "3", "5"],
+            ["reduce", "--torus", "3", "4", "--n", "2"],
+            ["reduce", "--complex", complex_9_42, "--n", "0"],
+            ["frobnicate"],
+            ["reduce", "--n", "1"],
+            ["super", "thin", "--homfly", "a^+bad", "--s", "0"],
+            ["homfly", "torus", "3", "5", "--form", "jones"],
+        ]
+
+        def run(argv):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = "SystemExit(%r)" % exc.code
+            captured = capsys.readouterr()
+            return status, captured.out, captured.err
+
+        firsts = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            firsts.append(run(argv))
+        assert [run(argv) for argv in calls] == firsts
+        statuses = [status for status, _, _ in firsts]
+        assert statuses == [0, 0, 0, 0, "SystemExit(2)", "SystemExit(2)", 2, 0]
+        assert firsts[1][1] == format_poly(homfly_torus(3, 5, "product")) + "\n"
+        parser = cli._parser()
+        parser.parse_args(calls[0])
+        assert parser.parse_args(calls[1]).form == "product"
+        parser.parse_args(calls[2])
+        assert parser.parse_args(calls[3]).torus is None
+        helps = subparser_helps(parser)
+        assert set(helps) >= {"superpoly", "superpoly homfly torus", "superpoly super thin",
+                              "superpoly reduce", "superpoly verify"}
+        assert helps == subparser_helps(cli._parser.__wrapped__())
+
+    def test_parser_is_built_on_the_first_call_not_at_import(self):
+        code = ("import superpoly.cli as cli; assert cli._parser.cache_info().currsize == 0; "
+                "cli.main(['homfly', 'torus', '2', '3']); "
+                "assert cli._parser.cache_info().currsize == 1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+
     def test_parse_error_is_2(self, capsys):
         assert main(["super", "thin", "--homfly", "a^+bad", "--s", "0"]) == 2
 
@@ -336,18 +416,7 @@ class TestCli:
                                 % (k, 2 * k + 1))
 
     def test_t2_cap_probe_exits_2_at_once_in_a_child(self):
-        # Under a 1 GB address-space limit a runaway fails with a MemoryError.
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from superpoly.cli import main; sys.exit(main())",
-             "super", "torus", "2", "20000001"], capture_output=True, text=True, timeout=60,
-            preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert time.monotonic() - start < 5
+        proc = run_capped_child(["super", "torus", "2", "20000001"])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("error: T(2, 2k+1) at k = 10000000 has 20000001 generators, "
                                "past 200000\n")
@@ -367,6 +436,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: the geometric series of ratio 1*a^0*q^4*t^2 needs "
                                 "2500001 terms, past 1000000\n")
+
+    def test_series_product_cap_probe_exits_2_at_once_in_a_child(self):
+        # The last product of stable_super(3, 10^5) would pair its ~10^5 kept terms
+        # with the 16,667 of the q^6 t^4 geometric series.
+        proc = run_capped_child(["stable", "--n", "3", "--qmax", "100000"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: the series product needs 1666700000 term pairs, "
+                               "past 1000000\n")
 
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

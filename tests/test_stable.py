@@ -70,6 +70,20 @@ class TestSeries:
                                r"\*t\^1 needs %d terms, past %d$" % (cap + 1, cap)):
                 geometric(ratio, 6 * cap)
 
+    def test_series_product_past_the_pair_cap_is_refused(self, monkeypatch):
+        # 3 x 4 term pairs: at a cap of 12 the product is formed, at 11 it is not.
+        s = TruncSeries(parse_poly("1 + q^2 + a^2*q^2*t^3"), 10)
+        factor = parse_poly("1 + q^4*t^2 + q^6*t^4 + q^8*t^6")
+        monkeypatch.setattr(stable, "WORK_CAP", 12)
+        want = TruncSeries(s.body * factor, 10)
+        assert s * factor == want
+        assert s * TruncSeries(factor, 10) == want
+        monkeypatch.setattr(stable, "WORK_CAP", 11)
+        for other in (factor, TruncSeries(factor, 10)):
+            with pytest.raises(TooLarge, match=r"^the series product needs 12 term pairs, "
+                               r"past 11$"):
+                s * other
+
     def test_beta_terms_past_the_term_cap_end_at_once(self):
         start = time.monotonic()
         with pytest.raises(TooLarge, match=r"^the geometric series of ratio 1\*a\^0\*q\^4"
