@@ -144,10 +144,6 @@ class DotComplex:
     def poincare(self):
         return Poly3._trusted(dict(Counter(self.generators)))
 
-    def delta_histogram(self):
-        """Histogram of doubled delta-gradings 2*(et - ea) - eq."""
-        return delta_spectrum(self.poincare())
-
 
 def mirror_complex(c, label=None):
     """The complex of the mirror knot: dualize.

@@ -401,67 +401,55 @@ class YExpansion:
         return out
 
 
-def y_rewrite(p):
-    """Rewrite p as sum c * a^Q t^i y^g, or raise NotYExpressible.
-
-    Works down from the largest |q|-exponent 2g: a term a^Q q^{2g} t^k can
-    only come from a^Q t^{k-g} y^g, which also contributes the mirror term
-    a^Q q^{-2g} t^{k-2g}; if the mirror coefficient disagrees the expansion
-    cannot exist.  Eliminating the whole top level at once leaves only
-    strictly smaller |q|-exponents, so the loop terminates.  Each level's
-    y^g is one binomial row, read off y^g = q^{-2g} t^{-g} (1 + q^2 t)^{2g}.
-
-    Success is exactly the q <-> q^{-1} symmetry of the input holding at the
-    level of coefficients, so failure here flags a broken symmetry, not a bug.
-    """
-    rem = dict(p.terms)
-    coeffs = {}
-    while rem:
-        top = max(abs(q) for (_, q, _) in rem)
-        if top % 2:
-            raise NotYExpressible("odd q-exponent %d cannot come from a power of y" % top)
-        g = top // 2
-        level = [(key, c) for key, c in rem.items() if key[1] == top]
-        if not level:
-            # Everything at the extreme degree sits on the negative side,
-            # so no y-power can produce it.
-            raise NotYExpressible(
-                "terms at q^%d have no positive-side partner" % (-top)
-            )
-        row = _y_power(g)
-        for (ea, _, et), c in level:
-            mirror_key = (ea, -top, et - top)
-            if rem.get(mirror_key, 0) != c:
-                raise NotYExpressible(
-                    "coefficient at a^%d q^%d t^%d has no matching mirror partner"
-                    % (ea, top, et)
-                )
-            coeffs[(ea, et - g, g)] = coeffs.get((ea, et - g, g), 0) + c
-            for dq, dt, yc in row:
-                key = (ea, dq, et - g + dt)
-                s = rem.get(key, 0) - c * yc
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-    return YExpansion(coeffs)
-
-
-def y_genus(p):
-    """y_rewrite(p).g_max in one pass over the terms, or None where y_rewrite raises.
+def _y_check(p):
+    """(top y-power, None) if p lies in the a, t, y span, else (None, its first bad term).
 
     The involution (ea, eq, et) -> (ea, -eq, et - eq) fixes every a^Q t^i y^g,
     and the y-powers are triangular by top |q|, so p lies in their span
     exactly when every q-exponent is even and each coefficient equals its
     image's.  The top y-power is then half the top q-exponent.
     """
-    terms = p.terms
-    top = 0
+    terms, top = p.terms, 0
     for (ea, eq, et), c in terms.items():
-        if eq % 2 or terms.get((ea, -eq, et - eq)) != c:
-            return None
+        if eq % 2:
+            return None, "odd q-exponent %d cannot come from a power of y" % eq
+        if terms.get((ea, -eq, et - eq)) != c:
+            return None, ("coefficient at a^%d q^%d t^%d has no matching mirror partner"
+                          % (ea, eq, et))
         top = max(top, eq)
-    return top // 2
+    return top // 2, None
+
+
+def y_rewrite(p):
+    """Rewrite p as sum c * a^Q t^i y^g, or raise NotYExpressible with _y_check's fault.
+
+    Down from the top q-exponent 2g, a term a^Q q^{2g} t^k can only come from
+    a^Q t^{k-g} y^g = a^Q q^{-2g} t^{k-2g} (1 + q^2 t)^{2g}, whose top entry is
+    the term itself.  p and every y^g are symmetric, so only the rows' q >= 0
+    half below the top is subtracted, on one dict {(ea, et): coeff} per level.
+    """
+    genus, fault = _y_check(p)
+    if fault:  # a broken q <-> q^{-1} symmetry, not a bug
+        raise NotYExpressible(fault)
+    levels = {2 * g: {} for g in range(genus + 1)}
+    for (ea, eq, et), c in p.terms.items():
+        if eq >= 0:
+            levels[eq][ea, et] = c
+    coeffs = {}
+    for g in range(genus, -1, -1):
+        row = [(levels[dq], dt - g, yc) for dq, dt, yc in _y_power(g)[1:g + 1]]
+        for (ea, et), c in levels[2 * g].items():
+            coeffs[ea, et - g, g] = c
+            for level, dt, yc in row:
+                s = level[ea, et + dt] = level.get((ea, et + dt), 0) - c * yc
+                if not s:
+                    del level[ea, et + dt]
+    return YExpansion(coeffs)
+
+
+def y_genus(p):
+    """y_rewrite(p).g_max, or None where y_rewrite raises: _y_check's top y-power."""
+    return _y_check(p)[0]
 
 
 # -- HOMFLY sign test -------------------------------------------------------

@@ -30,6 +30,13 @@ class GenericityMismatch(Exception):
     """The generic (maximal-rank) reduction disagreed with the closed form."""
 
 
+def _capped(count, unit, what, *args):
+    """count, checked before the work it measures: past WORK_CAP, TooLarge names it."""
+    if count > WORK_CAP:
+        raise TooLarge("%s needs %d %s, past %d" % (what % args, count, unit, WORK_CAP))
+    return count
+
+
 class TruncSeries:
     """A polynomial truncated at a q-degree cutoff.
 
@@ -57,9 +64,9 @@ class TruncSeries:
 
     def __mul__(self, other):
         other = self._operand(other)
-        pairs = len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1)
-        if pairs > WORK_CAP:  # refused before multiplying: the work lies in the pairs
-            raise TooLarge("the series product needs %d term pairs, past %d" % (pairs, WORK_CAP))
+        # Refused before multiplying: the work lies in the pairs, not in the kept terms.
+        _capped(len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1),
+                "term pairs", "the series product")
         return TruncSeries(self.body * other, self.qmax)
 
     def __eq__(self, other):
@@ -84,10 +91,7 @@ def geometric(ratio, qmax):
     ((ea, eq, et), c), = ratio.terms.items()
     if eq <= 0:
         raise ValueError("geometric ratio must have positive q-degree")
-    count = qmax // eq + 1
-    if count > WORK_CAP:
-        raise TooLarge("the geometric series of ratio %s needs %d terms, past %d"
-                       % (format_poly(ratio), count, WORK_CAP))
+    count = _capped(qmax // eq + 1, "terms", "the geometric series of ratio %s", ratio)
     return TruncSeries(Poly3._trusted(
         {(k * ea, k * eq, k * et): c ** k for k in range(count)}), qmax)
 
@@ -107,6 +111,7 @@ def _check_stable(n, qmax, names=("n", "qmax")):
 def stable_super(n, qmax):
     """The stable superpolynomial of the n-strand family, truncated."""
     _check_stable(n, qmax)
+    n = min(n, max(2, qmax // 2 + 1))  # a level l with 2l - 2 > qmax adds only the factor 1
     out = TruncSeries(Poly3.one(), qmax)
     for j in range(1, n):
         out = out * (1 + Poly3.monomial(1, 2, 2 * j, 2 * j + 1))
@@ -123,6 +128,7 @@ def stable_homfly(n, qmax):
     one), so it can serve as the t = -1 cross-check.
     """
     _check_stable(n, qmax)
+    n = min(n, max(2, qmax // 2 + 1))  # as in stable_super
     out = TruncSeries(Poly3({(0, 0, 0): 1, (0, 2, 0): -1}), qmax)
     out = out * geometric(Poly3.monomial(1, 0, 2 * n, 0), qmax)
     for j in range(1, n):
@@ -209,10 +215,14 @@ def _word_codes(n, qmax):
     Level l contributes i_l times its _level period plus, when its flag is
     set, its _level flag.  The code is the sum of flag l at bit l - 2 and i_l
     times _steps(n, qmax)[l - 2]; words come in lexicographic order of ((c_2, i_2), ...).
+    Each level's words are counted from the level held before any is built, and
+    more than WORK_CAP raise TooLarge.
     """
     words = [(0, (0, 0, 0))]
     for pos, step in enumerate(_steps(n, qmax)):
         (_, dq, dt), (fa, fq, ft) = _level(pos + 2)
+        _capped(sum((qmax - eq) // dq + (qmax - eq - fq) // dq + 2 for _, (_, eq, _) in words),
+                "words", "the word build through level %d at qmax %d", pos + 2, qmax)
         new = []
         for code, (ea, eq, et) in words:
             for flag in (0, 1):
@@ -239,6 +249,7 @@ def build_stable_complex(n, qmax):
     at one level compose to zero outright since they all clear the flag.
     """
     _check_stable(n, qmax)
+    label, n = "stable-%d" % n, min(n, max(2, qmax // 2 + 1))  # as in stable_super
     words = _word_codes(n, qmax)
     # No index reaches qmax + 2, so a target's code is the source's less a
     # flag bit plus at most one digit step; a flag drop stays in range.
@@ -257,7 +268,7 @@ def build_stable_complex(n, qmax):
                 if pos and dropped + steps[pos - 1] in index:
                     diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
                 sign = -sign
-    return DotComplex._trusted(tuple(g for _, g in words), diffs, "stable-%d" % n)
+    return DotComplex._trusted(tuple(g for _, g in words), diffs, label)
 
 
 def stable_khr2_closed(n, qmax):
@@ -296,12 +307,16 @@ def _generic_survivors(n, qmax):
 
     Each level discards rank via min-size blocks, so the result at
     q-degree d is reliable once qmax exceeds d by the boundary margin; the
-    caller compensates by inflating qmax.
+    caller compensates by inflating qmax.  The start's 2 (qmax // 4 + 1) words, at
+    least _word_codes's count, and each level's (qmax // 2l + 1) |dims| are capped first.
     """
+    _capped(2 * (qmax // 4 + 1), "block entries", "the generic start at qmax %d", qmax)
     dims = {g: 1 for _, g in _word_codes(2, qmax)}
     sa, sq, st = diff_degree(2)
     for l in range(3, n + 1):
         (_, pq, pt), (fa, fq, ft) = _level(l)
+        _capped((qmax // pq + 1) * len(dims), "block entries", "the generic level %d at qmax %d",
+                l, qmax)
         # Shifts are injective and keep order: each block is a sorted shifted copy
         # of dims, the flagged one read off the b-block, and each b-grading is
         # the d_2 target of at most one a-grading.

@@ -18,6 +18,7 @@ from superpoly.laurent import (
     at_a_inv_t,
     at_a_qN,
     at_t_minus_one,
+    delta_spectrum,
     parse_poly,
     y_rewrite,
 )
@@ -197,7 +198,7 @@ def test_criterion_7_axiom_property_suite():
         if rec is not None:
             assert s_from_complex == rec.s_inv, name
     c942 = {name: c for name, c, _ in bundled_complexes()}["9_42"]
-    hist = c942.delta_histogram()
+    hist = delta_spectrum(c942.poincare())
     assert len(hist) == 2, "9_42 must be thick"
     invisible = len(c942) - at_t_minus_one(c942.poincare()).dimension()
     assert invisible == 2, "9_42 carries exactly two generators invisible at t = -1"

@@ -170,7 +170,7 @@ def reference_verify(c, max_eq=None):
     g_max = y_genus(c.poincare())
     if g_max is None and max_eq is None:
         violations.append("Poincare polynomial not expressible in a, t, y")
-    hist = c.delta_histogram()
+    hist = delta_spectrum(c.poincare())
     return VerifyReport(violations, hist, len(hist) <= 1, g_max, g_max is not None)
 
 

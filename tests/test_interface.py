@@ -33,17 +33,30 @@ def trefoil_table(tmp_path, columns):
     return str(path)
 
 
-def run_capped_child(argv):
-    """`superpoly argv` in a child under a 1 GB address-space limit, where a
-    runaway fails with a MemoryError; it must end within 5 s."""
+CLI_PROGRAM = "import sys; from superpoly.cli import main; sys.exit(main())"
+
+# Prints eval(argv[1]) in superpoly.stable's namespace; TooLarge exits 2 as the CLI does.
+STABLE_PROGRAM = """import sys
+from superpoly import stable
+try:
+    print(eval(sys.argv[1], vars(stable)))
+except stable.TooLarge as exc:
+    print("error: %s" % exc, file=sys.stderr)
+    sys.exit(2)
+"""
+
+
+def run_capped_child(argv, program=CLI_PROGRAM, limit_bytes=1 << 30):
+    """`superpoly argv` (or another program) in a child under an address-space
+    limit, 1 GB by default, where a runaway fails with a MemoryError; it must
+    end within 5 s."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from superpoly.cli import main; sys.exit(main())"]
-        + argv, capture_output=True, text=True, timeout=60, preexec_fn=limit,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", program] + argv, capture_output=True, text=True, timeout=60,
+        preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert time.monotonic() - start < 5
     return proc
@@ -444,6 +457,30 @@ class TestCli:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("error: the series product needs 1666700000 term pairs, "
                                "past 1000000\n")
+
+    @pytest.mark.parametrize("program, argv, status, out, err", [
+        (CLI_PROGRAM, ["stable", "--n", "3", "--qmax", "100000", "--reduce", "0"], 2, "",
+         "the word build through level 3 at qmax 100000 needs 833383334 words"),
+        (CLI_PROGRAM, ["stable", "--n", "3", "--qmax", "100000", "--reduce", "2"], 2, "",
+         "the generic level 3 at qmax 100012 needs 833566683 block entries"),
+        (CLI_PROGRAM, ["stable", "--n", "8", "--qmax", "400", "--reduce", "0"], 2, "",
+         "the word build through level 5 at qmax 400 needs 9345723 words"),
+        (CLI_PROGRAM, ["stable", "--n", "1000001", "--qmax", "3"], 0,
+         "# qmax=3\n1*a^0*q^0*t^0 + 1*a^2*q^2*t^3\n", None),
+        (CLI_PROGRAM, ["stable", "--n", "1000001", "--qmax", "3", "--reduce", "0"], 0,
+         "# qmax=3\n1*a^0*q^0*t^0 + 1*a^0*q^2*t^1\n", None),
+        (STABLE_PROGRAM, ["stable_khr2_generic(10 ** 6 + 1, 3)"], 2, "",
+         "the generic start at qmax 4000007 needs 2000004 block entries"),
+        (STABLE_PROGRAM, ["stable_homfly(10 ** 6 + 1, 3)"], 0,
+         "TruncSeries(qmax=3, 1*a^0*q^0*t^0 - 1*a^2*q^2*t^0)\n", None),
+        (STABLE_PROGRAM, ["len(build_stable_complex(10 ** 6 + 1, 3))"], 0, "2\n", None),
+    ], ids=["word-build", "generic", "word-build-8", "clamp", "clamp-word-build",
+            "generic-margin", "clamp-homfly", "clamp-complex"])
+    def test_stable_runaway_probes_end_at_once_in_a_child(self, program, argv, status, out, err):
+        # Each ran away before: a MemoryError traceback, or no end within 15 s.
+        proc = run_capped_child(argv, program, limit_bytes=2 << 30)
+        assert (proc.returncode, proc.stdout) == (status, out)
+        assert proc.stderr == ("" if err is None else "error: %s, past 1000000\n" % err)
 
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

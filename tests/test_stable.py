@@ -172,6 +172,63 @@ class TestStableComplex:
         assert all(len(entries) >= 3 for entries in c.diffs.values())
         assert sorted(c.diffs) == [-1, 1]
 
+    @pytest.mark.parametrize("n, qmax", [(2, 41), (3, 40), (5, 30), (7, 24)])
+    def test_word_build_past_the_cap_is_refused(self, monkeypatch, n, qmax):
+        # Level counts only grow, so the last one is the word total: at a cap
+        # of the total the complex is built, one below it the last level is refused.
+        total = len(stable._word_codes(n, qmax))
+        monkeypatch.setattr(stable, "WORK_CAP", total)
+        assert len(build_stable_complex(n, qmax)) == total
+        monkeypatch.setattr(stable, "WORK_CAP", total - 1)
+        with pytest.raises(TooLarge, match=r"^the word build through level %d at qmax %d needs "
+                           r"%d words, past %d$" % (n, qmax, total, total - 1)):
+            build_stable_complex(n, qmax)
+
+
+def unclamped_stable_complex(n, qmax):
+    """(generators, diffs) of build_stable_complex with every level 2..n built."""
+    words, steps = stable._word_codes(n, qmax), stable._steps(n, qmax)
+    index = {code: src for src, (code, _) in enumerate(words)}
+    diffs = {level: [] for level in range(1 - n, 2)}
+    for code, src in index.items():
+        sign = 1
+        for pos, step in enumerate(steps):
+            if code & (1 << pos):
+                dropped = code - (1 << pos)
+                diffs[-1 - pos].append((src, index[dropped], sign))
+                if dropped + step in index:
+                    diffs[1].append((src, index[dropped + step], sign))
+                if pos and dropped + steps[pos - 1] in index:
+                    diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
+                sign = -sign
+    return tuple(g for _, g in words), {l: tuple(sorted(e)) for l, e in diffs.items() if e}
+
+
+def unclamped_series(n, qmax):
+    """(stable_super, stable_homfly) with a factor for every strand up to n."""
+    sup = TruncSeries(Poly3.one(), qmax)
+    for j in range(1, n):
+        sup = sup * (1 + Poly3.monomial(1, 2, 2 * j, 2 * j + 1))
+    for j in range(2, n + 1):
+        sup = sup * geometric(Poly3.monomial(1, 0, 2 * j, 2 * j - 2), qmax)
+    hom = TruncSeries(parse_poly("1 - q^2"), qmax) * geometric(Poly3.monomial(1, 0, 2 * n, 0), qmax)
+    for j in range(1, n):
+        hom = hom * Poly3({(0, 0, 0): 1, (2, 2 * j, 0): -1})
+        hom = hom * geometric(Poly3.monomial(1, 0, 2 * j, 0), qmax)
+    return sup, hom
+
+
+@pytest.mark.parametrize("qmax", range(21))
+def test_strands_past_the_cutoff_change_nothing(qmax):
+    """A level l with 2l - 2 > qmax adds only the factor 1: n is clamped to
+    max(2, qmax // 2 + 1), and the label keeps the n asked for."""
+    clamped = max(2, qmax // 2 + 1)
+    for n in range(clamped, clamped + 4):
+        c = build_stable_complex(n, qmax)
+        assert c.label == "stable-%d" % n
+        assert (c.generators, c.diffs) == unclamped_stable_complex(n, qmax)
+        assert (stable_super(n, qmax), stable_homfly(n, qmax)) == unclamped_series(n, qmax)
+
 
 class TestKhr2:
     def test_two_strand_expansion(self):
@@ -211,6 +268,26 @@ class TestKhr2:
         series = stable_khr2_generic(5, qmax)
         euler = TruncSeries(at_a_qN(stable_homfly(5, qmax).body, 2), qmax)
         assert TruncSeries(at_t_minus_one(series.body), qmax) == euler
+
+    def test_generic_route_at_tested_sizes(self):
+        # Work 338,352 at (3, 2012) and 33,801 at (7, 148), the margin 4n included.
+        assert stable_khr2_generic(3, 2000) == stable_khr2_closed(3, 2000)
+        series = stable_khr2_generic(7, 120)
+        euler = TruncSeries(at_a_qN(stable_homfly(7, 120).body, 2), 120)
+        assert TruncSeries(at_t_minus_one(series.body), 120) == euler
+
+    def test_generic_route_past_the_cap_is_refused(self, monkeypatch):
+        # (3, 40): the start is 2 * 11 blocks of one word, level 3 is 7 blocks of 21.
+        monkeypatch.setattr(stable, "WORK_CAP", 147)
+        _generic_survivors(3, 40)
+        monkeypatch.setattr(stable, "WORK_CAP", 146)
+        with pytest.raises(TooLarge, match=r"^the generic level 3 at qmax 40 needs 147 block "
+                           r"entries, past 146$"):
+            _generic_survivors(3, 40)
+        monkeypatch.setattr(stable, "WORK_CAP", 21)
+        with pytest.raises(TooLarge, match=r"^the generic start at qmax 40 needs 22 block "
+                           r"entries, past 21$"):
+            _generic_survivors(3, 40)
 
     def test_unsupported_strands(self):
         with pytest.raises(ValueError):
