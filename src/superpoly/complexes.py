@@ -25,13 +25,12 @@ sparse elimination per level serves every homology count and the
 S-invariant, after a level holding Fractions is scaled by one constant.
 """
 
-import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .laurent import Poly3, delta_spectrum, y_genus
+from .laurent import Poly3, _ascii_int, delta_spectrum, y_genus
 
 
 class ComplexError(Exception):
@@ -558,16 +557,6 @@ def serialize_complex(c):
         for (s, d, coeff) in c.diffs[n]:
             lines.append("diff %d %d %d %d/%d" % (n, s, d, coeff.numerator, coeff.denominator))
     return "\n".join(lines) + "\n"
-
-
-_ASCII_INT = re.compile(r"[-+]?[0-9]+")
-
-
-def _ascii_int(text):
-    """int(text) for ASCII [-+]?[0-9]+ only, the digits parse_poly reads; else ValueError."""
-    if not _ASCII_INT.fullmatch(text):
-        raise ValueError("not an ASCII integer: %r" % text)
-    return int(text)
 
 
 def deserialize_complex(text, label=None):

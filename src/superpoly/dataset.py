@@ -13,8 +13,8 @@ row fails the whole load, with one diagnostic per offending row.
 
 import os
 
-from .laurent import at_a_one, at_a_qN, at_t_minus_one, parse_poly, ParseError
-from .complexes import _ascii_int, deserialize_complex, ComplexParseError
+from .laurent import _ascii_int, at_a_one, at_a_qN, at_t_minus_one, parse_poly, ParseError
+from .complexes import deserialize_complex, ComplexParseError
 
 
 class DatasetError(Exception):

@@ -10,6 +10,7 @@ Instances are immutable after construction; every operation returns a new
 polynomial, so values can be shared freely across threads.
 """
 
+import re
 from itertools import accumulate
 from math import comb, gcd
 from operator import add, neg, sub
@@ -300,7 +301,7 @@ def delta_spectrum(p):
 
 # Dense row entries one exact_divide call or HOMFLY division may build (T(35, 36): 63,700),
 # terms one stable.geometric series may hold (stable --n 2 --qmax 10^6: 250,001), and
-# term pairs one truncated-series product may form (stable --n 2 --qmax 10^6: 500,002).
+# term pairs a chain of truncated-series products may form (stable --n 2 --qmax 10^6: 500,004).
 WORK_CAP = 10 ** 6
 
 
@@ -478,6 +479,20 @@ def homfly_alternates(p):
 # -- text round-trip ------------------------------------------------------
 
 _VARIABLE_AXIS = {"a": 0, "q": 1, "t": 2}
+_DIGITS = "[0-9]+"  # ASCII only: the other digits str.isdigit accepts are no integers here
+_INT = re.compile("[-+]?" + _DIGITS)
+_SPACE = re.compile(r"\s*")
+# One term: an optional coefficient, then every factor.  "(?:\*\s*)?" rather than
+# "\*?\s*" leaves one way to split a failed factor's whitespace, so it backtracks linearly.
+_TERM = re.compile(r"\s*(%s)?((?:\s*(?:\*\s*)?[aqt](?:\^%s)?)*)" % (_DIGITS, _INT.pattern))
+_FACTOR = re.compile(r"([aqt])(?:\^(%s))?" % _INT.pattern)
+
+
+def _ascii_int(text):
+    """int(text) for ASCII [-+]?[0-9]+ only, the integers parse_poly reads; else ValueError."""
+    if not _INT.fullmatch(text):
+        raise ValueError("not an ASCII integer: %r" % text)
+    return int(text)
 
 
 def format_poly(p):
@@ -509,87 +524,46 @@ def parse_poly(text):
     term := [integer] ('*'? factor)*; factor := ('a'|'q'|'t') ['^' integer].
     Whitespace is ignored, an omitted exponent means 1, an omitted
     coefficient means 1 (with the sign coming from the separator).
+    _TERM reads each term whole; an error is read off where its match stopped.
     """
-    i = 0
-    n = len(text)
-    terms = {}
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def read_int(allow_sign):
-        nonlocal i
-        start = i
-        if allow_sign and i < n and text[i] in "+-":
-            i += 1
-        if i >= n or not "0" <= text[i] <= "9":
-            raise ParseError("expected an integer", start)
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        try:
-            return int(text[start:i])
-        except ValueError:
-            raise ParseError("integer has too many digits", start) from None
-
-    skip_ws()
-    if i >= n:
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
         raise ParseError("empty input", 0)
     sign = 1
-    if text[i] == "-":
-        sign = -1
-        i += 1
-    first = True
+    if text[pos] == "-":
+        sign, pos = -1, pos + 1
+    terms = {}
     while True:
-        skip_ws()
-        if not first:
-            if i >= n:
-                break
-            if text[i] == "+":
-                sign = 1
-            elif text[i] == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", i)
-            i += 1
-            skip_ws()
-        first = False
-        coeff = None
-        if i < n and "0" <= text[i] <= "9":
-            coeff = read_int(False)
+        m = _TERM.match(text, pos)
+        digits, factors = m.groups()
+        try:
+            coeff = int(digits) if digits else 1
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParseError("integer has too many digits", m.start(1)) from None
         exps = [0, 0, 0]
-        saw_factor = False
-        while True:
-            skip_ws()
-            star = i < n and text[i] == "*"
-            if star:
-                i += 1
-                skip_ws()
-            if i < n and text[i] in _VARIABLE_AXIS:
-                axis = _VARIABLE_AXIS[text[i]]
-                i += 1
-                e = 1
-                if i < n and text[i] == "^":
-                    i += 1
-                    e = read_int(True)
-                exps[axis] += e
-                saw_factor = True
-            elif star:
-                raise ParseError("expected a factor after '*'", i)
-            else:
-                break
-        if coeff is None:
-            if not saw_factor:
-                raise ParseError("expected a term", i)
-            coeff = 1
+        for var, e in _FACTOR.findall(factors):
+            try:
+                exps[_VARIABLE_AXIS[var]] += int(e) if e else 1
+            except ValueError:  # as above; the exponents before it, shorter, hold no "^" + e
+                raise ParseError("integer has too many digits",
+                                 m.start(2) + factors.index("^" + e) + 1) from None
+        end = m.end()
+        pos = _SPACE.match(text, end).end()
+        if factors.endswith(("a", "q", "t")) and text.startswith("^", end):
+            raise ParseError("expected an integer", end + 1)
+        if text.startswith("*", pos):
+            raise ParseError("expected a factor after '*'", _SPACE.match(text, pos + 1).end())
+        if digits is None and not factors:
+            raise ParseError("expected a term", pos)
         key = (exps[0], exps[1], exps[2])
         s = terms.get(key, 0) + sign * coeff
         if s:
             terms[key] = s
         else:
             terms.pop(key, None)
-        skip_ws()
-        if i >= n:
-            break
-    return Poly3._trusted(terms)
+        if pos == len(text):
+            return Poly3._trusted(terms)
+        if text[pos] not in "+-":
+            raise ParseError("expected '+' or '-' between terms", pos)
+        sign = 1 if text[pos] == "+" else -1
+        pos += 1

@@ -45,29 +45,33 @@ class TruncSeries:
     correct exactly up to the cutoff whenever all factors have eq >= 0.
     """
 
-    def __init__(self, body, qmax):
+    def __init__(self, body, qmax, pairs=0):
         if type(qmax) is not int:
             raise TypeError("qmax must be an int, got %r" % (qmax,))
         self.qmax = qmax
         self.body = Poly3._trusted({k: c for k, c in body.terms.items() if k[1] <= qmax})
+        self.pairs = pairs  # term pairs formed by the products this series came from
 
     def _operand(self, other):
-        """other's body if it is a series with the same cutoff, else other itself."""
+        """(other's body, both operands' pairs) if other is a series with the same
+        cutoff, else (other itself, self's pairs)."""
         if isinstance(other, TruncSeries):
             if other.qmax != self.qmax:
                 raise ValueError("cutoff mismatch")
-            return other.body
-        return other
+            return other.body, self.pairs + other.pairs
+        return other, self.pairs
 
     def __add__(self, other):
-        return TruncSeries(self.body + self._operand(other), self.qmax)
+        other, pairs = self._operand(other)
+        return TruncSeries(self.body + other, self.qmax, pairs)
 
     def __mul__(self, other):
-        other = self._operand(other)
-        # Refused before multiplying: the work lies in the pairs, not in the kept terms.
-        _capped(len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1),
-                "term pairs", "the series product")
-        return TruncSeries(self.body * other, self.qmax)
+        other, pairs = self._operand(other)
+        # Refused before multiplying: the work lies in the pairs, not in the kept terms,
+        # and a route's chain of products adds them up.
+        pairs += len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1)
+        _capped(pairs, "term pairs", "the series product chain")
+        return TruncSeries(self.body * other, self.qmax, pairs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -163,15 +167,15 @@ def stable_beta_terms(n, which, depth):
     _check_stable(n, depth, ("n", "depth"))
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
-
+    k = min(n, max(2, depth // 2 + 1))  # a factor with 2j > depth truncates to 1, or to a^2
     out = TruncSeries(Poly3.one(), depth)
-    for j in range(1, n):
+    for j in range(1, k):
         if which == "first":
             numerator = 1 + Poly3.monomial(1, 2, 2 * j, 1)
         else:
             numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2 * j, -(2 * j + 1))
         out = out * numerator * geometric(Poly3.monomial(1, 0, 2 * (j + 1), -2 * j), depth)
-    return q_inverse(out.body)
+    return q_inverse(out.body.scale_monomial(1, ea=0 if which == "first" else 2 * (n - k)))
 
 
 def t2_series_assembly(m, depth):
@@ -198,9 +202,10 @@ def t2_series_assembly(m, depth):
 
 # -- the block complex ------------------------------------------------------
 
-def _steps(n, qmax):
-    """Word-code digit steps: i_l is digit l - 2 in base qmax + 2, above the n - 1 flag bits."""
-    return [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
+def _flag_bit(qmax, pos):
+    """Flag l's bit in a word code, l = pos + 2: digit l - 2 in base 2^b, b the bit length
+    of qmax // 2 + 3, holds 2 i_l + c_l, so the bit is also half of i_l's step."""
+    return 1 << (qmax // 2 + 3).bit_length() * pos
 
 
 def _level(l):
@@ -213,20 +218,22 @@ def _word_codes(n, qmax):
     """All tensor words ((i_2, c_2), ..., (i_n, c_n)) with eq <= qmax, as (code, grading).
 
     Level l contributes i_l times its _level period plus, when its flag is
-    set, its _level flag.  The code is the sum of flag l at bit l - 2 and i_l
-    times _steps(n, qmax)[l - 2]; words come in lexicographic order of ((c_2, i_2), ...).
-    Each level's words are counted from the level held before any is built, and
-    more than WORK_CAP raise TooLarge.
+    set, its _level flag.  The code is the sum of 2 i_l + c_l times
+    _flag_bit(qmax, l - 2), so a word's code grows only with its highest nonzero
+    level; words come in lexicographic order of ((c_2, i_2), ...).  Each level's
+    words are counted from the level held before any is built, and more than
+    WORK_CAP raise TooLarge.
     """
     words = [(0, (0, 0, 0))]
-    for pos, step in enumerate(_steps(n, qmax)):
+    for pos in range(n - 1):
         (_, dq, dt), (fa, fq, ft) = _level(pos + 2)
         _capped(sum((qmax - eq) // dq + (qmax - eq - fq) // dq + 2 for _, (_, eq, _) in words),
                 "words", "the word build through level %d at qmax %d", pos + 2, qmax)
-        new = []
+        bit, new = _flag_bit(qmax, pos), []
+        step = 2 * bit
         for code, (ea, eq, et) in words:
             for flag in (0, 1):
-                code_f, ea_f = code + (flag << pos), ea + flag * fa
+                code_f, ea_f = code + flag * bit, ea + flag * fa
                 eq_f, et_f = eq + flag * fq, et + flag * ft
                 new += [(code_f + i * step, (ea_f, eq_f + i * dq, et_f + i * dt))
                         for i in range((qmax - eq_f) // dq + 1)]
@@ -251,22 +258,21 @@ def build_stable_complex(n, qmax):
     _check_stable(n, qmax)
     label, n = "stable-%d" % n, min(n, max(2, qmax // 2 + 1))  # as in stable_super
     words = _word_codes(n, qmax)
-    # No index reaches qmax + 2, so a target's code is the source's less a
-    # flag bit plus at most one digit step; a flag drop stays in range.
-    steps = _steps(n, qmax)
+    # An index is at most qmax // 4, one more in a target, so no digit passes qmax // 2 + 3:
+    # flag l dropping with i_l growing adds bit, with i_{l-1} growing twice the bit below.
+    bits = [_flag_bit(qmax, pos) for pos in range(n - 1)]
     index = {code: src for src, (code, _) in enumerate(words)}
     diffs = {level: [] for level in range(1 - n, 2)}
     for code, src in index.items():
         sign = 1
-        for pos, step in enumerate(steps):
-            bit = 1 << pos
+        for pos, bit in enumerate(bits):
             if code & bit:
                 dropped = code - bit
                 diffs[-1 - pos].append((src, index[dropped], sign))
-                if dropped + step in index:
-                    diffs[1].append((src, index[dropped + step], sign))
-                if pos and dropped + steps[pos - 1] in index:
-                    diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
+                if code + bit in index:
+                    diffs[1].append((src, index[code + bit], sign))
+                if pos and dropped + 2 * bits[pos - 1] in index:
+                    diffs[0].append((src, index[dropped + 2 * bits[pos - 1]], sign))
                 sign = -sign
     return DotComplex._trusted(tuple(g for _, g in words), diffs, label)
 

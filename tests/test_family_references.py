@@ -199,13 +199,14 @@ def reference_words(n, qmax):
 
 
 def reference_word_codes(n, qmax):
-    """(code, grading) of each word: flag l at bit l - 2, i_l as digit l - 2 in base qmax + 2."""
-    steps = [(qmax + 2) ** pos << (n - 1) for pos in range(n - 1)]
+    """(code, grading) of each word: 2 i_l + flag l as digit l - 2 in base 2^b, b the bit
+    length of qmax // 2 + 3."""
+    base = 2 ** (qmax // 2 + 3).bit_length()
     coded = []
     for word, g in reference_words(n, qmax):
         code = 0
         for pos, (i_l, flag) in enumerate(word):
-            code += (flag << pos) + i_l * steps[pos]
+            code += (2 * i_l + flag) * base ** pos
         coded.append((code, g))
     return coded
 

@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import json
 import os
 import re
 import resource
@@ -46,19 +47,53 @@ except stable.TooLarge as exc:
 """
 
 
-def run_capped_child(argv, program=CLI_PROGRAM, limit_bytes=1 << 30):
+# Runs superpoly.cli.main in-process on each argv of the JSON list in argv[1], each under
+# a 5 s SIGALRM, and prints the JSON list of [argv, outcome] for every call that did not
+# return 0, 1 or 2 with no traceback on stderr.
+FRONT_END_PROGRAM = """import contextlib, io, json, os, signal, sys
+from superpoly.cli import main
+
+
+class Alarm(BaseException):
+    pass
+
+
+def ring(signum, frame):
+    raise Alarm("no end within 5 s")
+
+
+signal.signal(signal.SIGALRM, ring)
+bad = []
+with open(os.devnull, "w") as devnull:
+    for argv in json.loads(sys.argv[1]):
+        err = io.StringIO()
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(err):
+                outcome = main(argv)
+        except BaseException as exc:
+            outcome = repr(exc)
+        finally:
+            signal.alarm(0)
+        if outcome not in (0, 1, 2) or "Traceback" in err.getvalue():
+            bad.append([argv, outcome])
+print(json.dumps(bad))
+"""
+
+
+def run_capped_child(argv, program=CLI_PROGRAM, limit_bytes=1 << 30, seconds=5):
     """`superpoly argv` (or another program) in a child under an address-space
     limit, 1 GB by default, where a runaway fails with a MemoryError; it must
-    end within 5 s."""
+    end within the given seconds, 5 by default."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", program] + argv, capture_output=True, text=True, timeout=60,
-        preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", program] + argv, capture_output=True, text=True,
+        timeout=max(60, seconds), preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC),
     )
-    assert time.monotonic() - start < 5
+    assert time.monotonic() - start < seconds
     return proc
 
 
@@ -452,10 +487,10 @@ class TestCli:
 
     def test_series_product_cap_probe_exits_2_at_once_in_a_child(self):
         # The last product of stable_super(3, 10^5) would pair its ~10^5 kept terms
-        # with the 16,667 of the q^6 t^4 geometric series.
+        # with the 16,667 of the q^6 t^4 geometric series; 100,010 pairs came before it.
         proc = run_capped_child(["stable", "--n", "3", "--qmax", "100000"])
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == ("error: the series product needs 1666700000 term pairs, "
+        assert proc.stderr == ("error: the series product chain needs 1666800010 term pairs, "
                                "past 1000000\n")
 
     @pytest.mark.parametrize("program, argv, status, out, err", [
@@ -474,13 +509,54 @@ class TestCli:
         (STABLE_PROGRAM, ["stable_homfly(10 ** 6 + 1, 3)"], 0,
          "TruncSeries(qmax=3, 1*a^0*q^0*t^0 - 1*a^2*q^2*t^0)\n", None),
         (STABLE_PROGRAM, ["len(build_stable_complex(10 ** 6 + 1, 3))"], 0, "2\n", None),
+        (CLI_PROGRAM, ["stable", "--n", "1000000000001", "--qmax", "1000000000001", "--reduce",
+                       "0"], 2, "",
+         "the word build through level 2 at qmax 1000000000001 needs 500000000001 words"),
+        (CLI_PROGRAM, ["stable", "--n", "1000001", "--qmax", "1000001", "--reduce", "0"], 2, "",
+         "the word build through level 3 at qmax 1000001 needs 83333833334 words"),
+        (CLI_PROGRAM, ["stable", "--n", "1000001", "--qmax", "1000001"], 2, "",
+         "the series product chain needs 1047370 term pairs"),
+        (CLI_PROGRAM, ["stable", "--n", "1000000000001", "--qmax", "1000001"], 2, "",
+         "the series product chain needs 1047370 term pairs"),
+        (CLI_PROGRAM, ["stable", "--n", "1000000000001", "--qmax", "1000000000001"], 2, "",
+         "the series product chain needs 1047370 term pairs"),
+        (STABLE_PROGRAM, ["stable_super(1601, 3200)"], 2, "",
+         "the series product chain needs 1041338 term pairs"),
+        (STABLE_PROGRAM, ["stable_homfly(801, 1600)"], 2, "",
+         "the series product chain needs 1454984 term pairs"),
+        (STABLE_PROGRAM, ["stable_beta_terms(10 ** 6 + 1, 'first', 3)"], 0,
+         "1*a^0*q^0*t^0 + 1*a^2*q^-2*t^1\n", None),
+        (STABLE_PROGRAM, ["stable_beta_terms(10 ** 5, 'last', 3)"], 0,
+         "1*a^199996*q^-2*t^-3 + 1*a^199998*q^0*t^0\n", None),
     ], ids=["word-build", "generic", "word-build-8", "clamp", "clamp-word-build",
-            "generic-margin", "clamp-homfly", "clamp-complex"])
+            "generic-margin", "clamp-homfly", "clamp-complex", "word-build-huge",
+            "word-build-wide", "series-chain", "series-chain-huge-n", "series-chain-huge",
+            "series-chain-super", "series-chain-homfly", "clamp-beta", "clamp-beta-last"])
     def test_stable_runaway_probes_end_at_once_in_a_child(self, program, argv, status, out, err):
         # Each ran away before: a MemoryError traceback, or no end within 15 s.
         proc = run_capped_child(argv, program, limit_bytes=2 << 30)
         assert (proc.returncode, proc.stdout) == (status, out)
         assert proc.stderr == ("" if err is None else "error: %s, past 1000000\n" % err)
+
+    def test_every_front_end_call_ends_typed_in_a_child(self):
+        # Integer arguments from small, negative and far past every cap, for each
+        # subcommand that takes them: 693 calls, each with 0, 1 or 2 within 5 s.
+        values = ["-1", "0", "1", "2", "3", "1000001", "1000000000001"]
+        calls = [["homfly", "torus", n, m, "--form", form]
+                 for n in values for m in values for form in ("jones", "product")]
+        calls += [["super", "torus", n, m] + unreduced
+                  for n in values for m in values for unreduced in ([], ["--unreduced"])]
+        calls += [["super", "thin", "--homfly", "1", "--s", s] for s in values]
+        calls += [["reduce", "--torus", n, m, "--n", level]
+                  for n in values for m in values for level in values]
+        calls += [["stable", "--n", n, "--qmax", q] + reduce
+                  for n in values for q in values
+                  for reduce in ([], ["--reduce", "0"], ["--reduce", "2"])]
+        assert len(calls) == 693
+        proc = run_capped_child([json.dumps(calls)], FRONT_END_PROGRAM, limit_bytes=2 << 30,
+                                seconds=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == []
 
     @pytest.mark.parametrize("args, message", [
         (["--n", "1", "--qmax", "10", "--reduce", "0"], "need n >= 2"),

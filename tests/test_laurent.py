@@ -4,6 +4,7 @@ import re
 import signal
 import sys
 from contextlib import contextmanager
+from itertools import product
 from math import gcd
 from operator import add, neg
 
@@ -1233,6 +1234,114 @@ class TestSigns:
         assert not homfly_alternates(parse_poly("1 + q^2"))
 
 
+VARIABLE_AXIS = {"a": 0, "q": 1, "t": 2}
+
+
+def reference_parse_poly(text):
+    """parse_poly as a scanner that steps through the text one character at a time.
+
+    Grammar: poly := ['-'] term (('+'|'-') term)*; integer := [0-9]+;
+    term := [integer] ('*'? factor)*; factor := ('a'|'q'|'t') ['^' integer].
+    Whitespace is ignored, an omitted exponent means 1, an omitted
+    coefficient means 1 (with the sign coming from the separator).
+    """
+    i = 0
+    n = len(text)
+    terms = {}
+
+    def skip_ws():
+        nonlocal i
+        while i < n and text[i].isspace():
+            i += 1
+
+    def read_int(allow_sign):
+        nonlocal i
+        start = i
+        if allow_sign and i < n and text[i] in "+-":
+            i += 1
+        if i >= n or not "0" <= text[i] <= "9":
+            raise ParseError("expected an integer", start)
+        while i < n and "0" <= text[i] <= "9":
+            i += 1
+        try:
+            return int(text[start:i])
+        except ValueError:
+            raise ParseError("integer has too many digits", start) from None
+
+    skip_ws()
+    if i >= n:
+        raise ParseError("empty input", 0)
+    sign = 1
+    if text[i] == "-":
+        sign = -1
+        i += 1
+    first = True
+    while True:
+        skip_ws()
+        if not first:
+            if i >= n:
+                break
+            if text[i] == "+":
+                sign = 1
+            elif text[i] == "-":
+                sign = -1
+            else:
+                raise ParseError("expected '+' or '-' between terms", i)
+            i += 1
+            skip_ws()
+        first = False
+        coeff = None
+        if i < n and "0" <= text[i] <= "9":
+            coeff = read_int(False)
+        exps = [0, 0, 0]
+        saw_factor = False
+        while True:
+            skip_ws()
+            star = i < n and text[i] == "*"
+            if star:
+                i += 1
+                skip_ws()
+            if i < n and text[i] in VARIABLE_AXIS:
+                axis = VARIABLE_AXIS[text[i]]
+                i += 1
+                e = 1
+                if i < n and text[i] == "^":
+                    i += 1
+                    e = read_int(True)
+                exps[axis] += e
+                saw_factor = True
+            elif star:
+                raise ParseError("expected a factor after '*'", i)
+            else:
+                break
+        if coeff is None:
+            if not saw_factor:
+                raise ParseError("expected a term", i)
+            coeff = 1
+        key = (exps[0], exps[1], exps[2])
+        s = terms.get(key, 0) + sign * coeff
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+        skip_ws()
+        if i >= n:
+            break
+    return Poly3(terms)
+
+
+def parse_outcome(parse, text):
+    """The terms in insertion order, or the ParseError's message and position."""
+    try:
+        return list(parse(text).terms.items())
+    except ParseError as err:
+        return str(err), err.pos
+
+
+ADVERSARIAL_ALPHABET = list("0123456789aqt^*+- ") + ["\t", "x", "/", ".", "\u00b2", "\u0663",
+                                                      "\x00"]
+
+
 class TestText:
     def test_parse_table_entry(self):
         assert parse_poly("a^2*q^-2 + a^2*q^2*t^2 + a^4*t^3") == SUPER_T23
@@ -1291,14 +1400,7 @@ class TestText:
             with pytest.raises(ParseError):
                 parse_poly(text)
 
-    @given(
-        st.text(
-            alphabet=st.sampled_from(
-                list("0123456789aqt^*+- ") + ["\t", "x", "/", ".", "\u00b2", "\u0663", "\x00"]
-            ),
-            max_size=40,
-        )
-    )
+    @given(st.text(alphabet=st.sampled_from(ADVERSARIAL_ALPHABET), max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_adversarial_text_parses_or_raises_parse_error(self, text):
         try:
@@ -1308,6 +1410,35 @@ class TestText:
         canonical = format_poly(p)
         assert parse_poly(canonical) == p
         assert format_poly(parse_poly(canonical)) == canonical
+
+
+    def test_every_short_text_matches_the_reference(self):
+        # All 177,156 strings of length <= 5 over these 11 characters: the same terms
+        # in the same order, or the same message at the same position.
+        alphabet = list("01aq^*+- x") + ["\u00a0"]
+        for length in range(6):
+            for chars in product(alphabet, repeat=length):
+                text = "".join(chars)
+                assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse_poly,
+                                                                        text), text
+
+    @given(st.one_of(
+        st.text(alphabet=st.sampled_from(ADVERSARIAL_ALPHABET), max_size=40),
+        st.lists(st.sampled_from(ADVERSARIAL_ALPHABET + ["a^", "q^-", "t^+", " * ", " + ",
+                                                         "1*a^2*q^-2*t^0", "1" * 5000]),
+                 max_size=12).map("".join),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_adversarial_text_matches_the_reference(self, text):
+        assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse_poly, text)
+
+    def test_table_and_long_texts_match_the_reference(self):
+        texts = [format_poly(p) for rec in load_dataset()
+                 for p in (rec.homfly, rec.khr2, rec.hfk, rec.superpoly) if p is not None]
+        texts += ["a^" + "1" * 5000, "-" + "2" * 5000 + "*q", "q*t^-" + "3" * 5000,
+                  "a" + " " * 5000 + "^2", "2 *" + " " * 5000, " " * 5000]
+        for text in texts:
+            assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse_poly, text)
 
 
 class TestQSymmetry:

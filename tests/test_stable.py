@@ -8,7 +8,8 @@ from itertools import count, islice, takewhile
 import pytest
 
 from superpoly import stable
-from superpoly.laurent import Poly3, TooLarge, at_a_qN, at_t_minus_one, parse_poly
+from superpoly.laurent import (Poly3, TooLarge, at_a_qN, at_t_minus_one, parse_poly,
+                              q_inverse)
 from superpoly.complexes import _eliminate, homology, verify
 from superpoly.stable import (
     GenericityMismatch,
@@ -80,9 +81,27 @@ class TestSeries:
         assert s * TruncSeries(factor, 10) == want
         monkeypatch.setattr(stable, "WORK_CAP", 11)
         for other in (factor, TruncSeries(factor, 10)):
-            with pytest.raises(TooLarge, match=r"^the series product needs 12 term pairs, "
-                               r"past 11$"):
+            with pytest.raises(TooLarge, match=r"^the series product chain needs 12 term "
+                               r"pairs, past 11$"):
                 s * other
+
+    def test_series_product_chain_adds_its_pairs(self, monkeypatch):
+        # Every product adds its pairs to those its operands came from, and a sum
+        # keeps both operands' pairs, so a chain of small products is refused whole.
+        s = TruncSeries(parse_poly("1 + q^2"), 10)
+        factor = parse_poly("1 + q^4*t^2")
+        monkeypatch.setattr(stable, "WORK_CAP", 100)
+        once = s * factor                        # 2 x 2
+        twice = once * factor                    # 4 + 4 x 2
+        assert (s.pairs, once.pairs, twice.pairs) == (0, 4, 12)
+        assert (once * once).pairs == 4 + 4 + 4 * 4
+        assert (once + twice).pairs == (twice + once).pairs == 16
+        assert (once + factor).pairs == 4
+        assert twice * factor == TruncSeries(s.body * factor * factor * factor, 10)
+        monkeypatch.setattr(stable, "WORK_CAP", 11)
+        with pytest.raises(TooLarge, match=r"^the series product chain needs 12 term pairs, "
+                           r"past 11$"):
+            once * factor
 
     def test_beta_terms_past_the_term_cap_end_at_once(self):
         start = time.monotonic()
@@ -187,19 +206,20 @@ class TestStableComplex:
 
 def unclamped_stable_complex(n, qmax):
     """(generators, diffs) of build_stable_complex with every level 2..n built."""
-    words, steps = stable._word_codes(n, qmax), stable._steps(n, qmax)
+    words = stable._word_codes(n, qmax)
+    bits = [stable._flag_bit(qmax, pos) for pos in range(n - 1)]
     index = {code: src for src, (code, _) in enumerate(words)}
     diffs = {level: [] for level in range(1 - n, 2)}
     for code, src in index.items():
         sign = 1
-        for pos, step in enumerate(steps):
-            if code & (1 << pos):
-                dropped = code - (1 << pos)
+        for pos, bit in enumerate(bits):
+            if code & bit:
+                dropped = code - bit
                 diffs[-1 - pos].append((src, index[dropped], sign))
-                if dropped + step in index:
-                    diffs[1].append((src, index[dropped + step], sign))
-                if pos and dropped + steps[pos - 1] in index:
-                    diffs[0].append((src, index[dropped + steps[pos - 1]], sign))
+                if dropped + 2 * bit in index:
+                    diffs[1].append((src, index[dropped + 2 * bit], sign))
+                if pos and dropped + 2 * bits[pos - 1] in index:
+                    diffs[0].append((src, index[dropped + 2 * bits[pos - 1]], sign))
                 sign = -sign
     return tuple(g for _, g in words), {l: tuple(sorted(e)) for l, e in diffs.items() if e}
 
@@ -216,6 +236,28 @@ def unclamped_series(n, qmax):
         hom = hom * Poly3({(0, 0, 0): 1, (2, 2 * j, 0): -1})
         hom = hom * geometric(Poly3.monomial(1, 0, 2 * j, 0), qmax)
     return sup, hom
+
+
+def unclamped_beta_terms(n, which, depth):
+    """stable_beta_terms with the factor of every j = 1 .. n - 1 multiplied in."""
+    out = TruncSeries(Poly3.one(), depth)
+    for j in range(1, n):
+        if which == "first":
+            numerator = 1 + Poly3.monomial(1, 2, 2 * j, 1)
+        else:
+            numerator = Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2 * j, -(2 * j + 1))
+        out = out * numerator * geometric(Poly3.monomial(1, 0, 2 * (j + 1), -2 * j), depth)
+    return q_inverse(out.body)
+
+
+@pytest.mark.parametrize("depth", range(18))
+def test_beta_strands_past_the_depth_change_nothing(depth):
+    """A factor with 2j > depth truncates to 1 ('first') or to a^2 ('last'), so
+    stable_beta_terms runs to k = max(2, depth // 2 + 1) and scales by a^(2(n - k))."""
+    clamped = max(2, depth // 2 + 1)
+    for n in range(2, clamped + 4):
+        for which in ("first", "last"):
+            assert stable_beta_terms(n, which, depth) == unclamped_beta_terms(n, which, depth)
 
 
 @pytest.mark.parametrize("qmax", range(21))
