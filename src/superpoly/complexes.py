@@ -25,7 +25,10 @@ sparse elimination per level serves every homology count and the
 S-invariant, after a level holding Fractions is scaled by one constant.
 """
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -66,12 +69,62 @@ def diff_degree(n):
     return (-2, 2 * n, -1 + 2 * n)
 
 
+class SignLevel(Sequence):
+    """A level of +-1 coefficients in (src, dst) order: array('q') src, dst, array('b') sign.
+
+    It reads as the tuple of its (src, dst, sign) triples: len, iteration,
+    indexing (a slice is a tuple) and == agree with it.  Builders append to
+    its arrays (put: one entry) before handing it on; else it is read-only.
+    """
+
+    __slots__ = ("src", "dst", "sign")
+
+    def __init__(self, src=(), dst=(), sign=()):
+        self.src, self.dst, self.sign = array("q", src), array("q", dst), array("b", sign)
+
+    def put(self, src, dst, sign):
+        self.src.append(src)
+        self.dst.append(dst)
+        self.sign.append(sign)
+
+    def __len__(self):
+        return len(self.src)
+
+    def __iter__(self):
+        return zip(self.src, self.dst, self.sign)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return tuple(zip(self.src[i], self.dst[i], self.sign[i]))
+        return self.src[i], self.dst[i], self.sign[i]
+
+    def __eq__(self, other):
+        return type(other) in (tuple, SignLevel) and tuple(self) == tuple(other)
+
+    def __repr__(self):
+        return "SignLevel(%r)" % (tuple(self),)
+
+
+def _held(entries):
+    """A level as held, from its nonzero entries in (src, dst) order (falsy if none):
+    a SignLevel as it is, +-1 int entries as a SignLevel, any others as their tuple."""
+    if type(entries) is SignLevel:
+        return entries
+    entries = tuple(entries)
+    if entries and all(type(v) is int and v * v == 1 for (_, _, v) in entries):
+        return SignLevel(*zip(*entries))
+    return entries
+
+
 class DotComplex:
-    """Generators plus the sparse differential family, held in tuples.
+    """Generators plus the sparse differential family.
 
     generators: tuple of (ea, eq, et) int triples (repeats allowed).
-    diffs: dict N -> sorted tuple of (src_index, dst_index, coefficient),
-    the coefficient a nonzero int, or a Fraction only when not an integer.
+    diffs: dict N -> sorted (src_index, dst_index, coefficient) entries, the
+    coefficient a nonzero int, or a Fraction only when not an integer.  A
+    level of +-1 coefficients (every built one) is held as a SignLevel, which
+    reads as the tuple of its entries, so diffs reads as it did when every
+    level was a tuple; any other level is that tuple itself (see _held).
     A complex is made one of two ways.  The public constructor checks every
     entry: it raises TypeError unless diffs is a dict of (src, dst,
     coefficient) triples, gradings are int triples, level keys and indices
@@ -79,8 +132,7 @@ class DotComplex:
     the entry as .entry = (N, src, dst), for an index outside
     [0, len(generators)) or a (src, dst) pair twice in one level, even if
     one copy has coefficient 0.  The in-package builders, whose entries are
-    valid by construction, hand their levels to _trusted instead, which
-    sorts them but checks nothing.
+    valid and sorted by construction, hand their levels to _trusted instead.
     verify() records in _verified the levels it found sound (see homology).
     """
 
@@ -90,10 +142,8 @@ class DotComplex:
             if len(g) != 3 or not type(g[0]) is type(g[1]) is type(g[2]) is int:
                 raise TypeError("gradings must be int triples, got %r" % (g,))
         size = len(self.generators)
-        self.diffs = {}
-        if diffs is None:
-            diffs = {}
-        elif not isinstance(diffs, dict):
+        self.diffs, diffs = {}, {} if diffs is None else diffs
+        if not isinstance(diffs, dict):
             raise TypeError("diffs must be a dict of levels, got %s" % type(diffs).__name__)
         for n, entries in diffs.items():
             if type(n) is not int:
@@ -118,7 +168,7 @@ class DotComplex:
                                        % (n, s, d), (n, s, d))
                 if i and level[i - 1][0] == s and level[i - 1][1] == d:
                     raise ComplexError("d_%d entry %d -> %d is given twice" % (n, s, d), (n, s, d))
-            kept = tuple(entry for entry in level if entry[2])
+            kept = _held(entry for entry in level if entry[2])
             if kept:
                 self.diffs[n] = kept
         self.label = label
@@ -128,13 +178,13 @@ class DotComplex:
     def _trusted(cls, generators, levels, label=None):
         """The complex over a generator tuple and levels {N: entries}, taken without a check.
 
-        Each level becomes a sorted tuple and an empty one is dropped; the rest
-        keep the order given.  The entries must be what the constructor would
-        keep: nonzero coefficients, indices in range, no (src, dst) pair twice.
+        An empty level is dropped.  The entries must be what the constructor
+        would keep, in its order: nonzero coefficients, indices in range, no
+        (src, dst) pair twice.
         """
         c = cls.__new__(cls)
         c.generators, c.label, c._verified = generators, label, {}
-        c.diffs = {n: level for n, entries in levels.items() if (level := tuple(sorted(entries)))}
+        c.diffs = {n: level for n, entries in levels.items() if (level := _held(entries))}
         return c
 
     def __len__(self):
@@ -152,59 +202,67 @@ def mirror_complex(c, label=None):
     a reversed arrow between negated endpoints equals the original shift.
     """
     gens = tuple((-ea, -eq, -et) for (ea, eq, et) in c.generators)
-    diffs = {n: ((d, s, coeff) for (s, d, coeff) in entries) for n, entries in c.diffs.items()}
+    diffs = {n: sorted((d, s, coeff) for (s, d, coeff) in level) for n, level in c.diffs.items()}
     return DotComplex._trusted(gens, diffs, label)
 
 
 # -- verification -----------------------------------------------------------
-
-def _out_edges(per_level):
-    """{src: [(dst << L | 1 << pos, value), ...]} over per_level[pos] = (src, dst, value) entries.
-
-    L = len(per_level).  A second step's key or-ed with the first step's
-    level bit names the target and the unordered level pair of a path.
-    """
-    width = len(per_level)
-    out = {}
-    for pos, entries in enumerate(per_level):
-        for (s, d, value) in entries:
-            out.setdefault(s, []).append(((d << width) | 1 << pos, value))
-    return out
-
-
-def _level_pair(key, levels):
-    """(N, M), N <= M: the levels of the two steps of a path key."""
-    bits = key & ((1 << len(levels)) - 1)
-    return levels[(bits & -bits).bit_length() - 1], levels[bits.bit_length() - 1]
-
 
 def _nonzero_composites(c, levels, whole=None):
     """Sorted (N, M, src, dst), N <= M, where d_N d_M + d_M d_N (d_N^2 if N = M) is nonzero.
 
     levels must be sorted.  Each source is walked once: its paths through
     any two of the levels are summed into one row keyed by (dst, level pair).
-    At a source that whole(src) rejects only the paths within one level are
-    summed, so only its squares come back.
+    An out-edge is an int key, its level's bit above its target, negated for
+    a -1; another coefficient keeps the key plain and its value in weight.
+    A source's keys come in order of size, so at a source that whole(src)
+    rejects, each second step is the one run of same-level keys: only the
+    paths within one level are summed, so only its squares come back.
     """
-    width = len(levels)
-    mask = (1 << width) - 1
-    out = _out_edges([c.diffs.get(n, ()) for n in levels])
+    shift = len(c.generators).bit_length()
+    low = (1 << shift) - 1
+    out = [[] for _ in c.generators] if any(map(c.diffs.get, levels)) else []
+    weight = {}
+    for pos, n in enumerate(levels):
+        bit = 1 << pos + shift
+        for s, d, v in c.diffs.get(n, ()):
+            if v == 1:
+                out[s].append(bit | d)
+            elif v == -1:
+                out[s].append(-(bit | d))
+            else:
+                out[s].append(bit | d)
+                weight[s, bit | d] = v
     bad = []
-    for s, edges in out.items():
-        row = {}
-        if whole is None or whole(s):
-            for (k1, c1) in edges:
-                bit = k1 & mask
-                for (k2, c2) in out.get(k1 >> width, ()):
-                    row[k2 | bit] = row.get(k2 | bit, 0) + c1 * c2
-        else:
-            for (k1, c1) in edges:
-                bit = k1 & mask
-                for (k2, c2) in out.get(k1 >> width, ()):
-                    if k2 & bit:
-                        row[k2] = row.get(k2, 0) + c1 * c2
-        if any(row.values()):
-            bad += [(*_level_pair(k, levels), s, k >> width) for k, val in row.items() if val]
+    for s, edges in enumerate(out):
+        row, full = {}, whole is None or whole(s)
+        for k1 in edges:
+            if k1 > 0:
+                a, one = k1, 1
+            else:
+                a, one = -k1, -1
+            t = a & low
+            bit, run = a - t, out[t]
+            if not full:
+                run = run[bisect_left(run, bit, key=abs):bisect_left(run, bit << 1, key=abs)]
+            if weight:
+                one = weight.get((s, a), one)
+                for k2 in run:
+                    b = abs(k2)
+                    row[b | bit] = row.get(b | bit, 0) + one * weight.get((t, b), b // k2)
+                continue
+            for k2 in run:
+                if k2 > 0:
+                    k = k2 | bit
+                    row[k] = row.get(k, 0) + one
+                else:
+                    k = -k2 | bit
+                    row[k] = row.get(k, 0) - one
+        for k, value in row.items():
+            if value:
+                bits = k >> shift
+                bad.append((levels[(bits & -bits).bit_length() - 1],
+                            levels[bits.bit_length() - 1], s, k & low))
     return sorted(bad)
 
 
@@ -259,7 +317,7 @@ def verify(c, max_eq=None):
     checked away from their boundary, where partner paths may have been
     cut off.  The walk still sums the squares at every source, so each
     level whose degrees are right and whose square vanishes everywhere is
-    recorded in c._verified with the very level and generators tuples it
+    recorded in c._verified with the very level and generators objects it
     was found on, and homology() need not check that level again.
     """
     if max_eq is not None and type(max_eq) is not int:
@@ -336,7 +394,7 @@ def _eliminate(rows, pivots):
 def _int_level(c, n):
     """The d_N entries, times the lcm of their denominators if one is a Fraction: same ranks."""
     level = c.diffs.get(n, ())
-    if Fraction in set(map(type, map(itemgetter(2), level))):
+    if type(level) is tuple and Fraction in set(map(type, map(itemgetter(2), level))):
         scale = lcm(*(v.denominator for (_, _, v) in level))
         return [(s, d, int(v * scale)) for (s, d, v) in level]
     return level
@@ -388,12 +446,8 @@ def _count(c, n, key_of, image_of):
     pivots = {}
     _eliminate(rows.values(), pivots)
     into = Counter(map(keys.__getitem__, pivots))
-    dims = {}
-    for key, size in Counter(keys).items():
-        dim = size - into[key] - into[image_of(key)]
-        if dim:
-            dims[key] = dim
-    return dims
+    dims = {key: size - into[key] - into[image_of(key)] for key, size in Counter(keys).items()}
+    return {key: dim for key, dim in dims.items() if dim}
 
 
 def homology(c, n):
@@ -442,18 +496,16 @@ def s_invariant(c):
 def complex_from_arrows(gradings, arrows, label=None):
     """Build a DotComplex from signed arrows and verify it.
 
-    arrows: dict N -> list of (src, dst, sign) triples, sign = +-1, each
-    sign from its builder's closed-form rule per arrow class.  In-package
-    builders only: their int-triple gradings and distinct in-range arrows
-    go to DotComplex._trusted.  verify() then checks every build exactly,
-    and any violation raises ComplexError.
+    arrows: dict N -> SignLevel, each sign from its builder's closed-form
+    rule per arrow class.  In-package builders only: their int-triple
+    gradings and sorted in-range arrows go to DotComplex._trusted.  verify()
+    then checks every build exactly, and any violation raises ComplexError.
     """
     c = DotComplex._trusted(tuple(gradings), arrows, label)
     report = verify(c)
     if not report.ok:
-        raise ComplexError(
-            "constructed complex failed verification: %s" % "; ".join(report.violations)
-        )
+        raise ComplexError("constructed complex failed verification: %s"
+                           % "; ".join(report.violations))
     return c
 
 
@@ -485,7 +537,7 @@ def build_torus_complex(n, m):
             starts[-1].append(len(gens))
             gens.extend(row)
     at0, at1, at2 = starts
-    arrows = {1: [], -1: [], 2: [], -2: [], 0: []}
+    arrows = {n_diff: SignLevel() for n_diff in (1, -1, 2, -2, 0)}
     for j, row in enumerate(levels[1]):
         for r in range(len(row)):
             i = r // 2
@@ -496,16 +548,16 @@ def build_torus_complex(n, m):
                 targets = [(2, dst, 1), (0, dst + 1, 1), (-2, dst + 2, 1),
                            (1, at0[j - 1] + i - 1, -1) if i else (-1, at0[j - 1], 1)]
             for n_diff, d, sign in targets:
-                arrows[n_diff].append((at1[j] + r, d, sign))
+                arrows[n_diff].put(at1[j] + r, d, sign)
     for j, row in enumerate(levels[2]):
         for i in range(len(row)):
             up = at1[j + 1] + 2 * i
             targets = [(1, up + 1, -1), (-1, up + 3, -1), (2, up, 1), (0, up + 2, 1),
                        (-2, up + 4, 1)]
-            if i:
-                targets.append((1, at1[j] + 2 * i - 2, -1))
+            if i:  # sources come in order, and so must a source's two d_1 targets
+                targets.insert(0, (1, at1[j] + 2 * i - 2, -1))
             for n_diff, d, sign in targets:
-                arrows[n_diff].append((at2[j] + i, d, sign))
+                arrows[n_diff].put(at2[j] + i, d, sign)
     return complex_from_arrows(gens, arrows, label="T(3,%d)" % m)
 
 
@@ -526,21 +578,18 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     sign = -1 if sawtooth_k < 0 else 1
     gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in _t2_family(k)]
     # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.
-    d1 = [(k + i, i)[::sign] + (1,) for i in range(1, k + 1)]
-    dm1 = [(k + i, i - 1)[::sign] + (1,) for i in range(1, k + 1)]
+    d1 = SignLevel(*(range(k + 1, 2 * k + 1), range(1, k + 1))[::sign], [1] * k)
+    dm1 = SignLevel(*(range(k + 1, 2 * k + 1), range(k))[::sign], [1] * k)
     for (ea, eq, et), mult in sorted(squares.terms.items()):
         if mult < 0:
             raise ComplexError("square multiplicities must be nonnegative")
         for _ in range(mult):
             base = len(gens)
-            gens.append((ea, eq, et))
-            gens.append((ea - 2, eq + 2, et - 1))
-            gens.append((ea - 2, eq - 2, et - 3))
-            gens.append((ea - 4, eq, et - 4))
-            d1.append((base, base + 1, 1))
-            d1.append((base + 2, base + 3, -1))
-            dm1.append((base, base + 2, 1))
-            dm1.append((base + 1, base + 3, 1))
+            gens += [(ea, eq, et), (ea - 2, eq + 2, et - 1), (ea - 2, eq - 2, et - 3),
+                     (ea - 4, eq, et - 4)]
+            for level, s, d, sign in ((d1, 0, 1, 1), (d1, 2, 3, -1), (dm1, 0, 2, 1),
+                                      (dm1, 1, 3, 1)):
+                level.put(base + s, base + d, sign)
     return complex_from_arrows(gens, {1: d1, -1: dm1}, label=label)
 
 
@@ -548,14 +597,10 @@ def build_thin_complex(sawtooth_k, squares, label=None):
 
 def serialize_complex(c):
     """Line-based text form: gen/diff records, ids dense from zero."""
-    lines = []
-    if c.label:
-        lines.append("# %s" % c.label)
-    for i, (ea, eq, et) in enumerate(c.generators):
-        lines.append("gen %d %d %d %d" % (i, ea, eq, et))
-    for n in sorted(c.diffs):
-        for (s, d, coeff) in c.diffs[n]:
-            lines.append("diff %d %d %d %d/%d" % (n, s, d, coeff.numerator, coeff.denominator))
+    lines = ["# %s" % c.label] if c.label else []
+    lines += ["gen %d %d %d %d" % (i, *g) for i, g in enumerate(c.generators)]
+    lines += ["diff %d %d %d %d/%d" % (n, s, d, coeff.numerator, coeff.denominator)
+              for n in sorted(c.diffs) for (s, d, coeff) in c.diffs[n]]
     return "\n".join(lines) + "\n"
 
 

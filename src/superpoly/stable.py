@@ -22,7 +22,7 @@ makes the whole family anticommute (all level shifts are odd in t).
 """
 
 from .laurent import WORK_CAP, Poly3, TooLarge, at_a_qN, format_poly, q_inverse
-from .complexes import DotComplex, diff_degree
+from .complexes import DotComplex, SignLevel, diff_degree
 from .torus import khr2_t3_closed, super_t2, super_torus, torus_id
 
 
@@ -195,7 +195,8 @@ def t2_series_assembly(m, depth):
     inv_q4t2 = geometric(Poly3.monomial(1, 0, 4, -2), depth)   # 1/(1 - q^{-4} t^{-2})
     b0 = inv_q2t2 * (1 + Poly3.monomial(1, 2, 2, 1))
     b1 = inv_q2t2 * (Poly3.monomial(1, 2, 0, 0) + Poly3.monomial(1, 0, 2, -3))
-    shifted = b1.body.scale_monomial((-1) ** (m - 2), eq=2 * m, et=2 - m)
+    shifted = TruncSeries(b1.body.scale_monomial((-1) ** (m - 2), eq=2 * m, et=2 - m), depth,
+                          b1.pairs)  # a series, so b1's term pairs stay in the route's total
     body = (b0 + shifted) * (1 - Poly3.monomial(1, 0, 2, -2)) * inv_q4t2
     return q_inverse(body.body).scale_monomial((-1) ** (m - 1), ea=m - 1, eq=m - 1, et=m - 1)
 
@@ -262,18 +263,28 @@ def build_stable_complex(n, qmax):
     # flag l dropping with i_l growing adds bit, with i_{l-1} growing twice the bit below.
     bits = [_flag_bit(qmax, pos) for pos in range(n - 1)]
     index = {code: src for src, (code, _) in enumerate(words)}
-    diffs = {level: [] for level in range(1 - n, 2)}
+    diffs = {level: SignLevel() for level in range(1 - n, 2)}
+    appends = {level: (d.src.append, d.dst.append, d.sign.append) for level, d in diffs.items()}
+    src1, dst1, sign1 = appends[1]
+    src0, dst0, sign0 = appends[0]
+    drops = [(bit, *appends[-1 - pos]) for pos, bit in enumerate(bits)]
+    falling = [(bit, 2 * bits[pos - 1] - bit) for pos, bit in enumerate(bits)][:0:-1]
+    # Sources come in index order, a source's d_1 targets in order as l grows and its d_0
+    # targets (code + shift, l > 2) as l falls; walking down, each set flag flips sign first,
+    # from (-1)^(set flags) to (-1)^(set flags below l).
     for code, src in index.items():
         sign = 1
-        for pos, bit in enumerate(bits):
+        for bit, src_d, dst_d, sign_d in drops:
             if code & bit:
-                dropped = code - bit
-                diffs[-1 - pos].append((src, index[dropped], sign))
+                src_d(src), dst_d(index[code - bit]), sign_d(sign)
                 if code + bit in index:
-                    diffs[1].append((src, index[code + bit], sign))
-                if pos and dropped + 2 * bits[pos - 1] in index:
-                    diffs[0].append((src, index[dropped + 2 * bits[pos - 1]], sign))
+                    src1(src), dst1(index[code + bit]), sign1(sign)
                 sign = -sign
+        for bit, shift in falling:
+            if code & bit:
+                sign = -sign
+                if code + shift in index:
+                    src0(src), dst0(index[code + shift]), sign0(sign)
     return DotComplex._trusted(tuple(g for _, g in words), diffs, label)
 
 

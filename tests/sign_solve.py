@@ -9,7 +9,8 @@ verifies the complex.  The rule-signed builders are pinned to it byte for
 byte.
 """
 
-from superpoly.complexes import ComplexError, DotComplex, _level_pair, _out_edges, verify
+from superpoly.complexes import ComplexError, DotComplex, verify
+from tuple_walk import _level_pair, _out_edges
 
 
 def _sign_equations(by_src):

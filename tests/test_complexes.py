@@ -1,5 +1,6 @@
 """Complex axioms, homology engine, constructions, serialization."""
 
+import functools
 import os
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import sign_solve
 from block_homology import block_s_invariant, block_survivor, reference_block_homology
 from sign_solve import _sign_equations, _solve_signs, unsigned_arrows
+from tuple_walk import tuple_composites
 from superpoly import complexes
 from superpoly.laurent import Poly3, at_a_qN, delta_spectrum, format_poly, parse_poly, y_genus
 from superpoly.complexes import (
@@ -20,6 +22,7 @@ from superpoly.complexes import (
     DotComplex,
     GradingMismatch,
     NotCanceling,
+    SignLevel,
     VerifyReport,
     _bad_degrees,
     _bigrade,
@@ -645,11 +648,13 @@ class TestConstructorBoundary:
             DotComplex(TWO_GENS, {1: [(0, 9, 0)]})
         assert DotComplex(TWO_GENS, {1: [(0, 1, 0)]}).diffs == {}
 
-    def test_fields_are_tuples(self):
+    def test_generators_are_tuples_and_levels_laid_out_by_coefficient(self):
         for c in (build_torus_complex(3, 4), DotComplex([[0, 0, 0]], {0: [[0, 0, 1]]})):
             assert type(c.generators) is tuple
             assert all(type(g) is tuple for g in c.generators)
-            assert all(type(e) is tuple for e in c.diffs.values())
+            assert all(type(e) is SignLevel for e in c.diffs.values())
+        c = DotComplex(TWO_GENS, {1: [(0, 1, 2)], 0: [(0, 1, Fraction(1, 2))], -1: [(0, 1, -1)]})
+        assert [type(c.diffs[n]) for n in (1, 0, -1)] == [tuple, tuple, SignLevel]
 
 
 def built_complexes():
@@ -1404,3 +1409,217 @@ class TestMatchesBlockReference:
         c = DotComplex([(0, 0, 0), (-2, 2, -1), (0, 4, 0), (-2, 6, -1)],
                        {1: [(0, 1, Fraction(1, 2)), (2, 3, Fraction(-2, 3))]})
         assert _int_level(c, 1) == [(0, 1, 3), (2, 3, -4)]
+
+
+# -- compact levels and the signed-key walk -----------------------------------
+
+def walk_cases():
+    """Built T(3, m), thin, stable and mirrored complexes, each with the eq cutoff verify uses."""
+    for m in (4, 5, 7, 31, 61):
+        yield build_torus_complex(3, m), None
+    for c in bundled_thin_complexes():
+        yield c, None
+        yield mirror_complex(c), None
+    for n, qmax in [(2, 12), (4, 30), (5, 24), (6, 40)]:
+        c = build_stable_complex(n, qmax)
+        yield c, qmax - 2 * n
+        yield mirror_complex(c), None
+    yield mirror_complex(build_torus_complex(3, 31)), None
+    yield bundled_942(), None
+
+
+def cutoff(c, max_eq):
+    return None if max_eq is None else (lambda s: c.generators[s][1] <= max_eq)
+
+
+def tuple_walk_verify(c, max_eq, monkeypatch):
+    """verify(c, max_eq) with the tuple walk in place of the signed-key walk: (lines, record)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(complexes, "_nonzero_composites", tuple_composites)
+        report = verify(c, max_eq)
+    return report.lines(), sorted(c._verified)
+
+
+@st.composite
+def perturbed_complexes(draw):
+    """A small built complex with some coefficients replaced (0, non-unit ints, Fractions),
+    and a cutoff for the walk: None or an eq bound."""
+    base = draw(st.sampled_from(perturbed_bases()))
+    diffs = {n: list(level) for n, level in base.diffs.items()}
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from(sorted(diffs)))
+        if diffs[n]:
+            k = draw(st.integers(0, len(diffs[n]) - 1))
+            s, d, _ = diffs[n][k]
+            diffs[n][k] = (s, d, draw(st.one_of(st.just(0), PATH_COEFFS)))
+    eqs = sorted({eq for (_, eq, _) in base.generators})
+    return DotComplex(base.generators, diffs, base.label), draw(st.sampled_from([None, *eqs]))
+
+
+@functools.cache
+def perturbed_bases():
+    return [build_torus_complex(3, 7), build_stable_complex(4, 16), build_stable_complex(5, 14),
+            mirror_complex(build_torus_complex(3, 5)),
+            build_thin_complex(-2, Poly3.monomial(2, 2, 0, 2))]
+
+
+class TestSignedKeyWalk:
+    def test_built_complexes_match_the_tuple_walk(self, monkeypatch):
+        for c, max_eq in walk_cases():
+            levels = sorted(c.diffs)
+            for eq in {None, max_eq}:
+                assert _nonzero_composites(c, levels, cutoff(c, eq)) == \
+                    tuple_composites(c, levels, cutoff(c, eq)), (c.label, eq)
+                want = tuple_walk_verify(c, eq, monkeypatch)
+                assert (verify(c, eq).lines(), sorted(c._verified)) == want, (c.label, eq)
+
+    @given(perturbed_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_complexes_match_the_tuple_walk(self, case):
+        c, max_eq = case
+        levels = sorted(c.diffs)
+        whole = cutoff(c, max_eq)
+        assert _nonzero_composites(c, levels, whole) == tuple_composites(c, levels, whole)
+        for n in levels:
+            assert _nonzero_composites(c, [n]) == tuple_composites(c, [n])
+
+    @given(path_complexes(), st.one_of(st.none(), st.integers(-3, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_complexes_match_the_tuple_walk(self, c, max_eq):
+        levels = sorted(c.diffs)
+        whole = cutoff(c, max_eq)
+        assert _nonzero_composites(c, levels, whole) == tuple_composites(c, levels, whole)
+
+    def test_verify_record_matches_the_tuple_walk_on_perturbed_levels(self, monkeypatch):
+        rng = random.Random(7)
+        for base in perturbed_bases():
+            for _ in range(10):
+                diffs = {n: list(level) for n, level in base.diffs.items()}
+                for n in rng.sample(sorted(diffs), 2):
+                    k = rng.randrange(len(diffs[n]))
+                    s, d, v = diffs[n][k]
+                    diffs[n][k] = (s, d, rng.choice([0, -v, 2 * v, Fraction(v, 2)]))
+                c = DotComplex(base.generators, diffs)
+                for max_eq in (None, max(eq for (_, eq, _) in c.generators) - 4):
+                    want = tuple_walk_verify(c, max_eq, monkeypatch)
+                    assert (verify(c, max_eq).lines(), sorted(c._verified)) == want
+
+
+SERIALIZED_SHA256 = {
+    # serialize_complex of each, as the tuple-held levels wrote it.
+    "T(3,31)": "f6eeeaeb000ae8c57326678a0edb831232b59204932ea76ed1541663f6111b84",
+    "T(2,9)": "4b7fba1e59757a18f3f81b4f805ecafc472247172a22201159a5214f7763ee6f",
+    "stable(5,30)": "b7dd5f591b32618d4a870103bbf9848b0fd5dd0d6c5c993b80e19986750ad26d",
+    "mirror stable(4,24)": "1b08546a8426f94122736315812e2aeae5a906304eacffef507f668b3f207c52",
+    "thin 7_7": "7047e96fe91251e8c984db212c50a075338c3c85daa65a7ac9f22d0917aad69e",
+    "thin -3 7_7": "af4c48e83bb1d0ea7589e673d31061e6cfc42a35b316983cb5507a04f5948baf",
+    "9_42": "de7337544520fff1fa8a0eddcc11e6102687d0c996c21741d55975b719e61cff",
+}
+
+
+def serialized_cases():
+    rec = next(r for r in load_dataset() if r.name == "7_7")
+    squares = thin_super(rec.homfly, rec.s_inv).squares_q
+    yield "T(3,31)", build_torus_complex(3, 31)
+    yield "T(2,9)", build_torus_complex(2, 9)
+    yield "stable(5,30)", build_stable_complex(5, 30)
+    yield "mirror stable(4,24)", mirror_complex(build_stable_complex(4, 24))
+    yield "thin 7_7", build_thin_complex(rec.s_inv // 2, squares, label=rec.name)
+    yield "thin -3 7_7", build_thin_complex(-3, squares)
+    yield "9_42", bundled_942()
+
+
+class TestCompactLevels:
+    def test_view_reads_as_its_tuple(self):
+        for c, _ in walk_cases():
+            for n, level in c.diffs.items():
+                if type(level) is not SignLevel:
+                    continue
+                t = tuple(zip(level.src, level.dst, level.sign))
+                assert len(level) == len(t) and tuple(level) == t and list(level) == list(t)
+                for k in {0, len(t) // 2, len(t) - 1, -1, -len(t)}:
+                    assert level[k] == t[k]
+                for a, b in [(None, 3), (2, -1), (None, None), (5, 2), (1, None)]:
+                    assert level[a:b] == t[a:b] and type(level[a:b]) is tuple
+                assert level == t and t == level and not level != t
+                assert level != list(t) and level == SignLevel(*zip(*t))
+                with pytest.raises(IndexError):
+                    level[len(t)]
+                assert repr(level) == "SignLevel(%r)" % (t,)
+
+    def test_unequal_views(self):
+        a = SignLevel([0, 1], [2, 3], [1, -1])
+        assert a != SignLevel([0, 1], [2, 3], [1, 1])
+        assert a != ((0, 2, 1),) and a != ((0, 2, 1), (1, 3, -1), (1, 4, 1))
+        assert a == ((0, 2, 1), (1, 3, -1)) and a != [(0, 2, 1), (1, 3, -1)]
+        assert (0, 2, 1) in a and a.index((1, 3, -1)) == 1
+        assert len(SignLevel()) == 0 and not SignLevel()
+
+    def test_serialized_text_is_unchanged(self):
+        import hashlib
+
+        for name, c in serialized_cases():
+            text = serialize_complex(c)
+            assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[name], name
+            assert serialize_complex(deserialize_complex(text, label=c.label)) == text
+
+    def test_halved_942_file_verifies_and_reduces_the_same(self):
+        path = os.path.join(os.path.dirname(complexes.__file__), "data", "9_42.cplx")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        halved = []
+        for line in lines:
+            parts = line.split()
+            if parts[:2] == ["diff", "1"]:
+                num, den = parts[4].split("/")
+                parts[4] = "%s/%d" % (num, 2 * int(den))
+                line = " ".join(parts)
+            halved.append(line)
+        c, half = bundled_942(), deserialize_complex("\n".join(halved) + "\n")
+        # The file's d_1 is +-1, its d_{-1} holds +-2; halved, d_1 holds +-1/2.
+        assert [type(c.diffs[n]) for n in (1, -1)] == [SignLevel, tuple]
+        assert [type(half.diffs[n]) for n in (1, -1)] == [tuple, tuple]
+        assert {type(v) for (_, _, v) in half.diffs[1]} == {Fraction}
+        assert verify(half).lines() == verify(c).lines() and verify(half).ok
+        for n in (0, 1, 2):
+            assert homology(half, n).poincare == homology(c, n).poincare
+        assert s_invariant(half) == s_invariant(c)
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: build_stable_complex(4, 30), 1),
+        (lambda: build_stable_complex(5, 24), 0),
+        (lambda: build_torus_complex(3, 13), 1),
+    ], ids=["stable(4,30) d_1", "stable(5,24) d_0", "T(3,13) d_1"])
+    def test_replaced_sign_level_is_checked_again(self, build, n):
+        # A new SignLevel equal but for one sign is not the level verify recorded.
+        c = build()
+        verify(c, max_eq=10)
+        assert n in c._verified
+        tampered = SignLevel(*zip(*tampered_square(c, n)))
+        c.diffs[n] = tampered
+        want = reference_square_error(c, n)
+        assert want and _nonzero_composites(c, [n]) == tuple_composites(c, [n])
+        with pytest.raises(ComplexError, match="^%s$" % want):
+            homology(c, n)
+        assert not verify(c).ok and n not in c._verified
+
+
+class TestMemory:
+    def test_stable_complex_held_and_verify_peak(self):
+        # Parent figures on CPython 3.11: 4.64 MiB held, 5.50 MiB verify peak.
+        import gc
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            c = build_stable_complex(5, 70)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify(c, max_eq=60).ok
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * 2 ** 20, held
+        assert peak < 4 * 2 ** 20, peak

@@ -315,7 +315,7 @@ class TestT3:
             first = len(gradings) - top
             k, (s, d, sign) = next((k, a) for k, a in enumerate(arrows[-1]) if a[0] >= first)
             assert sign == -1
-            arrows[-1][k] = (s, d, 1)
+            arrows[-1].sign[k] = 1
             flipped.append(s)
             return build(gradings, arrows, label)
 

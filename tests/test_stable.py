@@ -25,6 +25,7 @@ from superpoly.stable import (
     stable_khr2_closed,
     stable_khr2_generic,
     stable_super,
+    t2_series_assembly,
 )
 
 
@@ -102,6 +103,25 @@ class TestSeries:
         with pytest.raises(TooLarge, match=r"^the series product chain needs 12 term pairs, "
                            r"past 11$"):
             once * factor
+
+    @pytest.mark.parametrize("m, depth", [(3, 0), (5, 10), (9, 24), (41, 120)])
+    def test_t2_series_route_counts_every_product(self, monkeypatch, m, depth):
+        # The route's last product carries the pairs of every product before it,
+        # the bracket b1's included.
+        own, carried = [], []
+        mul = TruncSeries.__mul__
+
+        def counted(self, other):
+            terms = other.body.terms if isinstance(other, TruncSeries) else other.terms
+            own.append(len(self.body.terms) * len(terms))
+            out = mul(self, other)
+            carried.append(out.pairs)
+            return out
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        t2_series_assembly(m, depth)
+        assert len(own) == 4
+        assert carried[-1] == sum(own)
 
     def test_beta_terms_past_the_term_cap_end_at_once(self):
         start = time.monotonic()
