@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .laurent import Poly3, _ascii_int, delta_spectrum, y_genus
+from .laurent import Poly3, _ascii_int, _int_arg, delta_spectrum, y_genus
 
 
 class ComplexError(Exception):
@@ -461,12 +461,10 @@ def homology(c, n):
     so _count gets (p, k - 1) as the image of (p, k); its checks and errors
     are homology's.
     """
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 0:
+    if _int_arg("n", n) < 0:
         raise ValueError("reductions are only defined for N >= 0")
     dims = _count(c, n, _bigrade(n), lambda key: (key[0], key[1] - 1))
-    poly = Poly3({(0, p, k): dim for (p, k), dim in dims.items()})
+    poly = Poly3._trusted({(0, p, k): dim for (p, k), dim in dims.items()})
     return HomologyReport(n, poly, dims)
 
 
@@ -574,7 +572,7 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     """
     from .torus import _t2_family
 
-    k = abs(sawtooth_k)
+    k = abs(_int_arg("sawtooth_k", sawtooth_k))
     sign = -1 if sawtooth_k < 0 else 1
     gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in _t2_family(k)]
     # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.

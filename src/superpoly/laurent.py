@@ -53,6 +53,20 @@ class ParseError(LaurentError):
         self.pos = pos
 
 
+def _int_arg(name, value):
+    """value, when it is an int and not a bool; a TypeError naming it otherwise."""
+    if type(value) is not int:
+        raise TypeError("%s must be an int, got %r" % (name, value))
+    return value
+
+
+def _capped(count, cap, what, *args):
+    """count, checked before the work it measures: past cap, TooLarge names what % args."""
+    if count > cap:
+        raise TooLarge("%s, past %d" % (what % args, cap))
+    return count
+
+
 class Poly3:
     """A Laurent polynomial in Z[a^{+-1}, q^{+-1}, t^{+-1}].
 

@@ -10,7 +10,7 @@ arrow of level N has slope -1/N, since it connects dots offset by (2N, -2).
 A text grid of more than laurent.WORK_CAP cells raises TooLarge instead.
 """
 
-from .laurent import WORK_CAP, TooLarge
+from .laurent import WORK_CAP, _capped
 
 
 def _spots(c):
@@ -35,9 +35,8 @@ def render_text(c):
         return "(empty complex)\n"
     spots = _spots(c)
     q_values, a_values = _grid(spots)
-    if len(q_values) * len(a_values) > WORK_CAP:
-        raise TooLarge("the text grid needs %d x %d cells, past %d"
-                       % (len(a_values), len(q_values), WORK_CAP))
+    _capped(len(q_values) * len(a_values), WORK_CAP, "the text grid needs %d x %d cells",
+            len(a_values), len(q_values))
     cells = {spot: ",".join(map(str, ts)) for spot, ts in spots.items()}
     width = max(map(len, cells.values()))
     lines = []

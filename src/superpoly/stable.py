@@ -21,20 +21,14 @@ parity of the homological degree carried below its level, which is what
 makes the whole family anticommute (all level shifts are odd in t).
 """
 
-from .laurent import WORK_CAP, Poly3, TooLarge, at_a_qN, format_poly, q_inverse
+from .laurent import (WORK_CAP, Poly3, TooLarge, _capped, _int_arg, at_a_qN, format_poly,
+                      q_inverse)
 from .complexes import DotComplex, SignLevel, diff_degree
 from .torus import khr2_t3_closed, super_t2, super_torus, torus_id
 
 
 class GenericityMismatch(Exception):
     """The generic (maximal-rank) reduction disagreed with the closed form."""
-
-
-def _capped(count, unit, what, *args):
-    """count, checked before the work it measures: past WORK_CAP, TooLarge names it."""
-    if count > WORK_CAP:
-        raise TooLarge("%s needs %d %s, past %d" % (what % args, count, unit, WORK_CAP))
-    return count
 
 
 class TruncSeries:
@@ -46,9 +40,7 @@ class TruncSeries:
     """
 
     def __init__(self, body, qmax, pairs=0):
-        if type(qmax) is not int:
-            raise TypeError("qmax must be an int, got %r" % (qmax,))
-        self.qmax = qmax
+        self.qmax = _int_arg("qmax", qmax)
         self.body = Poly3._trusted({k: c for k, c in body.terms.items() if k[1] <= qmax})
         self.pairs = pairs  # term pairs formed by the products this series came from
 
@@ -70,7 +62,7 @@ class TruncSeries:
         # Refused before multiplying: the work lies in the pairs, not in the kept terms,
         # and a route's chain of products adds them up.
         pairs += len(self.body.terms) * (len(other.terms) if isinstance(other, Poly3) else 1)
-        _capped(pairs, "term pairs", "the series product chain")
+        _capped(pairs, WORK_CAP, "the series product chain needs %d term pairs", pairs)
         return TruncSeries(self.body * other, self.qmax, pairs)
 
     def __eq__(self, other):
@@ -95,27 +87,28 @@ def geometric(ratio, qmax):
     ((ea, eq, et), c), = ratio.terms.items()
     if eq <= 0:
         raise ValueError("geometric ratio must have positive q-degree")
-    count = _capped(qmax // eq + 1, "terms", "the geometric series of ratio %s", ratio)
+    count = qmax // eq + 1
+    _capped(count, WORK_CAP, "the geometric series of ratio %s needs %d terms", ratio, count)
     return TruncSeries(Poly3._trusted(
         {(k * ea, k * eq, k * et): c ** k for k in range(count)}), qmax)
 
 
 def _check_stable(n, qmax, names=("n", "qmax")):
-    """TypeError unless n and qmax are ints (not bools); ValueError unless n >= 2 and qmax >= 0.
-    The messages call the two by names, the caller's names for them."""
+    """The strand count min(n, max(2, qmax // 2 + 1)): a level l with 2l - 2 > qmax adds
+    only the factor 1.  TypeError unless n and qmax are ints (not bools); ValueError unless
+    n >= 2 and qmax >= 0.  The messages call the two by names, the caller's names for them."""
     for name, value in zip(names, (n, qmax)):
-        if type(value) is not int:
-            raise TypeError("%s must be an int, got %r" % (name, value))
+        _int_arg(name, value)
     if n < 2:
         raise ValueError("need %s >= 2" % names[0])
     if qmax < 0:
         raise ValueError("need %s >= 0" % names[1])
+    return min(n, max(2, qmax // 2 + 1))
 
 
 def stable_super(n, qmax):
     """The stable superpolynomial of the n-strand family, truncated."""
-    _check_stable(n, qmax)
-    n = min(n, max(2, qmax // 2 + 1))  # a level l with 2l - 2 > qmax adds only the factor 1
+    n = _check_stable(n, qmax)
     out = TruncSeries(Poly3.one(), qmax)
     for j in range(1, n):
         out = out * (1 + Poly3.monomial(1, 2, 2 * j, 2 * j + 1))
@@ -131,8 +124,7 @@ def stable_homfly(n, qmax):
     Computed independently of stable_super (denominators expanded one by
     one), so it can serve as the t = -1 cross-check.
     """
-    _check_stable(n, qmax)
-    n = min(n, max(2, qmax // 2 + 1))  # as in stable_super
+    n = _check_stable(n, qmax)
     out = TruncSeries(Poly3({(0, 0, 0): 1, (0, 2, 0): -1}), qmax)
     out = out * geometric(Poly3.monomial(1, 0, 2 * n, 0), qmax)
     for j in range(1, n):
@@ -164,10 +156,9 @@ def stable_beta_terms(n, which, depth):
     the expansion reproduces the q/t-grading lattice of the middle and
     extreme a-levels of the (3, m) family.
     """
-    _check_stable(n, depth, ("n", "depth"))
+    k = _check_stable(n, depth, ("n", "depth"))  # past k, a factor truncates to 1, or to a^2
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
-    k = min(n, max(2, depth // 2 + 1))  # a factor with 2j > depth truncates to 1, or to a^2
     out = TruncSeries(Poly3.one(), depth)
     for j in range(1, k):
         if which == "first":
@@ -228,8 +219,9 @@ def _word_codes(n, qmax):
     words = [(0, (0, 0, 0))]
     for pos in range(n - 1):
         (_, dq, dt), (fa, fq, ft) = _level(pos + 2)
-        _capped(sum((qmax - eq) // dq + (qmax - eq - fq) // dq + 2 for _, (_, eq, _) in words),
-                "words", "the word build through level %d at qmax %d", pos + 2, qmax)
+        count = sum((qmax - eq) // dq + (qmax - eq - fq) // dq + 2 for _, (_, eq, _) in words)
+        _capped(count, WORK_CAP, "the word build through level %d at qmax %d needs %d words",
+                pos + 2, qmax, count)
         bit, new = _flag_bit(qmax, pos), []
         step = 2 * bit
         for code, (ea, eq, et) in words:
@@ -256,8 +248,7 @@ def build_stable_complex(n, qmax):
     makes distinct-level components anticommute with this twist; components
     at one level compose to zero outright since they all clear the flag.
     """
-    _check_stable(n, qmax)
-    label, n = "stable-%d" % n, min(n, max(2, qmax // 2 + 1))  # as in stable_super
+    n, label = _check_stable(n, qmax), "stable-%d" % n  # the label keeps the n asked for
     words = _word_codes(n, qmax)
     # An index is at most qmax // 4, one more in a target, so no digit passes qmax // 2 + 3:
     # flag l dropping with i_l growing adds bit, with i_{l-1} growing twice the bit below.
@@ -327,13 +318,15 @@ def _generic_survivors(n, qmax):
     caller compensates by inflating qmax.  The start's 2 (qmax // 4 + 1) words, at
     least _word_codes's count, and each level's (qmax // 2l + 1) |dims| are capped first.
     """
-    _capped(2 * (qmax // 4 + 1), "block entries", "the generic start at qmax %d", qmax)
+    count = 2 * (qmax // 4 + 1)
+    _capped(count, WORK_CAP, "the generic start at qmax %d needs %d block entries", qmax, count)
     dims = {g: 1 for _, g in _word_codes(2, qmax)}
     sa, sq, st = diff_degree(2)
     for l in range(3, n + 1):
         (_, pq, pt), (fa, fq, ft) = _level(l)
-        _capped((qmax // pq + 1) * len(dims), "block entries", "the generic level %d at qmax %d",
-                l, qmax)
+        count = (qmax // pq + 1) * len(dims)
+        _capped(count, WORK_CAP, "the generic level %d at qmax %d needs %d block entries",
+                l, qmax, count)
         # Shifts are injective and keep order: each block is a sorted shifted copy
         # of dims, the flagged one read off the b-block, and each b-grading is
         # the d_2 target of at most one a-grading.

@@ -12,6 +12,7 @@ the braid-diagram bound on a-exponents.
 
 from .laurent import (
     Poly3,
+    _int_arg,
     at_a_one,
     at_t_minus_one,
     delta_spectrum,
@@ -57,19 +58,24 @@ class ThinResult:
 SQUARE_FACTOR = (1 + Poly3.monomial(1, -2, 2, -1), 1 + Poly3.monomial(1, -2, -2, -3))
 
 
-def sawtooth_poly(s_inv):
-    """The zigzag summand with invariant S: a (2, |S|+1) torus polynomial,
-    mirrored for negative S, a lone unit for S = 0."""
-    if s_inv == 0:
-        return Poly3.one()
-    if s_inv % 2:
+def _even_s(s_inv):
+    """s_inv, when it is an even int; TypeError when it is no int (or a bool), else ValueError."""
+    if _int_arg("s_inv", s_inv) % 2:
         raise ValueError("S must be even, got %d" % s_inv)
+    return s_inv
+
+
+def sawtooth_poly(s_inv):
+    """The zigzag summand with invariant S, an even int: a (2, |S|+1) torus polynomial,
+    mirrored for negative S, a lone unit for S = 0."""
+    if _even_s(s_inv) == 0:
+        return Poly3.one()
     base = super_t2(abs(s_inv) // 2)
     return base if s_inv > 0 else mirror(base)
 
 
 def thin_super(homfly, s_inv):
-    """Thin superpolynomial from a two-variable polynomial and S.
+    """Thin superpolynomial from a two-variable polynomial and S, an even int.
 
     Each term c a^i q^j (i, j even) becomes |c| a^i q^j t^(i + j/2 - S/2).
     The construction is valid only when the input alternates with the
@@ -78,8 +84,7 @@ def thin_super(homfly, s_inv):
     Raises NotAlternating or NotDecomposable when the knot cannot carry a
     thin structure with this S.
     """
-    if s_inv % 2:
-        raise ValueError("S must be even, got %d" % s_inv)
+    _even_s(s_inv)
     try:
         alternating = homfly_alternates(homfly)
     except OddExponent as exc:
@@ -188,10 +193,9 @@ def thin_quotient_test(homfly, s_inv):
     The two sign placements of the degree-two factor, (1 - a^2 q^{+-2}) and
     (1 - a^{-2} q^{+-2}), differ by the unit a^{-4}, which the alternation
     test ignores, so one division decides both: true iff it is exact and
-    the quotient is zero or alternating.
+    the quotient is zero or alternating.  S must be an even int, as for sawtooth_poly,
+    which checks it before any other work.
     """
-    if s_inv % 2:
-        raise ValueError("S must be even, got %d" % s_inv)
     target = homfly - at_t_minus_one(sawtooth_poly(s_inv))
     try:
         quotient = exact_divide(target, *(1 - Poly3.monomial(1, -2, e, 0) for e in (2, -2)))

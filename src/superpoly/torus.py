@@ -19,7 +19,8 @@ from operator import add, sub
 from sys import byteorder
 
 from .complexes import diff_degree
-from .laurent import WORK_CAP, Poly3, TooLarge, _divide_rows, exact_divide, monomial_substitute
+from .laurent import (WORK_CAP, Poly3, _capped, _divide_rows, _int_arg, exact_divide,
+                      monomial_substitute)
 
 
 class NegativeCoefficient(Exception):
@@ -35,13 +36,6 @@ def torus_id(n, m):
     if gcd(n, m) != 1:
         raise ValueError("(%d, %d) is a link, not a knot" % (n, m))
     return n, m
-
-
-def _int_arg(name, value):
-    """value, when it is an int and not a bool; a TypeError naming it otherwise."""
-    if type(value) is not int:
-        raise TypeError("%s must be an int, got %r" % (name, value))
-    return value
 
 
 def _t3_index(m):
@@ -139,9 +133,7 @@ def homfly_torus(n, m, form="product"):
     """
     n, m = torus_id(n, m)
     for count, cap in zip(_homfly_size(n, m), (HOMFLY_WORK_CAP, WORK_CAP)):
-        if count > cap:
-            raise TooLarge("HOMFLY of T(%d, %d) needs up to %d q^2-row entries, past %d"
-                           % (n, m, count, cap))
+        _capped(count, cap, "HOMFLY of T(%d, %d) needs up to %d q^2-row entries", n, m, count)
     if form == "jones":
         # Sum over beta of the quantum binomial [n-1]!/([b]![n-1-b]!), that is
         # q^{-b(n-1-b)} [n-1, b], times two-term factors, over [n]! / [1]: the
@@ -173,12 +165,6 @@ def homfly_torus(n, m, form="product"):
 GENERATOR_CAP = 200_000
 
 
-def _check_generators(what, count):
-    """TooLarge naming what and its count when count is past GENERATOR_CAP."""
-    if count > GENERATOR_CAP:
-        raise TooLarge("%s has %d generators, past %d" % (what, count, GENERATOR_CAP))
-
-
 def _t2_family(k):
     """Gradings of the T(2, 2k+1) zigzag: u_0..u_k, then w_1..w_k.
 
@@ -186,7 +172,7 @@ def _t2_family(k):
     k = 0 leaves the lone generator u_0 = 1.  Past GENERATOR_CAP the 2k + 1
     generators raise TooLarge before any is built.
     """
-    _check_generators("T(2, 2k+1) at k = %d" % k, 2 * k + 1)
+    _capped(2 * k + 1, GENERATOR_CAP, "T(2, 2k+1) at k = %d has %d generators", k, 2 * k + 1)
     return [(2 * k, 4 * i - 2 * k, 2 * i) for i in range(k + 1)] + [
         (2 * k + 2, 4 * i - 2 * k - 2, 2 * i + 1) for i in range(1, k + 1)
     ]
@@ -213,7 +199,8 @@ def _t3_families(m):
     TooLarge and builds nothing.
     """
     k, e = _t3_index(m)
-    _check_generators("T(3, %d)" % m, 6 * k * k + 4 * k + 1 + e * (4 * k + 2))
+    count = 6 * k * k + 4 * k + 1 + e * (4 * k + 2)
+    _capped(count, GENERATOR_CAP, "T(3, %d) has %d generators", m, count)
     s = 2 * e
     lv0 = [[(6 * k + s, 6 * j - 4 * i + s, 4 * k + 2 * j - 2 * i + s)
             for i in range(3 * j + 1 + e)] for j in range(k + 1)]
@@ -304,7 +291,7 @@ def hfk_t2(k):
     """
     if _int_arg("k", k) < 1:
         raise ValueError("need k >= 1")
-    _check_generators("T(2, 2k+1) at k = %d" % k, 2 * k + 1)
+    _capped(2 * k + 1, GENERATOR_CAP, "T(2, 2k+1) at k = %d has %d generators", k, 2 * k + 1)
     s = Poly3({(0, 4 * i, 2 * i): 1 for i in range(1, k + 1)})
     body = 1 + (1 + Poly3.monomial(1, 0, -2, -1)) * s
     return body.scale_monomial(1, eq=-2 * k, et=-2 * k)

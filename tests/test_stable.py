@@ -280,11 +280,15 @@ def test_beta_strands_past_the_depth_change_nothing(depth):
             assert stable_beta_terms(n, which, depth) == unclamped_beta_terms(n, which, depth)
 
 
-@pytest.mark.parametrize("qmax", range(21))
+@pytest.mark.parametrize("qmax", [*range(21), 40])
 def test_strands_past_the_cutoff_change_nothing(qmax):
     """A level l with 2l - 2 > qmax adds only the factor 1: n is clamped to
-    max(2, qmax // 2 + 1), and the label keeps the n asked for."""
+    max(2, qmax // 2 + 1), and the label keeps the n asked for.  _check_stable
+    computes the clamp, under stable_beta_terms's names as well."""
     clamped = max(2, qmax // 2 + 1)
+    for n in (2, 3, 10 ** 6 + 1):
+        assert stable._check_stable(n, qmax) == min(n, clamped)
+        assert stable._check_stable(n, qmax, ("n", "depth")) == min(n, clamped)
     for n in range(clamped, clamped + 4):
         c = build_stable_complex(n, qmax)
         assert c.label == "stable-%d" % n

@@ -81,6 +81,13 @@ class TestThinSuper:
         with pytest.raises(ValueError):
             thin_super(homfly_torus(2, 3), 1)
 
+    @pytest.mark.parametrize("call", [sawtooth_poly, lambda s: thin_super(P_941, s),
+                                      lambda s: thin_quotient_test(P_941, s)],
+                             ids=["sawtooth_poly", "thin_super", "thin_quotient_test"])
+    def test_odd_s_named_by_each_entry(self, call):
+        with pytest.raises(ValueError, match="^S must be even, got 3$"):
+            call(3)
+
     @pytest.mark.parametrize("s_inv", range(-60, 61, 2))
     def test_sawtooth_has_one_unit_term_per_step(self, s_inv):
         terms = sawtooth_poly(s_inv).terms

@@ -21,7 +21,7 @@ from superpoly.laurent import (
     y_rewrite,
 )
 from superpoly.stable import finite_vs_stable, stable_beta_terms, t2_series_assembly
-from superpoly.structchecks import thin_quotient_test
+from superpoly.structchecks import sawtooth_poly, thin_quotient_test, thin_super
 from superpoly.torus import (
     NegativeCoefficient,
     _t2_family,
@@ -258,8 +258,12 @@ class TestHomfly:
     ("m", lambda m: t3_reduction_terms(m, 2)),
     ("m", khr2_t3_closed),
     ("m", cp0_t3_closed),
+    ("s_inv", sawtooth_poly),
+    ("s_inv", lambda s_inv: thin_super(P_T23, s_inv)),
+    ("s_inv", lambda s_inv: thin_quotient_test(P_T23, s_inv)),
+    ("sawtooth_k", lambda k: build_thin_complex(k, Poly3.zero())),
 ])
-@pytest.mark.parametrize("index", [True, False, 7.0, "7", None])
+@pytest.mark.parametrize("index", [True, False, 7.0, "7", None, 2.5, 1.5, "2"])
 def test_closed_forms_reject_non_int_index(name, closed_form, index):
     message = "%s must be an int, got %r" % (name, index)
     with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
