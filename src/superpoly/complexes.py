@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .laurent import Poly3, _ascii_int, _int_arg, delta_spectrum, y_genus
+from .laurent import Poly3, _ascii_int, _capped, _int_arg, delta_spectrum, y_genus
 
 
 class ComplexError(Exception):
@@ -569,18 +569,22 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     generators x, x*a^{-2}q^2 t^{-1}, x*a^{-2}q^{-2}t^{-3}, x*a^{-4}t^{-4}
     with the square's two d_1 and two d_{-1} arrows.  Every arrow has sign
     +1 except each square's second d_1 arrow, base+2 -> base+3, which has -1.
+    The 2k + 1 + 4 * (sum of multiplicities) generators are counted first:
+    past torus.GENERATOR_CAP it raises TooLarge and builds no square.
     """
-    from .torus import _t2_family
+    from . import torus
 
     k = abs(_int_arg("sawtooth_k", sawtooth_k))
     sign = -1 if sawtooth_k < 0 else 1
-    gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in _t2_family(k)]
+    gens = [(sign * ea, sign * eq, sign * et) for ea, eq, et in torus._t2_family(k)]
+    if any(mult < 0 for mult in squares.terms.values()):
+        raise ComplexError("square multiplicities must be nonnegative")
+    total = len(gens) + 4 * sum(squares.terms.values())
+    _capped(total, torus.GENERATOR_CAP, "thin complex has %d generators", total)
     # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.
     d1 = SignLevel(*(range(k + 1, 2 * k + 1), range(1, k + 1))[::sign], [1] * k)
     dm1 = SignLevel(*(range(k + 1, 2 * k + 1), range(k))[::sign], [1] * k)
     for (ea, eq, et), mult in sorted(squares.terms.items()):
-        if mult < 0:
-            raise ComplexError("square multiplicities must be nonnegative")
         for _ in range(mult):
             base = len(gens)
             gens += [(ea, eq, et), (ea - 2, eq + 2, et - 1), (ea - 2, eq - 2, et - 3),

@@ -157,9 +157,6 @@ class Poly3:
             small, big = big, small
         out = {}
         for (a1, q1, t1), c1 in small.items():
-            if not out:  # distinct keys, nonzero products: nothing to merge
-                out = {(a1 + a2, q1 + q2, t1 + t2): c1 * c2 for (a2, q2, t2), c2 in big.items()}
-                continue
             for (a2, q2, t2), c2 in big.items():
                 key = (a1 + a2, q1 + q2, t1 + t2)
                 s = out.get(key, 0) + c1 * c2

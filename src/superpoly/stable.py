@@ -24,7 +24,7 @@ makes the whole family anticommute (all level shifts are odd in t).
 from .laurent import (WORK_CAP, Poly3, TooLarge, _capped, _int_arg, at_a_qN, format_poly,
                       q_inverse)
 from .complexes import DotComplex, SignLevel, diff_degree
-from .torus import khr2_t3_closed, super_t2, super_torus, torus_id
+from .torus import khr2_t3_closed, super_t2, super_torus, torus_id, torus_s_invariant
 
 
 class GenericityMismatch(Exception):
@@ -388,7 +388,7 @@ def finite_vs_stable(n, m, kind):
     n, m = torus_id(n, m)
     if n not in (2, 3):
         raise ValueError("finite families exist for n in {2, 3} only")
-    s_inv = (n - 1) * (m - 1)
+    s_inv = torus_s_invariant(n, m)
     qmax = 2 * m + 6 * n + 8
     if kind == "super":
         finite = super_torus(n, m)

@@ -19,8 +19,7 @@ from operator import add, sub
 from sys import byteorder
 
 from .complexes import diff_degree
-from .laurent import (WORK_CAP, Poly3, _capped, _divide_rows, _int_arg, exact_divide,
-                      monomial_substitute)
+from .laurent import WORK_CAP, Poly3, _capped, _divide_rows, _int_arg, at_a_qN, exact_divide
 
 
 class NegativeCoefficient(Exception):
@@ -328,5 +327,4 @@ def khrN_unreduced_prediction(pbar, n_level):
     """
     if _int_arg("n_level", n_level) < 1:
         raise ValueError("need N >= 1")
-    specialized = monomial_substitute(pbar, sub_a=Poly3.monomial(1, 0, n_level, 0))
-    return exact_divide(specialized, Poly3({(0, 1, 0): 1, (0, -1, 0): -1}))
+    return exact_divide(at_a_qN(pbar, n_level), Poly3({(0, 1, 0): 1, (0, -1, 0): -1}))

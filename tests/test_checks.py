@@ -8,7 +8,7 @@ here too.
 
 import pytest
 
-from superpoly import checks
+from superpoly import checks, laurent
 from superpoly.checks import check_rows
 from superpoly.complexes import DotComplex, build_torus_complex, serialize_complex
 from superpoly.dataset import KnotRecord, load_dataset
@@ -82,6 +82,17 @@ def test_symmetry():
         ("symmetry", False, "A: odd q-exponent 1 cannot come from a power of y")]
 
 
+def test_symmetry_runs_no_expansion(monkeypatch):
+    # The row asks the one symmetry rule; the genus expansion, cubic in the top
+    # q-exponent, is never started.
+    def no_expansion(g):
+        raise AssertionError("y_rewrite ran")
+    monkeypatch.setattr(laurent, "_y_power", no_expansion)
+    rows = [trefoil("good"), record("A", superpoly="q^2000 + q^-2000*t^-2000")]
+    assert only("symmetry", rows) == [
+        ("symmetry", True, "every superpolynomial is expressible in a, t, y")]
+
+
 def test_quotient():
     rows = [trefoil("good"), trefoil("A", s_inv=-2)]
     assert only("quotient", rows) == [
@@ -111,6 +122,11 @@ def test_complexes(tmp_path):
         (record("A", complex_path=complex_file(tmp_path, "off.cplx", DotComplex([(2, 0, 0)]))),
          "A: survivor sits at amalgamated bigrade (2, 0)"),
         (trefoil("A", s_inv=4, superpoly=None, complex_path=t23), "A: complex S=2, table says 4"),
+        # A thin row of square multiplicity 50,000: 1 + 4 * 50,000 generators are refused.
+        (record("A", homfly="1 + 50000*a^2 - 50000*q^2 - 50000*q^-2 + 50000*a^-2",
+                superpoly="1 + 50000*a^2*t^2 + 50000*q^2*t + 50000*q^-2*t^-1 "
+                          "+ 50000*a^-2*t^-2"),
+         "A: thin complex has 200001 generators, past 200000"),
     ]
     for row, message in cases:
         assert only("complexes", [trefoil("good"), row]) == [("complexes", False, message)]

@@ -317,6 +317,14 @@ class TestSuperT2:
                 with pytest.raises(TooLarge, match=r"^T\(2, 2k\+1\) at k = %d has %d generators, "
                                    r"past %d$" % (k, count, count - 1)):
                     call(k)
+            # A thin complex adds four generators per square to its zigzag.
+            squares, total = Poly3.monomial(k, 2, 0, 2), count + 4 * k
+            monkeypatch.setattr(torus, "GENERATOR_CAP", total)
+            assert len(build_thin_complex(-k, squares).generators) == total
+            monkeypatch.setattr(torus, "GENERATOR_CAP", total - 1)
+            with pytest.raises(TooLarge, match=r"^thin complex has %d generators, past %d$"
+                               % (total, total - 1)):
+                build_thin_complex(-k, squares)
 
     @pytest.mark.parametrize("call, k", [
         (lambda: hfk_t2(10 ** 8), 10 ** 8), (lambda: super_t2(10 ** 8), 10 ** 8),
