@@ -113,7 +113,8 @@ def _genus(records):
 
 
 CHECKS = {
-    "thin-roundtrip": _each_row(_thin_roundtrip, "thin reconstruction reproduces every thin row"),
+    "thin-roundtrip": _each_row(_thin_roundtrip, "thin reconstruction reproduces every thin row",
+                                StructureError),
     "patterns": _each_row(_patterns, "one-step pairings succeed with the tabulated S on every row",
                           StructureError),
     "three-step": _each_row(_three_step,
@@ -123,7 +124,7 @@ CHECKS = {
     "dimensions": _each_row(_dimensions,
                             "dimension equals the absolute coefficient sum on thin rows"),
     "complexes": _each_row(_complex, "bundled and reconstructed complexes verify with the right S",
-                           (NotCanceling, SurvivorOffLine, TooLarge)),
+                           (NotCanceling, SurvivorOffLine, StructureError, TooLarge)),
     "morton": _morton,
     "genus": _genus,
 }

@@ -281,9 +281,7 @@ class VerifyReport:
         return not self.violations
 
     def lines(self):
-        out = []
-        for v in self.violations:
-            out.append("FAIL %s" % v)
+        out = ["FAIL %s" % v for v in self.violations]
         deltas = ",".join(
             "%s:%d" % (("%d/2" % d2) if d2 % 2 else str(d2 // 2), n)
             for d2, n in sorted(self.delta_histogram.items())
@@ -420,16 +418,28 @@ def _bigrade(n):
     return lambda g: (g[1], g[2] - g[0])
 
 
+def _rows(level):
+    """An empty row, then each source's row {target: coefficient} of a (src, dst)-sorted level."""
+    row, last = {}, None
+    for s, d, coeff in level:
+        if s != last:
+            yield row
+            row, last = {}, s
+        row[d] = coeff
+    yield row
+
+
 def _count(c, n, key_of, image_of):
     """{key: dim} of the d_N homology summed per key_of(grading), zero dims left out.
 
     image_of(key) is the key that d_N maps the generators of key into.  All
     of d_N is one elimination: the rank out of a key is the count of pivots
     (target columns) at its image key, and the rank into it the count at the
-    key itself.  A d_N entry of the wrong degree raises GradingMismatch, and
-    a d_N whose square is nonzero raises ComplexError naming the least
-    source -> target pair of d_N^2.  Both checks are skipped when verify()
-    recorded d_N as sound on the complex's current level and generators.
+    key itself.  Each source's row is yielded by _rows once the sorted level
+    moves past it, and only the pivot rows are held.  A wrong-degree entry
+    raises GradingMismatch, a nonzero d_N^2 ComplexError naming its least
+    source -> target pair; verify() recording d_N as sound on the complex's
+    current level and generators skips both checks.
     """
     level, gens = c._verified.get(n, (None, None))
     if level is not c.diffs.get(n) or gens is not c.generators:
@@ -440,11 +450,8 @@ def _count(c, n, key_of, image_of):
         if bad:
             raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
     keys = list(map(key_of, c.generators))
-    rows = {}
-    for (s, d, coeff) in _int_level(c, n):
-        rows.setdefault(s, {})[d] = coeff
     pivots = {}
-    _eliminate(rows.values(), pivots)
+    _eliminate(_rows(_int_level(c, n)), pivots)
     into = Counter(map(keys.__getitem__, pivots))
     dims = {key: size - into[key] - into[image_of(key)] for key, size in Counter(keys).items()}
     return {key: dim for key, dim in dims.items() if dim}

@@ -43,10 +43,8 @@ def render_text(c):
     if c.label:
         lines.append("# %s" % c.label)
     for a in a_values:
-        row = []
-        for q in q_values:
-            row.append(cells.get((q, a), "").center(width))
-        lines.append(("a=%4d | " % a) + " ".join(row).rstrip())
+        row = " ".join(cells.get((q, a), "").center(width) for q in q_values)
+        lines.append(("a=%4d | " % a) + row.rstrip())
     lines.append("bottom row a-grading: %d" % a_values[-1])
     labels = " ".join(("q=%d" % q).center(width) for q in q_values)
     lines.append(" " * 9 + labels)
@@ -68,10 +66,7 @@ def render_svg(c):
 
     width = GRID * (len(cols) + 1)
     height = GRID * (len(rows) + 1)
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
-        % (width, height)
-    ]
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (width, height)]
     parts.append(
         '<defs><marker id="tip" markerWidth="8" markerHeight="8" refX="7" refY="4" '
         'orient="auto"><path d="M0,0 L8,4 L0,8 z"/></marker></defs>'

@@ -368,9 +368,7 @@ def stable_khr2(n, qmax):
     closed = stable_khr2_closed(n, qmax)
     generic = stable_khr2_generic(n, qmax)
     if generic != closed:
-        raise GenericityMismatch(
-            "generic route disagrees with the closed form for n=%d" % n
-        )
+        raise GenericityMismatch("generic route disagrees with the closed form for n=%d" % n)
     return closed
 
 
@@ -391,8 +389,7 @@ def finite_vs_stable(n, m, kind):
     s_inv = torus_s_invariant(n, m)
     qmax = 2 * m + 6 * n + 8
     if kind == "super":
-        finite = super_torus(n, m)
-        finite = finite.scale_monomial(1, ea=-s_inv, eq=s_inv)
+        finite = super_torus(n, m).scale_monomial(1, ea=-s_inv, eq=s_inv)
         stable = stable_super(n, qmax)
     elif kind == "khr2":
         if n == 2:

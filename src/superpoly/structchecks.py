@@ -96,9 +96,8 @@ def thin_super(homfly, s_inv):
         terms[(ea, eq, ea + eq // 2 - s_inv // 2)] = abs(c)
     poly = Poly3(terms)
     if at_t_minus_one(poly) != homfly:
-        raise NotAlternating(
-            "global sign is inconsistent with S = %d (specialization broke)" % s_inv
-        )
+        raise NotAlternating("global sign is inconsistent with S = %d (specialization broke)"
+                             % s_inv)
     # A nonnegative squares quotient cancels none of the |S| + 1 zigzag monomials.
     if abs(s_inv) + 1 > len(poly.terms):
         raise NotDecomposable("the zigzag of S = %d has %d terms, the polynomial only %d"
@@ -146,9 +145,8 @@ def _one_step(p, name, survivor, binomial):
         raise NoSurvivor("no monomial of the form %s is present" % name)
     s_inv, exc = failure
     if exc is None:
-        raise NegativeQuotient(
-            "quotient for %s survivor S=%d has negative coefficients" % (name, s_inv)
-        )
+        raise NegativeQuotient("quotient for %s survivor S=%d has negative coefficients"
+                               % (name, s_inv))
     raise NotDecomposable("remainder after %s survivor S=%d: %s" % (name, s_inv, exc))
 
 

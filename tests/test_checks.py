@@ -132,6 +132,14 @@ def test_complexes(tmp_path):
         assert only("complexes", [trefoil("good"), row]) == [("complexes", False, message)]
 
 
+@pytest.mark.parametrize("name", ["thin-roundtrip", "complexes"])
+def test_a_row_thin_super_rejects_is_named(name):
+    # The bundled 3_1 row with S = 6: its zigzag alone outgrows the polynomial.
+    rows = [trefoil("3_1", s_inv=6)]
+    assert only(name, rows) == [
+        (name, False, "3_1: the zigzag of S = 6 has 7 terms, the polynomial only 3")]
+
+
 def test_a_crash_is_a_failure_line(tmp_path):
     missing = str(tmp_path / "missing.cplx")
     assert only("complexes", [record("A", complex_path=missing)]) == [
