@@ -15,14 +15,14 @@ paths of all levels, source by source.  The in-package builders write each
 verifies every build.  Homology with respect to d_N, taken per amalgamated
 bigrade, produces the doubly graded reductions.  The N = 1 differential is
 canceling, and since it is homogeneous for the full (a, q, t) grading the
-S-invariant is read off the per-grading d_1 count: the a-grading of the
-one grading whose homology is nonzero.
+S-invariant is read off the d_1 pivots: the a-grading of the one grading
+whose homology is nonzero.
 
 Coefficients are ints whenever their denominator is 1 (every built
 complex); only a truly non-integer coefficient (say from a .cplx file)
 stays a Fraction.  All linear algebra is exact and runs on ints: one
-sparse elimination per level serves every homology count and the
-S-invariant, after a level holding Fractions is scaled by one constant.
+sparse elimination per level, kept on the complex, serves every homology
+count and the S-invariant (a Fraction level is first scaled by one constant).
 """
 
 from array import array
@@ -74,18 +74,13 @@ class SignLevel(Sequence):
 
     It reads as the tuple of its (src, dst, sign) triples: len, iteration,
     indexing (a slice is a tuple) and == agree with it.  Builders append to
-    its arrays (put: one entry) before handing it on; else it is read-only.
+    its arrays (_weave: whole runs) before handing it on; else it is read-only.
     """
 
     __slots__ = ("src", "dst", "sign")
 
     def __init__(self, src=(), dst=(), sign=()):
         self.src, self.dst, self.sign = array("q", src), array("q", dst), array("b", sign)
-
-    def put(self, src, dst, sign):
-        self.src.append(src)
-        self.dst.append(dst)
-        self.sign.append(sign)
 
     def __len__(self):
         return len(self.src)
@@ -133,7 +128,7 @@ class DotComplex:
     [0, len(generators)) or a (src, dst) pair twice in one level, even if
     one copy has coefficient 0.  The in-package builders, whose entries are
     valid and sorted by construction, hand their levels to _trusted instead.
-    verify() records in _verified the levels it found sound (see homology).
+    verify() records sound levels in _verified, and _pivots (see homology) pivot columns.
     """
 
     def __init__(self, generators, diffs=None, label=None):
@@ -172,7 +167,7 @@ class DotComplex:
             if kept:
                 self.diffs[n] = kept
         self.label = label
-        self._verified = {}
+        self._verified, self._pivots = {}, {}
 
     @classmethod
     def _trusted(cls, generators, levels, label=None):
@@ -183,7 +178,7 @@ class DotComplex:
         (src, dst) pair twice.
         """
         c = cls.__new__(cls)
-        c.generators, c.label, c._verified = generators, label, {}
+        c.generators, c.label, c._verified, c._pivots = generators, label, {}, {}
         c.diffs = {n: level for n, entries in levels.items() if (level := _held(entries))}
         return c
 
@@ -429,32 +424,30 @@ def _rows(level):
     yield row
 
 
-def _count(c, n, key_of, image_of):
-    """{key: dim} of the d_N homology summed per key_of(grading), zero dims left out.
+def _pivots(c, n):
+    """The pivot columns of d_N's one elimination, an array('q') kept on the complex.
 
-    image_of(key) is the key that d_N maps the generators of key into.  All
-    of d_N is one elimination: the rank out of a key is the count of pivots
-    (target columns) at its image key, and the rank into it the count at the
-    key itself.  Each source's row is yielded by _rows once the sorted level
-    moves past it, and only the pivot rows are held.  A wrong-degree entry
-    raises GradingMismatch, a nonzero d_N^2 ComplexError naming its least
-    source -> target pair; verify() recording d_N as sound on the complex's
-    current level and generators skips both checks.
+    _rows yields each source's row once the sorted level moves past it, and
+    only the pivot rows are held.  The columns are kept in c._pivots[n] with
+    the level and generators they were found on, and while both are those
+    very objects d_N is not eliminated again.  A wrong-degree entry raises
+    GradingMismatch, a nonzero d_N^2 ComplexError naming its least source ->
+    target pair; a current verify() record skips both checks.
     """
-    level, gens = c._verified.get(n, (None, None))
+    level, gens, pivots = c._pivots.get(n, (None, None, None))
     if level is not c.diffs.get(n) or gens is not c.generators:
-        bad = next(_bad_degrees(c, n), None)
-        if bad:
-            raise GradingMismatch(bad)
-        bad = _nonzero_composites(c, [n])
-        if bad:
-            raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
-    keys = list(map(key_of, c.generators))
-    pivots = {}
-    _eliminate(_rows(_int_level(c, n)), pivots)
-    into = Counter(map(keys.__getitem__, pivots))
-    dims = {key: size - into[key] - into[image_of(key)] for key, size in Counter(keys).items()}
-    return {key: dim for key, dim in dims.items() if dim}
+        level, gens = c._verified.get(n, (None, None))
+        if level is not c.diffs.get(n) or gens is not c.generators:
+            bad = next(_bad_degrees(c, n), None)
+            if bad:
+                raise GradingMismatch(bad)
+            bad = _nonzero_composites(c, [n])
+            if bad:
+                raise ComplexError("d_%d squared is nonzero on %d -> %d" % bad[0][1:])
+        _eliminate(_rows(_int_level(c, n)), pivots := {})
+        pivots = array("q", pivots)  # frees the pivot rows
+        c._pivots[n] = c.diffs.get(n), c.generators, pivots
+    return pivots
 
 
 def homology(c, n):
@@ -464,33 +457,38 @@ def homology(c, n):
     Poincare polynomial lives in q^p t^k.  For N = 0 they group by
     (q, t') = (eq, et - ea) and the output lives in q^eq t^{t'}; this is the
     Alexander-side regrading.  An absent d_N means the zero differential.
-    An entry's degree puts its target one level below its source's block,
-    so _count gets (p, k - 1) as the image of (p, k); its checks and errors
-    are homology's.
+    An entry's degree puts its target in the block (p, k - 1) below its
+    source's, so the d_N pivot columns (_pivots, whose checks and errors
+    are homology's) in (p, k) and (p, k - 1) are its ranks in and out.
     """
     if _int_arg("n", n) < 0:
         raise ValueError("reductions are only defined for N >= 0")
-    dims = _count(c, n, _bigrade(n), lambda key: (key[0], key[1] - 1))
+    pivots = _pivots(c, n)
+    keys = list(map(_bigrade(n), c.generators))
+    into = Counter(map(keys.__getitem__, pivots))
+    dims = {(p, k): dim for (p, k), size in Counter(keys).items()
+            if (dim := size - into[p, k] - into[p, k - 1])}
     poly = Poly3._trusted({(0, p, k): dim for (p, k), dim in dims.items()})
     return HomologyReport(n, poly, dims)
 
 
 def s_invariant(c):
-    """The a-grading of the unique d_1 survivor, read off the per-grading d_1 count.
+    """The a-grading of the unique d_1 survivor, read off the d_1 pivots.
 
-    Every d_1 entry has degree (-2, 2, -1) (checked), so d_1 is homogeneous
-    for the full (a, q, t) grading and its homology splits over the
-    gradings: no class representative is needed, only the one grading whose
-    count is nonzero.  Raises NotCanceling when the d_1 homology is not
-    one-dimensional and SurvivorOffLine when the survivor is off
-    a^S q^{-S} t^0.
+    Every d_1 entry has degree D = (-2, 2, -1) (checked), so the homology
+    splits over the gradings, g having dimension size(g) - pivots(g) -
+    pivots(g + D).  Summed, that is len(c) - 2 * rank, and when it is 1 the
+    one survivor sits at the grading sum of the generators less twice that
+    of the pivot columns plus rank * D.  Raises NotCanceling when the d_1
+    homology is not one-dimensional and SurvivorOffLine when the survivor is
+    off a^S q^{-S} t^0.
     """
-    da, dq, dt = diff_degree(1)
-    dims = _count(c, 1, lambda g: g, lambda g: (g[0] + da, g[1] + dq, g[2] + dt))
-    total = sum(dims.values())
+    pivots = _pivots(c, 1)
+    total = len(c.generators) - 2 * len(pivots)
     if total != 1:
         raise NotCanceling("d_1 homology has dimension %d, expected 1" % total)
-    ((ea, eq, et),) = dims
+    ea, eq, et = (sum(col) - 2 * sum(map(col.__getitem__, pivots)) + len(pivots) * step
+                  for col, step in zip(zip(*c.generators), diff_degree(1)))
     if ea + eq != 0 or et != 0:
         raise SurvivorOffLine("survivor sits at amalgamated bigrade (%d, %d)" % (ea + eq, et))
     return ea
@@ -514,17 +512,31 @@ def complex_from_arrows(gradings, arrows, label=None):
     return c
 
 
+def _weave(level, *runs):
+    """Append (src range, dst range, sign) runs to a SignLevel, woven: the first arrow of each
+    run in turn, then the second, and so on; a run after the first may be one arrow short."""
+    size = sum(len(src) for src, _, _ in runs)
+    for column, part in zip((level.src, level.dst, level.sign), range(3)):
+        values = [0] * size
+        for w, run in enumerate(runs):
+            values[w::len(runs)] = run[part] if part < 2 else [run[2]] * len(run[0])
+        column.fromlist(values)
+
+
 def build_torus_complex(n, m):
     """The dot complex of T(n, m) for n in {2, 3}.
 
     Generators are the superpolynomial monomials.  T(2, m) is the thin
     complex with no squares.  For n = 3, d_1 is the explicit canceling
     matching, d_{-1} and d_{-2} its image under the q -> q^{-1} involution,
-    and the d_2 / d_0 arrows pair each cancelled source with its image;
-    each arrow's target is a row start of torus._t3_families plus an offset
-    in the row.  The sign is -1 exactly on the d_1 arrows out of the odd
-    level-1 entries and on the d_1 and d_{-1} arrows out of level 2;
-    complex_from_arrows verifies the result before it is returned.
+    and the d_2 / d_0 arrows pair each cancelled source with its image.
+    Each level is written from whole rows of torus._t3_families, held as
+    ranges of generator indices: a level-1 row r maps into the level-0 rows
+    t and u of its own and the previous j, a level-2 row s into the level-1
+    rows w and v of its own and the next j, and each arrow class out of a
+    row is one run (_weave).  The sign is -1 exactly on the d_1 arrows out
+    of the odd level-1 entries and on the d_1 and d_{-1} arrows out of
+    level 2; complex_from_arrows verifies the result before it is returned.
     """
     from .torus import torus_id, _t3_families
 
@@ -534,36 +546,26 @@ def build_torus_complex(n, m):
     if n != 3:
         raise ValueError("only the n = 2 and n = 3 families have explicit complexes")
 
-    levels = _t3_families(m)
-    gens, starts = [], []
-    for rows in levels:
-        starts.append([])
-        for row in rows:
-            starts[-1].append(len(gens))
-            gens.extend(row)
-    at0, at1, at2 = starts
-    arrows = {n_diff: SignLevel() for n_diff in (1, -1, 2, -2, 0)}
-    for j, row in enumerate(levels[1]):
-        for r in range(len(row)):
-            i = r // 2
-            dst = at0[j] + i
-            if r % 2 == 0:
-                targets = [(1, dst, 1), (-1, dst + 1, 1)]
-            else:
-                targets = [(2, dst, 1), (0, dst + 1, 1), (-2, dst + 2, 1),
-                           (1, at0[j - 1] + i - 1, -1) if i else (-1, at0[j - 1], 1)]
-            for n_diff, d, sign in targets:
-                arrows[n_diff].put(at1[j] + r, d, sign)
-    for j, row in enumerate(levels[2]):
-        for i in range(len(row)):
-            up = at1[j + 1] + 2 * i
-            targets = [(1, up + 1, -1), (-1, up + 3, -1), (2, up, 1), (0, up + 2, 1),
-                       (-2, up + 4, 1)]
-            if i:  # sources come in order, and so must a source's two d_1 targets
-                targets.insert(0, (1, at1[j] + 2 * i - 2, -1))
-            for n_diff, d, sign in targets:
-                arrows[n_diff].put(at2[j] + i, d, sign)
-    return complex_from_arrows(gens, arrows, label="T(3,%d)" % m)
+    gens, lv0, lv1, lv2 = [], [], [], []
+    for level, held in zip(_t3_families(m), (lv0, lv1, lv2)):
+        for row in level:
+            held.append(range(len(gens), len(gens) + len(row)))
+            gens += row
+    d1, dm1, d2, dm2, d0 = arrows = [SignLevel() for _ in range(5)]
+    for t, u, r in zip(lv0, [range(0)] + lv0, lv1):
+        if r:  # row 0 is empty when m = 3k + 1
+            _weave(d1, (r[:1], t[:1], 1))
+            _weave(d1, (r[2::2], t[1:-1], 1), (r[3::2], u, -1))
+            _weave(dm1, (r[:1], t[1:2], 1), (r[1:2], u[:1], 1))
+            _weave(dm1, (r[2::2], t[2:], 1))
+            for i, level in enumerate((d2, d0, dm2)):
+                _weave(level, (r[1::2], t[i:i + len(r) // 2], 1))
+    for s, w, v in zip(lv2, lv1, lv1[1:]):
+        _weave(d1, (s, v[1:-2:2], -1), (s[1:], w[::2], -1))
+        _weave(dm1, (s, v[3::2], -1))
+        for i, level in enumerate((d2, d0, dm2)):
+            _weave(level, (s, v[2 * i:2 * i + 2 * len(s):2], 1))
+    return complex_from_arrows(gens, dict(zip((1, -1, 2, -2, 0), arrows)), label="T(3,%d)" % m)
 
 
 def build_thin_complex(sawtooth_k, squares, label=None):
@@ -591,14 +593,12 @@ def build_thin_complex(sawtooth_k, squares, label=None):
     # w_i -> u_i on d_1 and w_i -> u_{i-1} on d_{-1}; [::-1] transposes an arrow.
     d1 = SignLevel(*(range(k + 1, 2 * k + 1), range(1, k + 1))[::sign], [1] * k)
     dm1 = SignLevel(*(range(k + 1, 2 * k + 1), range(k))[::sign], [1] * k)
+    b0, b1, b2, b3 = (range(base, total, 4) for base in range(len(gens), len(gens) + 4))
     for (ea, eq, et), mult in sorted(squares.terms.items()):
-        for _ in range(mult):
-            base = len(gens)
-            gens += [(ea, eq, et), (ea - 2, eq + 2, et - 1), (ea - 2, eq - 2, et - 3),
-                     (ea - 4, eq, et - 4)]
-            for level, s, d, sign in ((d1, 0, 1, 1), (d1, 2, 3, -1), (dm1, 0, 2, 1),
-                                      (dm1, 1, 3, 1)):
-                level.put(base + s, base + d, sign)
+        gens += [(ea, eq, et), (ea - 2, eq + 2, et - 1), (ea - 2, eq - 2, et - 3),
+                 (ea - 4, eq, et - 4)] * mult
+    _weave(d1, (b0, b1, 1), (b2, b3, -1))
+    _weave(dm1, (b0, b2, 1), (b1, b3, 1))
     return complex_from_arrows(gens, {1: d1, -1: dm1}, label=label)
 
 

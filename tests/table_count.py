@@ -1,11 +1,12 @@
 """The row-table per-key homology count, kept as the tests' reference.
 
-The package's _count (complexes) streams each source's row of the sorted
-level into the elimination as soon as it is complete and holds only the
-pivot rows.  This is the routine it replaced, unchanged but for its name
-and its return value: the whole level is first read into one table of
-rows {src: {dst: coefficient}}, whose rows then go to _eliminate in
-source order.  It returns the pivot columns beside the dims.
+The package streams each source's row of the sorted level into the
+elimination (complexes._pivots) as soon as it is complete, holds only the
+pivot rows, and keeps their columns for homology's count.  This is the
+count it replaced, unchanged but for its name and its return value: the
+whole level is first read into one table of rows {src: {dst:
+coefficient}}, whose rows then go to _eliminate in source order.  It
+returns the pivot columns beside the dims.
 """
 
 from collections import Counter

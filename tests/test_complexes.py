@@ -24,6 +24,7 @@ from superpoly.complexes import (
     GradingMismatch,
     NotCanceling,
     SignLevel,
+    SurvivorOffLine,
     VerifyReport,
     _bad_degrees,
     _bigrade,
@@ -766,6 +767,67 @@ class TestVerifyRecord:
             homology(c, 1)
 
 
+class TestPivotRecord:
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+
+        def counted(rows, pivots):
+            calls.append(pivots)
+            return _eliminate(rows, pivots)
+
+        monkeypatch.setattr(complexes, "_eliminate", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [4, 5, 31, 61])
+    def test_s_after_d1_homology_only_counts(self, eliminations, m):
+        c = build_torus_complex(3, m)
+        assert homology(c, 1).poincare == Poly3.one()
+        assert len(eliminations) == 1
+        level, gens, pivots = c._pivots[1]
+        assert level is c.diffs[1] and gens is c.generators
+        assert pivots.typecode == "q" and sorted(pivots) == sorted(eliminations[0])
+        assert s_invariant(c) == 2 * (m - 1) == s_invariant(build_torus_complex(3, m))
+        assert len(eliminations) == 2  # the second is the fresh build's
+        assert homology(c, 1).poincare == Poly3.one() and len(eliminations) == 2
+        assert table_count(c, 1, _bigrade(1), lambda key: (key[0], key[1] - 1))[1] == set(pivots)
+
+    def test_one_record_per_level(self, eliminations):
+        c = build_stable_complex(4, 30)
+        before = [homology(c, n).dims for n in (0, 1, 0, 1)]
+        assert len(eliminations) == 2 and sorted(c._pivots) == [0, 1]
+        assert before[:2] == before[2:]
+
+    def test_replaced_level_is_eliminated_again(self, eliminations):
+        c = build_torus_complex(3, 13)
+        s = s_invariant(c)
+        c.diffs[1] = SignLevel(c.diffs[1].src, c.diffs[1].dst, c.diffs[1].sign)
+        assert s_invariant(c) == s and len(eliminations) == 2
+        # A prefix of the sorted level still squares to zero (every arrow
+        # lowers the index), but leaves more than one survivor.
+        c.diffs[1] = SignLevel(*zip(*c.diffs[1][:len(c.diffs[1]) // 2]))
+        with pytest.raises(NotCanceling):
+            s_invariant(c)
+        assert len(eliminations) == 3
+
+    def test_replaced_generators_are_eliminated_again(self, eliminations):
+        c = build_torus_complex(3, 13)
+        s = s_invariant(c)
+        c.generators = tuple(list(c.generators))
+        assert s_invariant(c) == s and len(eliminations) == 2
+        c.generators += ((0, 0, 0),)  # a lone extra generator survives too
+        with pytest.raises(NotCanceling, match="dimension 2"):
+            s_invariant(c)
+        assert len(eliminations) == 3
+
+    def test_a_rejected_level_is_not_recorded(self):
+        c = DotComplex([(4, 0, 2), (2, 2, 1), (0, 4, 0)], {1: [(0, 1, 1), (1, 2, 1)]})
+        for _ in range(2):
+            with pytest.raises(ComplexError, match="d_1 squared is nonzero on 0 -> 2"):
+                homology(c, 1)
+        assert c._pivots == {}
+
+
 def reference_solve_signs(arrows):
     """The list-scan GF(2) sign solve: every row is reduced by every earlier one.
 
@@ -1416,25 +1478,29 @@ class TestMatchesBlockReference:
 # -- rows streamed into the elimination ---------------------------------------
 
 def assert_streamed_count_matches_table(c):
-    """_count against the row-table reference: dims and pivot columns for N = 0, 1, 2 and S."""
-    seen = []
-
-    def eliminate(rows, pivots):
-        seen.append(pivots)
-        return _eliminate(rows, pivots)
-
-    da, dq, dt = diff_degree(1)
-    cases = [(n, _bigrade(n), lambda key: (key[0], key[1] - 1)) for n in (0, 1, 2)]
-    cases.append((1, lambda g: g, lambda g: (g[0] + da, g[1] + dq, g[2] + dt)))
-    for n, key_of, image_of in cases:
-        seen.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(complexes, "_eliminate", eliminate)
-            dims = complexes._count(c, n, key_of, image_of)
-        assert (dims, set(seen[0])) == table_count(c, n, key_of, image_of), (c.label, n)
+    """homology and s_invariant against the row-table reference: the dims and the pivot
+    columns (those recorded in c._pivots) for N = 0, 1, 2, and S as the a-grading of the one
+    grading whose d_1 count is nonzero, the way s_invariant once read it."""
+    for n in (0, 1, 2):
+        dims = homology(c, n).dims
+        want_dims, want_pivots = table_count(c, n, _bigrade(n), lambda key: (key[0], key[1] - 1))
+        assert (dims, sorted(c._pivots[n][2])) == (want_dims, sorted(want_pivots)), (c.label, n)
         # One row per source, each read once, after the one empty row.
         level = _int_level(c, n)
         assert len(list(_rows(level))) == len({s for (s, _, _) in level}) + 1
+    da, dq, dt = diff_degree(1)
+    graded, _ = table_count(c, 1, lambda g: g, lambda g: (g[0] + da, g[1] + dq, g[2] + dt))
+    total = sum(graded.values())
+    if total != 1:
+        with pytest.raises(NotCanceling, match="dimension %d, expected 1$" % total):
+            s_invariant(c)
+        return
+    ((ea, eq, et),) = graded
+    if ea + eq != 0 or et != 0:
+        with pytest.raises(SurvivorOffLine, match=r"\(%d, %d\)$" % (ea + eq, et)):
+            s_invariant(c)
+    else:
+        assert s_invariant(c) == ea, c.label
 
 
 class TestStreamedRows:

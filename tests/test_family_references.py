@@ -19,6 +19,7 @@ from superpoly import complexes
 from superpoly.complexes import (
     ComplexError,
     DotComplex,
+    SignLevel,
     build_thin_complex,
     build_torus_complex,
     serialize_complex,
@@ -30,6 +31,11 @@ from superpoly.structchecks import thin_super
 from superpoly.torus import _t3_families
 
 T3_MS = [m for m in range(4, 122) if m % 3]
+THIN_SQUARES = [
+    Poly3.zero(),
+    # q-symmetric bases (eq = 0), one with multiplicity two.
+    Poly3({(4, 0, 2): 1, (6, 0, 5): 2, (-2, 0, -1): 1}),
+]
 
 
 def reference_t3_families(m):
@@ -260,19 +266,22 @@ def reference_stable_complex(n, qmax):
     return DotComplex(gens, diffs, label="stable-%d" % n)
 
 
+def _handed(monkeypatch, build, *args):
+    """(gradings, levels, label) as build hands them to complex_from_arrows, unchecked."""
+    seen = []
+    monkeypatch.setattr(complexes, "complex_from_arrows",
+                        lambda gradings, arrows, label=None: seen.append((gradings, arrows, label)))
+    build(*args)
+    (handed,) = seen
+    return handed
+
+
 def _construction_inputs(monkeypatch, build, *args):
     """(gradings, unsigned arrows with each level sorted, label) that build hands to
     complex_from_arrows; the signs are pinned separately."""
-    seen = []
-
-    def record(gradings, arrows, label=None):
-        seen.append((list(gradings),
-                     {n: sorted((s, d) for s, d, _ in a) for n, a in arrows.items() if a}, label))
-
-    monkeypatch.setattr(complexes, "complex_from_arrows", record)
-    build(*args)
-    (inputs,) = seen
-    return inputs
+    gradings, arrows, label = _handed(monkeypatch, build, *args)
+    return (list(gradings),
+            {n: sorted((s, d) for s, d, _ in a) for n, a in arrows.items() if a}, label)
 
 
 class TestT3:
@@ -291,7 +300,7 @@ class TestT3:
                 for j, row in enumerate(levels[1]) for i in range(len(row))] == [
             key for key, _ in expected[1]]
 
-    @pytest.mark.parametrize("m", T3_MS)
+    @pytest.mark.parametrize("m", T3_MS + [241, 242])
     def test_arrows(self, monkeypatch, m):
         gens, arrows, label = reference_t3_inputs(m)
         expected = (gens, {n: sorted(a) for n, a in arrows.items() if a}, label)
@@ -342,11 +351,7 @@ class TestT2:
             expected = serialize_complex(reference_t2_complex(m))
             assert serialize_complex(build_torus_complex(2, m)) == expected, m
 
-    @pytest.mark.parametrize("squares", [
-        Poly3.zero(),
-        # q-symmetric bases (eq = 0), one with multiplicity two.
-        Poly3({(4, 0, 2): 1, (6, 0, 5): 2, (-2, 0, -1): 1}),
-    ])
+    @pytest.mark.parametrize("squares", THIN_SQUARES)
     def test_thin_builder(self, squares):
         for k in range(-6, 7):
             expected = serialize_complex(reference_thin_complex(k, squares, label="k%d" % k))
@@ -363,6 +368,43 @@ class TestT2:
                 assert serialize_complex(c) == serialize_complex(expected), rec.name
                 rows += 1
         assert rows == 14
+
+
+class TestTrustedContract:
+    """Each level a builder hands on meets DotComplex._trusted's contract as it is: a SignLevel
+    of array('q') src and dst and array('b') +-1 signs, one length each, in-range indices and
+    strictly increasing (src, dst) pairs."""
+
+    def assert_trusted(self, gradings, arrows):
+        assert arrows
+        for n, level in arrows.items():
+            assert type(level) is SignLevel, n
+            columns = (level.src, level.dst, level.sign)
+            assert [column.typecode for column in columns] == ["q", "q", "b"], n
+            assert len(level.src) == len(level.dst) == len(level.sign), n
+            assert set(level.sign) <= {1, -1}, n
+            pairs = list(zip(level.src, level.dst))
+            assert all(a < b for a, b in zip(pairs, pairs[1:])), n
+            assert all(0 <= i < len(gradings) for pair in pairs for i in pair), n
+
+    @pytest.mark.parametrize("m", T3_MS + [241, 242])
+    def test_t3(self, monkeypatch, m):
+        gradings, arrows, _ = _handed(monkeypatch, build_torus_complex, 3, m)
+        assert sorted(arrows) == [-2, -1, 0, 1, 2]
+        self.assert_trusted(gradings, arrows)
+
+    def test_t2(self, monkeypatch):
+        for m in range(3, 60, 2):
+            self.assert_trusted(*_handed(monkeypatch, build_torus_complex, 2, m)[:2])
+
+    @pytest.mark.parametrize("squares", THIN_SQUARES)
+    def test_thin(self, monkeypatch, squares):
+        for k in range(-6, 7):
+            gradings, arrows, _ = _handed(monkeypatch, build_thin_complex, k, squares)
+            if k or squares:
+                self.assert_trusted(gradings, arrows)
+            else:  # a lone generator: both levels empty
+                assert [len(level) for level in arrows.values()] == [0, 0]
 
 
 class TestStableWords:
